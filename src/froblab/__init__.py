@@ -14,7 +14,6 @@ from .algebra import (
     Ideal,
     LocalDecomposition,
     extension_field,
-    frobenius_closure,
     frobenius_closure_data,
     prime_field,
     product_algebra,
@@ -86,7 +85,6 @@ __all__ = [
     "eval_dual_formula_right",
     "extension_field",
     "find_module_isomorphism",
-    "frobenius_closure",
     "frobenius_closure_data",
     "hom_space",
     "is_graded_two_sided",

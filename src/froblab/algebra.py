@@ -13,7 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AxiomError, BudgetError
-from .linalg import FpMatrix, Subspace, as_vector, quotient_representatives
+from .linalg import (
+    FpMatrix,
+    Subspace,
+    as_vector,
+    close_under,
+    quotient_representatives,
+    stabilize,
+)
 
 DEFAULT_ENUMERATION_BOUND = 1 << 20
 
@@ -128,19 +135,10 @@ class FiniteAlgebra:
             eye = np.eye(self.dim, dtype=np.int64)
             cols = [self.power(eye[i], self.p) for i in range(self.dim)]
             F = FpMatrix(self.p, np.array(cols, dtype=np.int64).T)
-            seen: dict[bytes, int] = {}
-            G = FpMatrix.identity(self.p, self.dim)
-            n = 0
-            while True:
-                key = G.data.tobytes()
-                if key in seen:
-                    preperiod = seen[key]
-                    period = n - preperiod
-                    break
-                seen[key] = n
-                G = F @ G
-                n += 1
-            self._frobenius = FrobeniusData(F, preperiod, period)
+            powers, preperiod, period = stabilize(
+                FpMatrix.identity(self.p, self.dim), lambda G: F @ G, lambda G: G.data.tobytes()
+            )
+            self._frobenius = FrobeniusData(F, preperiod, period, tuple(powers))
         return self._frobenius
 
     def nilradical(self) -> "Ideal":
@@ -209,11 +207,15 @@ class FiniteAlgebra:
 
 @dataclass(frozen=True)
 class FrobeniusData:
-    """The p-power endomorphism with the least (preperiod, period) of its powers."""
+    """The p-power endomorphism with the least (preperiod, period) of its powers.
+
+    powers holds F^0, ..., F^(preperiod + period - 1), the distinct powers.
+    """
 
     matrix: FpMatrix
     preperiod: int
     period: int
+    powers: tuple[FpMatrix, ...]
 
 
 class Ideal:
@@ -226,7 +228,8 @@ class Ideal:
             if g.shape[0] != algebra.dim:
                 raise ValueError("generator has wrong length")
         if space is None:
-            space = _close_under_multiplication(algebra, self.generators)
+            span = Subspace.from_vectors(algebra.p, algebra.dim, self.generators)
+            space = close_under(span, algebra.basis_matrices())
         self.space = space
 
     @property
@@ -273,17 +276,6 @@ class Ideal:
         return f"Ideal({gens})"
 
 
-def _close_under_multiplication(algebra: FiniteAlgebra, vectors) -> Subspace:
-    span = Subspace.from_vectors(algebra.p, algebra.dim, vectors)
-    mats = algebra.basis_matrices()
-    while True:
-        extra = [m.apply(row) for m in mats for row in span.basis]
-        bigger = span + Subspace.from_vectors(algebra.p, algebra.dim, extra)
-        if bigger == span:
-            return span
-        span = bigger
-
-
 @dataclass(frozen=True)
 class ClosureData:
     closure: "Ideal"
@@ -300,28 +292,18 @@ def frobenius_closure_data(ideal: Ideal) -> ClosureData:
     ascending chain, but consecutive equality is NOT a valid stopping rule:
     the chain can pause and grow again (it does for (t^2) in F_2[t]/(t^3)).
     Both c_n and the Frobenius powers are functions of the n-th power of the
-    Frobenius matrix, so we stop when that matrix revisits a state.
+    Frobenius matrix, so the chain runs over the distinct powers, up to the
+    point where that matrix revisits a state.
     """
     A = ideal.algebra
-    F = A.frobenius().matrix
-    seen: dict[bytes, int] = {}
+    frob = A.frobenius()
     chain: list[Subspace] = []
-    powers: list[Ideal] = []
-    G = FpMatrix.identity(A.p, A.dim)
-    n = 0
-    while True:
-        key = G.data.tobytes()
-        if key in seen:
-            preperiod, period = seen[key], n - seen[key]
-            break
-        seen[key] = n
+    for G in frob.powers:
         bracket = Ideal(A, [G.apply(g) for g in ideal.generators])
-        powers.append(bracket)
         chain.append(G.preimage(bracket.space))
-        if n > 0 and not (chain[n - 1] <= chain[n]):
+        if len(chain) > 1 and not (chain[-2] <= chain[-1]):
             raise AxiomError("frobenius closure chain is not ascending")
-        G = F @ G
-        n += 1
+    preperiod, period = frob.preperiod, frob.period
     closure_space = chain[preperiod]
     closure = Ideal(A, [row for row in closure_space.basis], space=closure_space)
     exponent = None
@@ -334,10 +316,6 @@ def frobenius_closure_data(ideal: Ideal) -> ClosureData:
             "no test exponent within the Frobenius cycle; this is a bug"
         )
     return ClosureData(closure, exponent, tuple(chain), preperiod, period)
-
-
-def frobenius_closure(ideal: Ideal) -> tuple[Ideal, int]:
-    return ideal.frobenius_closure()
 
 
 @dataclass

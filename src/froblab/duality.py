@@ -21,7 +21,7 @@ import numpy as np
 from .algebra import FiniteAlgebra
 from .errors import AxiomError
 from .fmodule import LeftFModule, RightFModule, _FModule
-from .linalg import FpMatrix, Subspace, as_vector, operator_kernel
+from .linalg import FpMatrix, Subspace, as_vector, combine, operator_kernel
 from .report import Report
 from .skew import GradedTwoSidedIdeal, unit_graded_ideal, x_power_graded_ideal, zero_graded_ideal
 
@@ -66,12 +66,8 @@ class DualityContext:
 
     def hom_matrix(self, coords) -> FpMatrix:
         """The map R -> E with the given hom_basis coordinates."""
-        coords = as_vector(coords, self.algebra.p)
-        total = FpMatrix.zeros(self.algebra.p, self.algebra.dim, self.algebra.dim)
-        for c, b in zip(coords, self.hom_basis):
-            if c:
-                total = total + int(c) * b
-        return total
+        p, d = self.algebra.p, self.algebra.dim
+        return combine(p, (d, d), as_vector(coords, p), self.hom_basis)
 
     def hom_coordinates(self, matrix: FpMatrix) -> np.ndarray | None:
         return self._hom_span.coordinates(matrix.data.ravel())
@@ -85,18 +81,12 @@ class DualityContext:
 
 
 def _hom_basis_of(algebra: FiniteAlgebra) -> list[FpMatrix]:
+    """Basis of the maps m: R -> E with m(a^p r) = a . m(r) for all a, r."""
     regs = algebra.basis_matrices()
     F = algebra.frobenius().matrix
     eye = np.eye(algebra.dim, dtype=np.int64)
-    reg_frob = [algebra.mult_matrix(F.apply(eye[i])) for i in range(algebra.dim)]
-
-    def conditions(m_arr):
-        m = FpMatrix(algebra.p, m_arr)
-        blocks = [(m @ reg_frob[i] - regs[i].T @ m).data for i in range(algebra.dim)]
-        return np.concatenate([b.ravel() for b in blocks])
-
-    basis = operator_kernel(conditions, algebra.p, (algebra.dim, algebra.dim))
-    return [FpMatrix(algebra.p, b) for b in basis]
+    pairs = [(algebra.mult_matrix(F.apply(eye[i])), regs[i].T) for i in range(algebra.dim)]
+    return operator_kernel(algebra.p, (algebra.dim, algebra.dim), pairs)
 
 
 def _canonical_psi_columns(algebra: FiniteAlgebra) -> list[FpMatrix]:
@@ -171,20 +161,14 @@ def build_duality_context(A: FiniteAlgebra, psi: FpMatrix | None = None) -> Dual
             raise AxiomError(f"psi does not intertwine the right action at {A.labels[i]}")
 
     # x-action on E determined by psi through  z x = psi(z)(1)
-    x_cols = []
-    for k in range(d):
-        m = FpMatrix.zeros(p, d, d)
-        for alpha, c in enumerate(psi.data[:, k]):
-            if c:
-                m = m + int(c) * hom_basis[alpha]
-        x_cols.append(m.apply(A.one))
+    x_cols = [combine(p, (d, d), psi.data[:, k], hom_basis).apply(A.one) for k in range(d)]
     x_on_dual = FpMatrix(p, np.array(x_cols, dtype=np.int64).T)
     if canonical and x_on_dual != F.T:
         raise AxiomError("canonical x-action on the dual is not Frobenius precomposition")
 
     # (E, x_on_dual) must be a valid right module; this is the semilinearity
     # invariant for the dual structure
-    E_module = RightFModule(A, dual_action, x_on_dual)
+    RightFModule(A, dual_action, x_on_dual)
 
     # nondegeneracy: z r x^n = 0 for all r forces z = 0 (n = 1, 2)
     for n in (1, 2):
@@ -224,7 +208,6 @@ def build_duality_context(A: FiniteAlgebra, psi: FpMatrix | None = None) -> Dual
     for k in range(d):
         if not np.array_equal(x_on_dual.apply(eye[k]), ctx.psi_apply(eye[k]).apply(A.one)):
             raise AxiomError("x-action and psi evaluation disagree")
-    del E_module
     return ctx
 
 
@@ -315,14 +298,6 @@ def double_dual_map(module: _FModule, ctx: DualityContext) -> FpMatrix:
 # -- the bundled identity checks ------------------------------------------------
 
 
-def _grann_key(chain: GradedTwoSidedIdeal) -> tuple:
-    return chain.key()
-
-
-def _render_chain(chain: GradedTwoSidedIdeal) -> str:
-    return repr(chain)
-
-
 def _dump_module(module: _FModule) -> str:
     """Counterexample payload: enough matrix data to rebuild the instance."""
     action = [a.data.tolist() for a in module.action]
@@ -407,7 +382,7 @@ def _check_one_module(
         "a module and its dual have the same graded annihilator",
         name,
         g_mod == g_dual,
-        f"module: {_render_chain(g_mod)} dual: {_render_chain(g_dual)}; {_dump_module(module)}"
+        f"module: {g_mod!r} dual: {g_dual!r}; {_dump_module(module)}"
         if g_mod != g_dual
         else "",
     )
@@ -447,11 +422,11 @@ def _check_one_module(
             quotient_chains = set()
             for sub in module.enumerate_submodules(submodule_budget):
                 q, _ = module.quotient(sub)
-                quotient_chains.add(_grann_key(q.graded_annihilator()))
+                quotient_chains.add(q.graded_annihilator().key())
             sub_chains = set()
             for sub in dual.enumerate_submodules(submodule_budget):
                 smod, _ = sub.as_module()
-                sub_chains.add(_grann_key(smod.graded_annihilator()))
+                sub_chains.add(smod.graded_annihilator().key())
             report.add(
                 "quotient_submodule_grann_sets",
                 "graded annihilators of quotients match graded annihilators of "

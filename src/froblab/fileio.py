@@ -19,7 +19,6 @@ from .linalg import FpMatrix
 
 
 def _int_grid(data, depth: int, what: str):
-    arr = np.asarray(data, dtype=object)
     try:
         arr = np.asarray(data, dtype=np.int64)
     except (TypeError, ValueError) as exc:
@@ -39,18 +38,39 @@ def algebra_to_doc(A: FiniteAlgebra) -> dict:
     }
 
 
-def algebra_from_doc(doc: dict) -> FiniteAlgebra:
-    for key in ("p", "dim", "table", "one"):
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
+def _require_keys(doc, keys: tuple[str, ...], what: str) -> None:
+    _object(doc, f"{what} document")
+    for key in keys:
         if key not in doc:
-            raise ValueError(f"algebra document is missing {key!r}")
-    p = int(doc["p"])
+            raise ValueError(f"{what} document is missing {key!r}")
+
+
+def _as_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what}: expected an integer, got {value!r}") from exc
+
+
+def algebra_from_doc(doc: dict) -> FiniteAlgebra:
+    _require_keys(doc, ("p", "dim", "table", "one"), "algebra")
+    p = _as_int(doc["p"], "p")
     table = _int_grid(doc["table"], 3, "table")
     one = _int_grid(doc["one"], 1, "one")
     if table.shape != (doc["dim"],) * 3:
         raise ValueError("table shape does not match dim")
     if ((table < 0) | (table >= p)).any() or ((one < 0) | (one >= p)).any():
         raise ValueError("entries must lie in [0, p)")
-    return FiniteAlgebra(p, table, one, labels=doc.get("labels"))
+    labels = doc.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise ValueError("labels must be a list")
+    return FiniteAlgebra(p, table, one, labels=labels)
 
 
 def module_to_doc(module: _FModule) -> dict:
@@ -75,14 +95,12 @@ def _square_matrix(data, n: int, what: str) -> np.ndarray:
 
 
 def module_from_doc(doc: dict, algebra: FiniteAlgebra) -> _FModule:
-    for key in ("side", "dim", "action", "X"):
-        if key not in doc:
-            raise ValueError(f"module document is missing {key!r}")
+    _require_keys(doc, ("side", "dim", "action", "X"), "module")
     side = doc["side"]
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    n = int(doc["dim"])
-    if len(doc["action"]) != algebra.dim:
+    n = _as_int(doc["dim"], "dim")
+    if not isinstance(doc["action"], list) or len(doc["action"]) != algebra.dim:
         raise ValueError("action must hold one matrix per algebra basis element")
     action = [
         FpMatrix(algebra.p, _square_matrix(m, n, f"action[{i}]"))
@@ -99,6 +117,8 @@ def ideal_to_doc(ideal: Ideal) -> dict:
 
 def ideal_from_doc(doc: dict, algebra: FiniteAlgebra) -> Ideal:
     gens = doc.get("generators", [])
+    if not isinstance(gens, list):
+        raise ValueError("generators must be a list")
     return algebra.ideal([_int_grid(g, 1, "generator") for g in gens])
 
 
@@ -117,21 +137,29 @@ def catalog_to_doc(catalog: InstanceCatalog) -> dict:
     }
 
 
+def _algebra_name(entry, what: str, cat: InstanceCatalog) -> str:
+    alg_name = _object(entry, what).get("algebra")
+    if not isinstance(alg_name, str) or alg_name not in cat.algebras:
+        raise ValueError(f"{what} references unknown algebra {alg_name!r}")
+    return alg_name
+
+
 def catalog_from_doc(doc: dict) -> InstanceCatalog:
+    _object(doc, "catalog document")
+
+    def section(key: str) -> dict:
+        return _object(doc.get(key, {}), f"catalog {key!r}")
+
     cat = InstanceCatalog()
-    for name, adoc in doc.get("algebras", {}).items():
+    for name, adoc in section("algebras").items():
         cat.algebras[name] = algebra_from_doc(adoc)
-    for name, mdoc in doc.get("modules", {}).items():
-        alg_name = mdoc.get("algebra")
-        if alg_name not in cat.algebras:
-            raise ValueError(f"module {name!r} references unknown algebra {alg_name!r}")
+    for name, mdoc in section("modules").items():
+        alg_name = _algebra_name(mdoc, f"module {name!r}", cat)
         cat.add_module(name, alg_name, module_from_doc(mdoc, cat.algebras[alg_name]))
-    for name, idoc in doc.get("ideals", {}).items():
-        alg_name = idoc.get("algebra")
-        if alg_name not in cat.algebras:
-            raise ValueError(f"ideal {name!r} references unknown algebra {alg_name!r}")
+    for name, idoc in section("ideals").items():
+        alg_name = _algebra_name(idoc, f"ideal {name!r}", cat)
         cat.add_ideal(name, alg_name, ideal_from_doc(idoc, cat.algebras[alg_name]))
-    cat.budgets = {k: int(v) for k, v in doc.get("budgets", {}).items()}
+    cat.budgets = {k: _as_int(v, f"budget {k!r}") for k, v in section("budgets").items()}
     return cat
 
 

@@ -21,28 +21,28 @@ from .linalg import (
     FpMatrix,
     Subspace,
     as_vector,
+    close_under,
+    combine,
     operator_kernel,
     operator_solve,
     quotient_representatives,
+    stabilize,
 )
 from .skew import GradedTwoSidedIdeal, SkewPolynomial
 
+ISOMORPHISM_SEARCH_BOUND = 1 << 14
 
-def _parameter_kernel(fun, p: int, d: int) -> Subspace:
-    """Kernel of a linear map from F_p^d into a matrix space."""
-    eye = np.eye(d, dtype=np.int64)
-    cols = [np.asarray(fun(eye[i]), dtype=np.int64).ravel() % p for i in range(d)]
-    mat = np.array(cols, dtype=np.int64).T if cols else np.zeros((0, d), dtype=np.int64)
-    return FpMatrix(p, mat.reshape(-1, d)).kernel()
-
-
-def _close_under(space: Subspace, operators: list[FpMatrix]) -> Subspace:
-    while True:
-        extra = [op.apply(row) for op in operators for row in space.basis]
-        bigger = space + Subspace.from_vectors(space.p, space.ambient_dim, extra)
-        if bigger == space:
-            return space
-        space = bigger
+def semilinear_pairs(
+    algebra: FiniteAlgebra, action: list[FpMatrix], side: str
+) -> list[tuple[FpMatrix, FpMatrix]]:
+    """Pairs (A_i, B_i), one per algebra basis element, such that X is a valid
+    x-action for the given ring action and side exactly when X A_i == B_i X."""
+    n = action[0].rows
+    F = algebra.frobenius().matrix
+    frob = [combine(algebra.p, (n, n), F.data[:, i], action) for i in range(algebra.dim)]
+    if side == "left":
+        return list(zip(action, frob))
+    return list(zip(frob, action))
 
 
 def _restrict(op: FpMatrix, space: Subspace) -> FpMatrix:
@@ -85,23 +85,8 @@ class _FModule:
 
     def rho(self, r) -> FpMatrix:
         """The action matrix of an arbitrary algebra element."""
-        r = as_vector(r, self.algebra.p)
-        total = FpMatrix.zeros(self.algebra.p, self.dim, self.dim)
-        for i, c in enumerate(r):
-            if c:
-                total = total + int(c) * self.action[i]
-        return total
-
-    def _twisted_pairs(self):
-        """Pairs (lhs, rhs) of matrices that must be equal for the side's twist."""
-        F = self.algebra.frobenius().matrix
-        eye = np.eye(self.algebra.dim, dtype=np.int64)
-        for i in range(self.algebra.dim):
-            frob_i = self.rho(F.apply(eye[i]))
-            if self.side == "left":
-                yield i, self.x_action @ self.action[i], frob_i @ self.x_action
-            else:
-                yield i, self.x_action @ frob_i, self.action[i] @ self.x_action
+        p = self.algebra.p
+        return combine(p, (self.dim, self.dim), as_vector(r, p), self.action)
 
     def validate(self) -> bool:
         A = self.algebra
@@ -112,8 +97,9 @@ class _FModule:
             for j in range(A.dim):
                 if self.action[i] @ self.action[j] != self.rho(A.mul(eye[i], eye[j])):
                     raise AxiomError(f"action is not multiplicative on ({i},{j})")
-        for i, lhs, rhs in self._twisted_pairs():
-            if lhs != rhs:
+        pairs = semilinear_pairs(A, self.action, self.side)
+        for i, (a, b) in enumerate(pairs):
+            if self.x_action @ a != b @ self.x_action:
                 raise AxiomError(
                     f"{self.side} semilinearity fails on basis element "
                     f"{A.labels[i]}"
@@ -148,7 +134,7 @@ class _FModule:
 
     def submodule(self, vectors) -> "FSubmodule":
         space = Subspace.from_vectors(self.algebra.p, self.dim, vectors)
-        closed = _close_under(space, self.action + [self.x_action])
+        closed = close_under(space, self.action + [self.x_action])
         return FSubmodule(self, closed)
 
     def full_submodule(self) -> "FSubmodule":
@@ -205,6 +191,32 @@ class _FModule:
 
     # -- common plumbing -----------------------------------------------------
 
+    def _x_chain(self, of) -> tuple[list[tuple[FpMatrix, Subspace]], int]:
+        """Pairs (X^n, of(X^n)) for n = 0, 1, ... until of(X^n) repeats.
+
+        of maps a matrix to a subspace that moves monotonically with n
+        (kernels, images), so the chain stops as soon as it stops moving;
+        the index returned is that of the stable entry.
+        """
+        X = self.x_action
+
+        def step(state):
+            power = X @ state[0]
+            return power, of(power)
+
+        identity = FpMatrix.identity(self.algebra.p, self.dim)
+        states, stable, _ = stabilize((identity, of(identity)), step, lambda s: s[1])
+        return states, stable
+
+    def _graded_annihilator(self, of, product) -> GradedTwoSidedIdeal:
+        """The chain b_n = {r : product(rho(r), X^n) == 0} along the chain of of(X^n)."""
+        p = self.algebra.p
+        chain = []
+        for power, _ in self._x_chain(of)[0]:
+            cols = np.stack([product(a, power).data.ravel() for a in self.action], axis=1)
+            chain.append(self._b_component(FpMatrix(p, cols).kernel()))
+        return GradedTwoSidedIdeal(self.algebra, chain)
+
     def _b_component(self, space: Subspace) -> Ideal:
         ideal = Ideal(self.algebra, list(space.basis))
         if ideal.space != space:
@@ -232,35 +244,18 @@ class LeftFModule(_FModule):
 
     def torsion_exponent(self) -> int:
         """Least e with ker(X^e) == ker(X^(e+1)); every x-torsion element dies by x^e."""
-        power = FpMatrix.identity(self.algebra.p, self.dim)
-        e = 0
-        while True:
-            if power.kernel() == (self.x_action @ power).kernel():
-                return e
-            power = self.x_action @ power
-            e += 1
+        return self._x_chain(FpMatrix.kernel)[1]
 
     def x_torsion(self) -> "FSubmodule":
-        e = self.torsion_exponent()
-        return FSubmodule(self, (self.x_action**e).kernel())
+        states, e = self._x_chain(FpMatrix.kernel)
+        return FSubmodule(self, states[e][1])
 
     def is_x_torsion_free(self) -> bool:
         return self.x_action.kernel().is_zero()
 
     def graded_annihilator(self) -> GradedTwoSidedIdeal:
         """Largest chain (b_n) with rho(b_n) . X^n == 0; stabilizes with im(X^n)."""
-        chain = []
-        power = FpMatrix.identity(self.algebra.p, self.dim)
-        while True:
-            b = _parameter_kernel(
-                lambda r: (self.rho(r) @ power).data, self.algebra.p, self.algebra.dim
-            )
-            chain.append(self._b_component(b))
-            nxt = self.x_action @ power
-            if power.image() == nxt.image():
-                break
-            power = nxt
-        return GradedTwoSidedIdeal(self.algebra, chain)
+        return self._graded_annihilator(FpMatrix.image, lambda a, power: a @ power)
 
     def annihilator_submodule(self, ideal: GradedTwoSidedIdeal) -> "FSubmodule":
         """Elements killed by every homogeneous piece of the graded ideal."""
@@ -274,12 +269,8 @@ class LeftFModule(_FModule):
                 space = space & (self.rho(b) @ xp).kernel()
         # conditions in degrees beyond the stable index follow once the
         # candidate space is x-stable, so cut down to the largest such part
-        while True:
-            smaller = space & self.x_action.preimage(space)
-            if smaller == space:
-                break
-            space = smaller
-        return FSubmodule(self, space)
+        states, _, _ = stabilize(space, lambda s: s & self.x_action.preimage(s))
+        return FSubmodule(self, states[-1])
 
 
 class RightFModule(_FModule):
@@ -287,31 +278,14 @@ class RightFModule(_FModule):
 
     def divisibility_exponent(self) -> int:
         """Least e with im(X^e) == im(X^(e+1))."""
-        power = FpMatrix.identity(self.algebra.p, self.dim)
-        e = 0
-        while True:
-            if power.image() == (self.x_action @ power).image():
-                return e
-            power = self.x_action @ power
-            e += 1
+        return self._x_chain(FpMatrix.image)[1]
 
     def is_x_divisible(self) -> bool:
         return self.x_action.image().is_full()
 
     def graded_annihilator(self) -> GradedTwoSidedIdeal:
         """Largest chain (b_n) with X^n . rho(b_n) == 0; stabilizes with ker(X^n)."""
-        chain = []
-        power = FpMatrix.identity(self.algebra.p, self.dim)
-        while True:
-            b = _parameter_kernel(
-                lambda r: (power @ self.rho(r)).data, self.algebra.p, self.algebra.dim
-            )
-            chain.append(self._b_component(b))
-            nxt = self.x_action @ power
-            if power.kernel() == nxt.kernel():
-                break
-            power = nxt
-        return GradedTwoSidedIdeal(self.algebra, chain)
+        return self._graded_annihilator(FpMatrix.kernel, lambda a, power: power @ a)
 
     def times_graded_ideal(self, ideal: GradedTwoSidedIdeal) -> "FSubmodule":
         """The submodule spanned by all m . (b x^n) with b in the n-th piece."""
@@ -324,7 +298,7 @@ class RightFModule(_FModule):
             for b in ideal.component(n).space.basis:
                 pieces.extend((xp @ self.rho(b)).data.T)
         space = Subspace.from_vectors(p, self.dim, pieces)
-        space = _close_under(space, self.action + [self.x_action])
+        space = close_under(space, self.action + [self.x_action])
         return FSubmodule(self, space)
 
     def annihilator_chain(self) -> tuple[list[Subspace], int]:
@@ -334,31 +308,21 @@ class RightFModule(_FModule):
         ker(X^k) in general; the two are kept separate on purpose.
         """
         p = self.algebra.p
-        if self.dim == 0:
-            return [Subspace.zero(p, 0)], 0
 
         def killed_by(power: FpMatrix) -> Subspace:
             stacked = np.vstack([(power @ a).data for a in self.action])
             return FpMatrix(p, stacked).kernel()
 
-        chain = []
-        power = FpMatrix.identity(p, self.dim)
-        k = 0
-        while True:
-            cur = killed_by(power)
-            chain.append(cur)
-            power = self.x_action @ power
-            if cur == killed_by(power):
-                return chain, k
-            k += 1
+        states, k = self._x_chain(killed_by)
+        return [space for _, space in states], k
 
     def eventual_annihilator(self) -> tuple["FSubmodule", int]:
         chain, k = self.annihilator_chain()
         return FSubmodule(self, chain[-1]), k
 
     def stable_image(self) -> tuple["FSubmodule", int]:
-        e = self.divisibility_exponent()
-        return FSubmodule(self, (self.x_action**e).image()), e
+        states, e = self._x_chain(FpMatrix.image)
+        return FSubmodule(self, states[e][1]), e
 
     def mod_eventual_annihilator(self) -> "RightFModule":
         """Quotient by (0 : R x^inf); the result has trivial eventual annihilator."""
@@ -483,24 +447,18 @@ def cartier_from_splitting(
     """
     if not algebra.is_reduced():
         return None, "not reduced"
+    p, d = algebra.p, algebra.dim
     F = algebra.frobenius().matrix
-    eye = np.eye(algebra.dim, dtype=np.int64)
-    frob_mults = [algebra.mult_matrix(F.apply(eye[i])) for i in range(algebra.dim)]
-
-    def conditions(pi_arr):
-        pi = FpMatrix(algebra.p, pi_arr)
-        blocks = [(pi @ m - m @ pi).data for m in frob_mults]
-        blocks.append((pi @ F).data)
-        return np.concatenate([b.ravel() for b in blocks])
-
-    rhs = np.concatenate(
-        [np.zeros(algebra.dim * algebra.dim * algebra.dim, dtype=np.int64), F.data.ravel()]
-    )
-    pi_arr = operator_solve(conditions, algebra.p, (algebra.dim, algebra.dim), rhs)
-    if pi_arr is None:
+    eye = np.eye(d, dtype=np.int64)
+    # pi commutes with multiplication by p-th powers, and pi F == F
+    frob_mults = [algebra.mult_matrix(F.apply(eye[i])) for i in range(d)]
+    pairs = [(m, m) for m in frob_mults] + [(F, FpMatrix.zeros(p, d, d))]
+    rhs = [np.zeros((d, d), dtype=np.int64)] * d + [F.data]
+    pi = operator_solve(p, (d, d), pairs, rhs)
+    if pi is None:
         return None, "no splitting"
     # on a reduced finite algebra the p-th power map is injective, so invertible
-    x_action = F.inverse() @ FpMatrix(algebra.p, pi_arr)
+    x_action = F.inverse() @ pi
     return RightFModule(algebra, algebra.basis_matrices(), x_action), None
 
 
@@ -511,47 +469,31 @@ def hom_space(source: _FModule, target: _FModule) -> list[FpMatrix]:
     """Basis of the space of structure-preserving maps source -> target."""
     if source.side != target.side or source.algebra != target.algebra:
         raise ValueError("modules are not comparable")
-    p = source.algebra.p
-
-    def conditions(phi_arr):
-        phi = FpMatrix(p, phi_arr)
-        blocks = [
-            (phi @ a - b @ phi).data for a, b in zip(source.action, target.action)
-        ]
-        blocks.append((phi @ source.x_action - target.x_action @ phi).data)
-        return np.concatenate([b.ravel() for b in blocks]) if blocks else np.zeros(0)
-
-    basis = operator_kernel(conditions, p, (target.dim, source.dim))
-    return [FpMatrix(p, b) for b in basis]
+    pairs = list(zip(source.action, target.action))
+    pairs.append((source.x_action, target.x_action))
+    return operator_kernel(source.algebra.p, (target.dim, source.dim), pairs)
 
 
-def find_module_isomorphism(
-    source: _FModule, target: _FModule, tries: int = 2000
-) -> FpMatrix | None:
-    """An invertible structure-preserving map, or None if there is none."""
+def find_module_isomorphism(source: _FModule, target: _FModule) -> FpMatrix | None:
+    """An invertible structure-preserving map, or None if there is none.
+
+    Tries every combination of a Hom basis, so the answer is exact; more
+    than 2^14 combinations raise BudgetError.
+    """
     if source.dim != target.dim:
         return None
     if source.dim == 0:
         return FpMatrix.zeros(source.algebra.p, 0, 0)
     basis = hom_space(source, target)
-    if not basis:
-        return None
     p = source.algebra.p
-    k = len(basis)
-    if p**k <= 1 << 14:
-        combos = itertools.product(range(p), repeat=k)
-    else:
-        import random
-
-        rng = random.Random(0)
-        combos = ([rng.randrange(p) for _ in range(k)] for _ in range(tries))
-    for coeffs in combos:
-        if not any(coeffs):
-            continue
-        total = FpMatrix.zeros(p, target.dim, source.dim)
-        for c, b in zip(coeffs, basis):
-            if c:
-                total = total + int(c) * b
-        if total.is_invertible():
-            return total
+    if p ** len(basis) > ISOMORPHISM_SEARCH_BOUND:
+        raise BudgetError(
+            f"isomorphism search needs {p}^{len(basis)} combinations, "
+            f"bound is {ISOMORPHISM_SEARCH_BOUND}"
+        )
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        if any(coeffs):
+            total = combine(p, (target.dim, source.dim), coeffs, basis)
+            if total.is_invertible():
+                return total
     return None

@@ -23,8 +23,8 @@ from .algebra import (
     truncated_polynomial_algebra,
 )
 from .errors import AxiomError
-from .fmodule import LeftFModule, RightFModule, _FModule, hom_space
-from .linalg import FpMatrix, Subspace, operator_kernel, quotient_representatives
+from .fmodule import LeftFModule, RightFModule, _FModule, hom_space, semilinear_pairs
+from .linalg import FpMatrix, Subspace, combine, operator_kernel, quotient_representatives
 
 
 # -- named algebras -----------------------------------------------------------
@@ -142,28 +142,8 @@ def _quotient_action(A: FiniteAlgebra, a: Ideal) -> list[np.ndarray]:
 
 def semilinear_solution_space(action: list[FpMatrix], A: FiniteAlgebra, side: str) -> list[FpMatrix]:
     """Basis of all x-action matrices compatible with the given ring action."""
-    n = action[0].rows if action else 0
-    F = A.frobenius().matrix
-    eye = np.eye(A.dim, dtype=np.int64)
-
-    def rho(r):
-        total = FpMatrix.zeros(A.p, n, n)
-        for i, c in enumerate(r):
-            if c:
-                total = total + int(c) * action[i]
-        return total
-
-    frob_action = [rho(F.apply(eye[i])) for i in range(A.dim)]
-
-    def conditions(x_arr):
-        x = FpMatrix(A.p, x_arr)
-        if side == "left":
-            blocks = [(x @ action[i] - frob_action[i] @ x).data for i in range(A.dim)]
-        else:
-            blocks = [(x @ frob_action[i] - action[i] @ x).data for i in range(A.dim)]
-        return np.concatenate([b.ravel() for b in blocks])
-
-    return [FpMatrix(A.p, b) for b in operator_kernel(conditions, A.p, (n, n))]
+    n = action[0].rows
+    return operator_kernel(A.p, (n, n), semilinear_pairs(A, action, side))
 
 
 def random_module(A: FiniteAlgebra, side: str, max_dim: int, rng: random.Random) -> _FModule:
@@ -195,23 +175,15 @@ def random_module(A: FiniteAlgebra, side: str, max_dim: int, rng: random.Random)
             offset += k
         action.append(FpMatrix(A.p, mat))
     basis = semilinear_solution_space(action, A, side)
-    x = FpMatrix.zeros(A.p, n, n)
-    for b in basis:
-        c = rng.randrange(A.p)
-        if c:
-            x = x + c * b
+    x = combine(A.p, (n, n), [rng.randrange(A.p) for _ in basis], basis)
     cls = LeftFModule if side == "left" else RightFModule
     return cls(A, action, x)
 
 
 def random_hom(source: _FModule, target: _FModule, rng: random.Random) -> FpMatrix:
     basis = hom_space(source, target)
-    total = FpMatrix.zeros(source.algebra.p, target.dim, source.dim)
-    for b in basis:
-        c = rng.randrange(source.algebra.p)
-        if c:
-            total = total + c * b
-    return total
+    coeffs = [rng.randrange(source.algebra.p) for _ in basis]
+    return combine(source.algebra.p, (target.dim, source.dim), coeffs, basis)
 
 
 # -- catalogs -------------------------------------------------------------------

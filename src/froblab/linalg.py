@@ -369,36 +369,81 @@ def quotient_representatives(space: Subspace, sub: Subspace) -> np.ndarray:
     return out
 
 
-def operator_kernel(fun, p: int, shape: tuple[int, int]) -> list[np.ndarray]:
-    """Basis of the kernel of a linear map on matrices of the given shape.
+def stabilize(start, step, key=None) -> tuple[list, int, int]:
+    """Iterate step from start until a key repeats.
 
-    fun takes an (rows x cols) int array and returns any int array; it must
-    be F_p-linear.  The returned basis matrices are in a canonical order.
+    Returns the states before the first repeat, the index of the state the
+    repeat returns to (the preperiod), and the cycle length (the period).
+    key defaults to the state itself.  An ascending or descending chain of
+    canonical subspaces repeats as soon as it stops moving, so its period
+    is 1 and its last state is the stable value.
+    """
+    key = key or (lambda state: state)
+    states: list = []
+    seen: dict = {}
+    state = start
+    while True:
+        k = key(state)
+        if k in seen:
+            return states, seen[k], len(states) - seen[k]
+        seen[k] = len(states)
+        states.append(state)
+        state = step(state)
+
+
+def close_under(space: Subspace, operators: list[FpMatrix]) -> Subspace:
+    """The smallest subspace containing space and stable under every operator."""
+    p, n = space.p, space.ambient_dim
+
+    def step(current: Subspace) -> Subspace:
+        images = [(current.basis @ op.data.T) % p for op in operators]
+        return Subspace.from_vectors(p, n, np.vstack([current.basis, *images]))
+
+    return stabilize(space, step)[0][-1]
+
+
+def combine(p: int, shape: tuple[int, int], coeffs, matrices) -> FpMatrix:
+    """The linear combination sum(c * m) of matrices of the given shape."""
+    total = np.zeros(shape, dtype=np.int64)
+    for c, m in zip(coeffs, matrices):
+        if c:
+            total = (total + (int(c) % p) * m.data) % p
+    return FpMatrix(p, total)
+
+
+def _intertwiner_system(p: int, shape: tuple[int, int], pairs) -> np.ndarray:
+    """Matrix of X -> [X A_i - B_i X]_i on row-major vec(X), X of the given shape.
+
+    Row-major vec turns X A into (I_rows kron A^T) vec X and B X into
+    (B kron I_cols) vec X.
     """
     rows, cols = shape
-    columns = []
-    for a in range(rows):
-        for b in range(cols):
-            e = np.zeros((rows, cols), dtype=np.int64)
-            e[a, b] = 1
-            columns.append(np.asarray(fun(e), dtype=np.int64).ravel() % p)
+    eye_r = np.eye(rows, dtype=np.int64)
+    eye_c = np.eye(cols, dtype=np.int64)
+    blocks = [np.kron(eye_r, a.data.T) - np.kron(b.data, eye_c) for a, b in pairs]
+    return np.vstack(blocks) % p
+
+
+def operator_kernel(p: int, shape: tuple[int, int], pairs) -> list[FpMatrix]:
+    """Basis of {X : X A_i == B_i X for every pair (A_i, B_i)}, in canonical order.
+
+    X has the given (rows, cols) shape, so A_i is cols x cols and B_i is
+    rows x rows.
+    """
+    rows, cols = shape
     if rows * cols == 0:
         return []
-    big = FpMatrix(p, np.array(columns, dtype=np.int64).T)
-    return [vec.reshape(rows, cols) for vec in big.kernel().basis]
+    kernel = FpMatrix(p, _intertwiner_system(p, shape, pairs)).kernel()
+    return [FpMatrix(p, vec.reshape(rows, cols)) for vec in kernel.basis]
 
 
-def operator_solve(fun, p: int, shape: tuple[int, int], rhs) -> np.ndarray | None:
-    """One matrix X with fun(X) == rhs, or None."""
-    rows, cols = shape
-    columns = []
-    for a in range(rows):
-        for b in range(cols):
-            e = np.zeros((rows, cols), dtype=np.int64)
-            e[a, b] = 1
-            columns.append(np.asarray(fun(e), dtype=np.int64).ravel() % p)
-    big = FpMatrix(p, np.array(columns, dtype=np.int64).T)
-    sol = big.solve(np.asarray(rhs, dtype=np.int64).ravel() % p)
+def operator_solve(p: int, shape: tuple[int, int], pairs, rhs) -> FpMatrix | None:
+    """One X with X A_i - B_i X == rhs_i for every pair, or None.
+
+    rhs holds one matrix of the given shape per pair.
+    """
+    rhs = np.asarray(rhs, dtype=np.int64).ravel() % p
+    sol = FpMatrix(p, _intertwiner_system(p, shape, pairs)).solve(rhs)
     if sol is None:
         return None
-    return sol.reshape(rows, cols)
+    return FpMatrix(p, sol.reshape(shape))

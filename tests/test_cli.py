@@ -74,6 +74,26 @@ def test_analyze_rejects_malformed_json(fixtures, tmp_path, capsys):
     assert main(["analyze", alg, str(broken)]) == 2
 
 
+def test_analyze_rejects_non_list_action(fixtures, capsys, tmp_path):
+    _, alg, mod, _ = fixtures
+    doc = json.loads(open(mod).read())
+    doc["action"] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["analyze", alg, str(bad)]) == 2
+    assert "action" in capsys.readouterr().err
+
+
+def test_analyze_rejects_non_integer_prime(fixtures, capsys, tmp_path):
+    _, alg, mod, _ = fixtures
+    doc = json.loads(open(alg).read())
+    doc["p"] = [2]
+    bad = tmp_path / "bad_alg.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["analyze", str(bad), mod]) == 2
+    assert "p: expected an integer" in capsys.readouterr().err
+
+
 def test_analyze_missing_file(fixtures):
     _, alg, _, _ = fixtures
     assert main(["analyze", alg, "/nonexistent/path.json"]) == 2
@@ -119,6 +139,27 @@ def test_fclosure_zero_ideal_reduced(tmp_path, capsys):
 def test_fclosure_bad_generator(fixtures):
     _, alg, _, _ = fixtures
     assert main(["fclosure", alg, "0,banana"]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        {"algebras": []},
+        {"modules": {"m": 5}},
+        {"modules": {"m": {"algebra": ["F2"]}}},
+        {
+            "algebras": {"F2": fileio.algebra_to_doc(prime_field(2))},
+            "ideals": {"i": {"algebra": "F2", "generators": 5}},
+        },
+        {"budgets": {"submodule": [1]}},
+    ],
+)
+def test_check_rejects_malformed_catalog(tmp_path, capsys, doc):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 2
+    assert "input error" in capsys.readouterr().err
 
 
 def test_check_default_catalog(capsys):
@@ -258,3 +299,9 @@ def test_algebra_doc_validation():
     doc["one"] = [5]
     with pytest.raises(ValueError, match=r"\[0, p\)"):
         fileio.algebra_from_doc(doc)
+    doc["one"] = [1]
+    doc["labels"] = 5
+    with pytest.raises(ValueError, match="labels"):
+        fileio.algebra_from_doc(doc)
+    with pytest.raises(ValueError, match="JSON object"):
+        fileio.algebra_from_doc([2])

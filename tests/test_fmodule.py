@@ -379,6 +379,14 @@ def test_quotient_by_zero_is_isomorphic_copy():
     assert find_module_isomorphism(M, quotient) is not None
 
 
+def test_isomorphism_search_refuses_above_its_bound():
+    # X = 0 on F_2^4: every 4x4 matrix is a homomorphism, 2^16 combinations
+    M = LeftFModule(F2, [FpMatrix.identity(2, 4)], FpMatrix.zeros(2, 4, 4))
+    assert len(hom_space(M, M)) == 16
+    with pytest.raises(BudgetError):
+        find_module_isomorphism(M, M)
+
+
 def test_quotient_by_everything_is_zero():
     M = natural_frobenius_module(F2T3)
     quotient, _ = M.quotient(M.full_submodule())

@@ -3,7 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from froblab.linalg import FpMatrix, Subspace, operator_kernel, quotient_representatives
+from froblab.linalg import (
+    FpMatrix,
+    Subspace,
+    close_under,
+    combine,
+    operator_kernel,
+    operator_solve,
+    quotient_representatives,
+    stabilize,
+)
 
 
 def brute_kernel(m: FpMatrix) -> set[tuple[int, ...]]:
@@ -177,6 +186,129 @@ def test_quotient_representatives_extend_sub():
 
 def test_operator_kernel_finds_commutant():
     # matrices commuting with a 2x2 Jordan block over F_2: dimension 2
-    j = np.array([[0, 1], [0, 0]], dtype=np.int64)
-    basis = operator_kernel(lambda m: (m @ j - j @ m) % 2, 2, (2, 2))
+    j = FpMatrix(2, [[0, 1], [0, 0]])
+    basis = operator_kernel(2, (2, 2), [(j, j)])
     assert len(basis) == 2
+    assert all(m @ j == j @ m for m in basis)
+
+
+# -- the callback assembler the pairs-based system builder replaced ------------
+
+
+def _reference_system(fun, p: int, shape: tuple[int, int]) -> FpMatrix:
+    """Column k is fun applied to the k-th unit matrix, in row-major order."""
+    rows, cols = shape
+    columns = []
+    for a in range(rows):
+        for b in range(cols):
+            e = np.zeros((rows, cols), dtype=np.int64)
+            e[a, b] = 1
+            columns.append(np.asarray(fun(e), dtype=np.int64).ravel() % p)
+    return FpMatrix(p, np.array(columns, dtype=np.int64).T)
+
+
+def reference_operator_kernel(fun, p: int, shape: tuple[int, int]) -> list[np.ndarray]:
+    rows, cols = shape
+    if rows * cols == 0:
+        return []
+    kernel = _reference_system(fun, p, shape).kernel()
+    return [vec.reshape(rows, cols) for vec in kernel.basis]
+
+
+def reference_operator_solve(fun, p: int, shape: tuple[int, int], rhs) -> np.ndarray | None:
+    sol = _reference_system(fun, p, shape).solve(np.asarray(rhs, dtype=np.int64).ravel() % p)
+    return None if sol is None else sol.reshape(shape)
+
+
+def _intertwiner_conditions(pairs, p: int):
+    def fun(x):
+        return np.concatenate([(x @ a.data - b.data @ x).ravel() % p for a, b in pairs])
+
+    return fun
+
+
+@st.composite
+def intertwiner_systems(draw):
+    """Random pairs (A_i, B_i) with entries biased towards 0, 1 and -1 so that
+    kernels are often nontrivial even for a large prime."""
+    p = draw(st.sampled_from([2, 3, 1048573]))
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+
+    def square(n):
+        rows_ = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        return FpMatrix(p, np.array(rows_, dtype=np.int64).reshape(n, n))
+
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = square(cols)
+        b = a if rows == cols and draw(st.booleans()) else square(rows)
+        pairs.append((a, b))
+    return p, (rows, cols), pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(intertwiner_systems(), st.data())
+def test_operator_kernel_and_solve_match_reference(system, data):
+    p, shape, pairs = system
+    fun = _intertwiner_conditions(pairs, p)
+    fast = operator_kernel(p, shape, pairs)
+    slow = reference_operator_kernel(fun, p, shape)
+    assert [m.data.tolist() for m in fast] == [m.tolist() for m in slow]
+    # consistent right-hand sides come from a random X; arbitrary ones may not be
+    if data.draw(st.booleans()):
+        x = np.array(
+            [[data.draw(st.integers(0, p - 1)) for _ in range(shape[1])] for _ in range(shape[0])],
+            dtype=np.int64,
+        )
+        rhs = [(x @ a.data - b.data @ x) % p for a, b in pairs]
+    else:
+        rhs = [
+            np.array(
+                [[data.draw(st.integers(0, p - 1)) for _ in range(shape[1])] for _ in range(shape[0])],
+                dtype=np.int64,
+            )
+            for _ in pairs
+        ]
+    got = operator_solve(p, shape, pairs, rhs)
+    want = reference_operator_solve(fun, p, shape, np.concatenate([r.ravel() for r in rhs]))
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.data.tolist() == want.tolist()
+
+
+def test_stabilize_period_three_cycle():
+    # 0 -> 1 -> 2 -> 3 -> 4 -> 2: two steps before a cycle of length three
+    states, preperiod, period = stabilize(0, lambda s: s + 1 if s < 4 else 2)
+    assert states == [0, 1, 2, 3, 4]
+    assert (preperiod, period) == (2, 3)
+    # a key coarser than the state: residues mod 3 repeat after three steps
+    states, preperiod, period = stabilize(5, lambda s: s + 1, key=lambda s: s % 3)
+    assert states == [5, 6, 7]
+    assert (preperiod, period) == (0, 3)
+
+
+def test_stabilize_monotone_chain():
+    # kernels of the powers of a nilpotent 3x3 Jordan block grow one step at a time
+    j = FpMatrix(3, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    states, preperiod, period = stabilize(
+        FpMatrix.identity(3, 3), lambda m: j @ m, key=lambda m: m.kernel()
+    )
+    assert [m.kernel().dim for m in states] == [0, 1, 2, 3]
+    assert (preperiod, period) == (3, 1)
+
+
+def test_close_under_shift_generates_flag():
+    j = FpMatrix(2, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    line = Subspace.from_vectors(2, 3, [[0, 0, 1]])
+    assert close_under(line, [j]).is_full()
+    assert close_under(Subspace.from_vectors(2, 3, [[1, 0, 0]]), [j]).dim == 1
+    assert close_under(line, []) == line
+
+
+def test_combine_is_the_linear_combination():
+    a = FpMatrix(5, [[1, 2], [3, 4]])
+    b = FpMatrix(5, [[0, 1], [1, 0]])
+    assert combine(5, (2, 2), [2, -1], [a, b]) == 2 * a + 4 * b
+    assert combine(5, (2, 3), [], []) == FpMatrix.zeros(5, 2, 3)
