@@ -12,17 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AxiomError, BudgetError
-from .linalg import (
-    FpMatrix,
-    Subspace,
-    as_vector,
-    close_under,
-    quotient_representatives,
-    stabilize,
-)
-
-DEFAULT_ENUMERATION_BOUND = 1 << 20
+from .errors import AxiomError
+from .linalg import FpMatrix, Subspace, as_vector, close_under, stabilize
 
 
 class FiniteAlgebra:
@@ -165,13 +156,13 @@ class FiniteAlgebra:
 
     # -- local structure --------------------------------------------------
 
-    def local_components(self, bound: int | None = None) -> "LocalDecomposition":
+    def local_components(self) -> "LocalDecomposition":
         if self._local is None:
-            self._local = _decompose(self, bound or DEFAULT_ENUMERATION_BOUND)
+            self._local = _decompose(self)
         return self._local
 
-    def is_local(self, bound: int | None = None) -> bool:
-        return len(self.local_components(bound).components) == 1
+    def is_local(self) -> bool:
+        return len(self.local_components().components) == 1
 
     # -- rendering ---------------------------------------------------------
 
@@ -264,7 +255,10 @@ class Ideal:
 
     def frobenius_power(self, n: int) -> "Ideal":
         """The ideal generated by the p^n-th powers of the stored generators."""
-        F = self.algebra.frobenius().matrix ** n
+        frob = self.algebra.frobenius()
+        if n >= frob.preperiod:
+            n = frob.preperiod + (n - frob.preperiod) % frob.period
+        F = frob.powers[n]
         return Ideal(self.algebra, [F.apply(g) for g in self.generators])
 
     def frobenius_closure(self) -> tuple["Ideal", int]:
@@ -352,25 +346,48 @@ class LocalDecomposition:
         return Ideal(A, gens)
 
 
-def _decompose(A: FiniteAlgebra, bound: int) -> LocalDecomposition:
-    if A.p**A.dim > bound:
-        raise BudgetError(
-            f"enumeration bound: idempotent search needs {A.p ** A.dim} elements, bound is {bound}"
-        )
-    idempotents = [e for e in A.elements() if np.array_equal(A.mul(e, e), e)]
-    nonzero = [e for e in idempotents if e.any()]
+def _primitive_idempotents(A: FiniteAlgebra) -> list[np.ndarray]:
+    """Split 1 into primitive idempotents inside K = ker(F - I) = {r : r^p = r}.
 
-    def below(g, e) -> bool:
-        return np.array_equal(A.mul(g, e), g)
+    K is isomorphic to F_p^r, one factor per local factor of A, and holds
+    every idempotent.  If a basis vector b of K is no scalar on a part eK,
+    its coordinates b_i there differ, and w = (b + a)e for a = -b_i splits e
+    by whether w is zero, a nonzero square or a non-square (p = 2: zero or
+    not).  The pieces go back on the worklist until b is a scalar on each;
+    after every b, each part e has eK = F_p e and is primitive.
+    """
+    p = A.p
+    K = (A.frobenius().matrix - FpMatrix.identity(p, A.dim)).kernel()
+    half = pow(2, -1, p) if p > 2 else 0
+    parts = [A.one.copy()]
+    for b in K.basis:
+        refined, pending = [], parts
+        while pending:
+            e = pending.pop()
+            be = A.mul(b, e)
+            scalar = Subspace.from_vectors(p, A.dim, [e, be]).dim == 1
+            for a in range(0 if scalar else p):
+                w = (be + a * e) % p
+                if p == 2:
+                    pieces = [w, (e - w) % p]
+                else:
+                    y = A.mul(A.power(w, (p - 1) // 2), e)
+                    z = A.mul(y, y)
+                    pieces = [(e - z) % p, (z + y) * half % p, (z - y) * half % p]
+                pieces = [v for v in pieces if v.any()]
+                if len(pieces) >= 2:
+                    pending.extend(pieces)
+                    break
+            else:
+                refined.append(e)
+        parts = refined
+    if len(parts) != K.dim:
+        raise AxiomError(f"{len(parts)} primitive idempotents for a fixed space of dim {K.dim}")
+    return sorted(parts, key=lambda v: tuple(v))
 
-    primitive = []
-    for e in nonzero:
-        strictly_smaller = [
-            g for g in nonzero if below(g, e) and not np.array_equal(g, e)
-        ]
-        if not strictly_smaller:
-            primitive.append(e)
-    primitive.sort(key=lambda v: tuple(v))
+
+def _decompose(A: FiniteAlgebra) -> LocalDecomposition:
+    primitive = _primitive_idempotents(A)
 
     total = A.zero()
     for i, e in enumerate(primitive):
@@ -389,8 +406,7 @@ def _decompose(A: FiniteAlgebra, bound: int) -> LocalDecomposition:
         table = np.zeros((k, k, k), dtype=np.int64)
         for i in range(k):
             for j in range(k):
-                prod = A.mul(basis[i], basis[j])
-                coords = space.coordinates(prod)
+                coords = space.coordinates(A.mul(basis[i], basis[j]))
                 assert coords is not None
                 table[i, j] = coords
         one = space.coordinates(e)
@@ -401,17 +417,6 @@ def _decompose(A: FiniteAlgebra, bound: int) -> LocalDecomposition:
 
     if sum(c.dim for c in components) != A.dim:
         raise AxiomError("component dimensions do not sum to the algebra dimension")
-    for comp, mx in zip(components, maximals):
-        # local check: everything outside the nilradical must be a unit
-        if comp.p**comp.dim <= 4096:
-            candidates = comp.elements()
-        else:
-            candidates = iter(
-                quotient_representatives(Subspace.full(comp.p, comp.dim), mx.space)
-            )
-        for v in candidates:
-            if not mx.contains(v) and not comp.is_unit(v):
-                raise AxiomError("component is not local")
     return LocalDecomposition(A, primitive, components, bases, maximals)
 
 

@@ -11,7 +11,6 @@ import random
 import numpy as np
 
 from .duality import build_duality_context, check_duality_identities
-from .errors import BudgetError
 from .fmodule import LeftFModule, RightFModule, _FModule
 from .generators import InstanceCatalog, sampled_modules
 from .linalg import Subspace
@@ -118,10 +117,7 @@ def check_square_multiplier(name: str, M: RightFModule, report: Report) -> None:
 def check_localization(name: str, M: RightFModule, report: Report) -> None:
     """Localizing commutes with multiplying by powers of x, per idempotent factor."""
     A = M.algebra
-    try:
-        decomp = A.local_components()
-    except BudgetError:
-        return
+    decomp = A.local_components()
     for idx in range(len(decomp.components)):
         local = M.localize(idx)
         eps = decomp.idempotents[idx]

@@ -2,8 +2,8 @@
 
 Subcommands: analyze | dualize | fclosure | check | probe-question.
 Exit codes: 0 all good, 1 a theorem check failed, 2 bad input or validation.
-The FROBLAB_BUDGET environment variable overrides the default enumeration
-bound used by exhaustive searches.
+The FROBLAB_BUDGET environment variable overrides the catalog's submodule
+enumeration budget used by check and probe-question.
 """
 from __future__ import annotations
 

@@ -31,6 +31,7 @@ from .linalg import (
 from .skew import GradedTwoSidedIdeal, SkewPolynomial
 
 ISOMORPHISM_SEARCH_BOUND = 1 << 14
+UNIT_SEARCH_BOUND = 1 << 20
 
 def semilinear_pairs(
     algebra: FiniteAlgebra, action: list[FpMatrix], side: str
@@ -334,13 +335,13 @@ class RightFModule(_FModule):
         sub, _ = self.stable_image()
         return self.quotient(sub)[0]
 
-    def localize(self, index: int, bound: int | None = None) -> "RightFModule":
+    def localize(self, index: int) -> "RightFModule":
         """Projection onto an idempotent factor, as a module over that factor.
 
         For a finite algebra, inverting everything outside a maximal ideal is
         exactly multiplication by the corresponding primitive idempotent.
         """
-        decomp = self.algebra.local_components(bound)
+        decomp = self.algebra.local_components()
         if not 0 <= index < len(decomp.components):
             raise ValueError(f"no component with index {index}")
         eps = decomp.idempotents[index]
@@ -414,24 +415,23 @@ def twisted_frobenius_module(algebra: FiniteAlgebra, c) -> LeftFModule:
     return LeftFModule(algebra, algebra.basis_matrices(), x_action)
 
 
-def twisted_modules_isomorphic(
-    algebra: FiniteAlgebra, c1, c2, bound: int = 1 << 20
-) -> tuple[bool, np.ndarray | None]:
+def twisted_modules_isomorphic(algebra: FiniteAlgebra, c1, c2) -> tuple[bool, np.ndarray | None]:
     """Decide whether the c1- and c2-twisted regular modules are isomorphic.
 
-    Searches exhaustively for a unit u whose multiplication matrix
-    intertwines the two x-actions; returns the witness when one exists.
+    Multiplication by u intertwines r -> c1 r^p and r -> c2 r^p exactly when
+    u c1 = c2 u^p (take r = 1, and multiply by r^p for the converse), a
+    linear condition on u.  Its solution space is searched exhaustively for
+    a unit, which is returned as the witness; solution spaces with more than
+    UNIT_SEARCH_BOUND elements raise BudgetError.
     """
-    if algebra.p**algebra.dim > bound:
-        raise BudgetError("unit search exceeds the enumeration bound")
     F = algebra.frobenius().matrix
-    x1 = algebra.mult_matrix(c1) @ F
-    x2 = algebra.mult_matrix(c2) @ F
-    for u in algebra.elements():
-        mu = algebra.mult_matrix(u)
-        if not mu.is_invertible():
-            continue
-        if mu @ x1 == x2 @ mu:
+    solutions = (algebra.mult_matrix(c1) - algebra.mult_matrix(c2) @ F).kernel()
+    if algebra.p**solutions.dim > UNIT_SEARCH_BOUND:
+        raise BudgetError(
+            f"unit search needs {algebra.p}^{solutions.dim} elements, bound is {UNIT_SEARCH_BOUND}"
+        )
+    for u in solutions.vectors():
+        if algebra.is_unit(u):
             return True, u
     return False, None
 

@@ -65,7 +65,7 @@ def enumerate_local_algebras(p: int, max_dim: int) -> list[FiniteAlgebra]:
 
     Basis element 0 is the identity, so only products of the remaining basis
     elements are free; every choice is screened by the full validator and a
-    locality test (no idempotents besides 0 and 1).
+    locality test.
     """
     found: list[FiniteAlgebra] = []
     for d in range(1, max_dim + 1):
@@ -86,8 +86,7 @@ def enumerate_local_algebras(p: int, max_dim: int) -> list[FiniteAlgebra]:
                 A = FiniteAlgebra(p, table, one, labels=["1"] + [f"g{i}" for i in range(1, d)])
             except AxiomError:
                 continue
-            idem = [e for e in A.elements() if np.array_equal(A.mul(e, e), e)]
-            if len(idem) == 2 or A.dim == 1:
+            if A.is_local():
                 found.append(A)
     return found
 
@@ -219,7 +218,7 @@ def default_catalog() -> InstanceCatalog:
     from .fmodule import natural_frobenius_module, twisted_frobenius_module
 
     cat = InstanceCatalog(algebras=standard_algebras())
-    cat.budgets = {"enumeration": 1 << 20, "submodule": 1 << 10}
+    cat.budgets = {"submodule": 1 << 10}
 
     f2t2 = cat.algebras["F2[t]/t2"]
     cat.add_module("natural_F2t2", "F2[t]/t2", natural_frobenius_module(f2t2))

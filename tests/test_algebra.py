@@ -6,6 +6,7 @@ import pytest
 
 from froblab.algebra import (
     FiniteAlgebra,
+    Ideal,
     extension_field,
     frobenius_closure_data,
     prime_field,
@@ -13,7 +14,8 @@ from froblab.algebra import (
     truncated_polynomial_algebra,
 )
 from froblab.errors import AxiomError
-from froblab.linalg import FpMatrix
+from froblab.generators import enumerate_local_algebras, standard_algebras
+from froblab.linalg import FpMatrix, Subspace, quotient_representatives
 
 
 F2 = prime_field(2)
@@ -153,6 +155,134 @@ def test_local_components_reassembly():
                     assert not prod.any()
 
 
+def reference_primitive_idempotents(A: FiniteAlgebra) -> list[np.ndarray]:
+    """Reference: scan all p^dim elements for idempotents, keep the minimal ones."""
+    nonzero = [e for e in A.elements() if e.any() and np.array_equal(A.mul(e, e), e)]
+    primitive = [
+        e
+        for e in nonzero
+        if not any(
+            np.array_equal(A.mul(g, e), g) and not np.array_equal(g, e) for g in nonzero
+        )
+    ]
+    return sorted(primitive, key=lambda v: tuple(v))
+
+
+def assert_local(comp: FiniteAlgebra, mx: Ideal) -> None:
+    """Reference: every element outside the nilradical is a unit."""
+    if comp.p**comp.dim <= 4096:
+        candidates = comp.elements()
+    else:
+        candidates = iter(quotient_representatives(Subspace.full(comp.p, comp.dim), mx.space))
+    for v in candidates:
+        assert mx.contains(v) or comp.is_unit(v)
+
+
+def reference_local_screen(p: int, max_dim: int) -> list[FiniteAlgebra]:
+    """Reference: the candidate tables of enumerate_local_algebras, kept when
+    0 and 1 are their only idempotents."""
+    found = []
+    for d in range(1, max_dim + 1):
+        free = [(i, j) for i in range(1, d) for j in range(i, d)]
+        for choice in itertools.product(
+            itertools.product(range(p), repeat=d), repeat=len(free)
+        ):
+            table = np.zeros((d, d, d), dtype=np.int64)
+            for k in range(d):
+                table[0, k, k] = 1
+                table[k, 0, k] = 1
+            for (i, j), vec in zip(free, choice):
+                table[i, j] = vec
+                table[j, i] = vec
+            one = np.zeros(d, dtype=np.int64)
+            one[0] = 1
+            try:
+                A = FiniteAlgebra(p, table, one)
+            except AxiomError:
+                continue
+            idem = [e for e in A.elements() if np.array_equal(A.mul(e, e), e)]
+            if len(idem) == 2 or A.dim == 1:
+                found.append(A)
+    return found
+
+
+def decomposition_cases() -> list[FiniteAlgebra]:
+    base = (
+        list(standard_algebras().values())
+        + enumerate_local_algebras(2, 3)
+        + enumerate_local_algebras(3, 2)
+    )
+    products = [
+        product_algebra(a, b)
+        for a, b in itertools.combinations_with_replacement(base, 2)
+        if a.p == b.p and a.dim + b.dim <= 6
+    ]
+    rng = random.Random(11)
+    split = [extension_field(5, [0, 4, 0, 1])] + [
+        rebased(power_of_prime_field(p, r), rng)
+        for p in (5, 7)
+        for r in (3, 4)
+        for _ in range(3)
+    ]
+    return base + products + split
+
+
+def power_of_prime_field(p: int, r: int) -> FiniteAlgebra:
+    A = prime_field(p)
+    for _ in range(r - 1):
+        A = product_algebra(A, prime_field(p))
+    return A
+
+
+def rebased(A: FiniteAlgebra, rng: random.Random) -> FiniteAlgebra:
+    """A in a random basis: the columns of P are the new basis vectors."""
+    while True:
+        P = FpMatrix(A.p, [[rng.randrange(A.p) for _ in range(A.dim)] for _ in range(A.dim)])
+        if P.is_invertible():
+            break
+    P_inv = P.inverse()
+    cols = [P.data[:, i] for i in range(A.dim)]
+    table = np.array(
+        [[P_inv.apply(A.mul(u, v)) for v in cols] for u in cols], dtype=np.int64
+    )
+    return FiniteAlgebra(A.p, table, P_inv.apply(A.one))
+
+
+def test_local_components_match_element_scan():
+    for A in decomposition_cases():
+        got = A.local_components()
+        want = reference_primitive_idempotents(A)
+        assert [tuple(e) for e in got.idempotents] == [tuple(e) for e in want]
+        for comp, mx in zip(got.components, got.maximal_ideals):
+            assert_local(comp, mx)
+
+
+@pytest.mark.parametrize("p, max_dim", [(2, 3), (3, 2)])
+def test_enumerate_local_algebras_matches_idempotent_screen(p, max_dim):
+    got = enumerate_local_algebras(p, max_dim)
+    want = reference_local_screen(p, max_dim)
+    assert [(A.table.tobytes(), A.one.tobytes()) for A in got] == [
+        (A.table.tobytes(), A.one.tobytes()) for A in want
+    ]
+
+
+def test_local_components_beyond_element_scans():
+    # 1048573^6 elements: far too many to list
+    p = 1048573
+    A = product_algebra(
+        product_algebra(truncated_polynomial_algebra(p, 2), prime_field(p)),
+        truncated_polynomial_algebra(p, 3),
+    )
+    decomp = A.local_components()
+    assert len(decomp.idempotents) == 3
+    assert [c.dim for c in decomp.components] == [3, 1, 2]
+    assert np.array_equal(sum(decomp.idempotents) % p, A.one)
+    for i, e in enumerate(decomp.idempotents):
+        assert np.array_equal(A.mul(e, e), e)
+        for f in decomp.idempotents[i + 1 :]:
+            assert not A.mul(e, f).any()
+
+
 def test_ideal_from_unit_generator_is_whole_ring():
     assert F2T3.ideal([F2T3.one]).space.is_full()
 
@@ -193,6 +323,21 @@ def test_frobenius_power_independent_of_generators():
             for n in range(3):
                 assert a.frobenius_power(n) == regenerated.frobenius_power(n)
                 assert a.frobenius_power(n) == brute_frobenius_power(A, a, n)
+
+
+def test_frobenius_power_reads_the_cycle():
+    rng = random.Random(5)
+    for A in standard_algebras().values():
+        frob = A.frobenius()
+        for _ in range(3):
+            gens = [
+                np.array([rng.randrange(A.p) for _ in range(A.dim)])
+                for _ in range(1 + rng.randrange(2))
+            ]
+            a = A.ideal(gens)
+            for n in range(frob.preperiod + 2 * frob.period + 3):
+                F = frob.matrix**n
+                assert a.frobenius_power(n) == Ideal(A, [F.apply(g) for g in gens])
 
 
 def test_closure_of_already_closed_ideal():

@@ -10,6 +10,7 @@ from froblab.algebra import (
     product_algebra,
     truncated_polynomial_algebra,
 )
+from froblab.checks import check_localization
 from froblab.errors import AxiomError, BudgetError
 from froblab.fmodule import (
     FSubmodule,
@@ -24,6 +25,7 @@ from froblab.fmodule import (
 )
 from froblab.generators import random_module, standard_algebras
 from froblab.linalg import FpMatrix, Subspace
+from froblab.report import Report
 from froblab.skew import (
     GradedTwoSidedIdeal,
     SkewPolynomial,
@@ -138,6 +140,50 @@ def test_rank_one_matches_root_criterion_exhaustively(A):
         for c2 in A.elements():
             ok, _ = twisted_modules_isomorphic(A, c1, c2)
             assert ok == brute_root_criterion(A, c1, c2)
+
+
+def reference_twisted_isomorphic(A, c1, c2) -> bool:
+    """Reference: scan every element for a unit intertwining the x-actions."""
+    F = A.frobenius().matrix
+    x1 = A.mult_matrix(c1) @ F
+    x2 = A.mult_matrix(c2) @ F
+    for u in A.elements():
+        mu = A.mult_matrix(u)
+        if mu.is_invertible() and mu @ x1 == x2 @ mu:
+            return True
+    return False
+
+
+def assert_unit_search_matches_scan(A, c1, c2):
+    ok, witness = twisted_modules_isomorphic(A, c1, c2)
+    assert ok == reference_twisted_isomorphic(A, c1, c2)
+    assert (witness is not None) == ok
+    if ok:
+        F = A.frobenius().matrix
+        mu = A.mult_matrix(witness)
+        assert mu.is_invertible()
+        assert mu @ A.mult_matrix(c1) @ F == A.mult_matrix(c2) @ F @ mu
+
+
+def test_unit_search_matches_element_scan_on_standard_algebras():
+    for A in standard_algebras().values():
+        assert A.p**A.dim <= 9
+        for c1, c2 in itertools.product(list(A.elements()), repeat=2):
+            assert_unit_search_matches_scan(A, c1, c2)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        truncated_polynomial_algebra(3, 3),
+        product_algebra(product_algebra(F2T2, F2), F2),
+    ],
+)
+def test_unit_search_matches_element_scan_on_seeded_pairs(A):
+    rng = random.Random(7)
+    for _ in range(50):
+        c1, c2 = ([rng.randrange(A.p) for _ in range(A.dim)] for _ in range(2))
+        assert_unit_search_matches_scan(A, c1, c2)
 
 
 # -- Cartier-type structures ---------------------------------------------------
@@ -509,6 +555,16 @@ def test_localize_product_components():
 def test_localize_zero_module():
     M = RightFModule.zero(F2xF2)
     assert M.localize(0).is_zero()
+
+
+def test_check_localization_beyond_element_scans():
+    # 1048573^2 elements: far too many to list
+    p = 1048573
+    M, _ = cartier_from_splitting(product_algebra(prime_field(p), prime_field(p)))
+    report = Report()
+    check_localization("cartier", M, report)
+    assert [r.check for r in report.results] == ["localization_commutes"] * 2
+    assert report.ok
 
 
 # -- homomorphisms ------------------------------------------------------------------
