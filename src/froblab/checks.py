@@ -89,8 +89,8 @@ def check_square_multiplier(name: str, M: RightFModule, report: Report) -> None:
     A = M.algebra
     if A.p**A.dim > 1 << 10 or M.is_zero():
         return
-    image = M.x_action.image()
-    x = M.x_action
+    power_images = [(M.x_action**k).image() for k in range(1, M.dim + 2)]
+    image = power_images[0]
     ok = True
     witnesses = 0
     for s in A.elements():
@@ -98,8 +98,7 @@ def check_square_multiplier(name: str, M: RightFModule, report: Report) -> None:
         if all(image.contains(col) for col in rs.data.T):
             witnesses += 1
             s2 = M.rho(A.mul(s, s))
-            for k in range(1, M.dim + 2):
-                imk = (x**k).image()
+            for imk in power_images:
                 if not all(imk.contains(col) for col in s2.data.T):
                     ok = False
                     break

@@ -164,27 +164,36 @@ class _FModule:
         return type(self)(self.algebra, action, x_new), proj
 
     def enumerate_submodules(self, budget: int) -> list["FSubmodule"]:
-        """Every invariant subspace, by closing one extra vector at a time."""
-        p = self.algebra.p
-        if p**self.dim > budget:
+        """Every invariant subspace: the cyclic submodules, closed under sums.
+
+        Every submodule is the sum of the cyclic submodules of its vectors, and
+        nonzero multiples of a vector generate the same one, so one closure per
+        line of F_p^dim suffices (its vector with leading coordinate 1).  A sum
+        of submodules is a submodule, so the sums need no closure.
+        """
+        p, n = self.algebra.p, self.dim
+        if p**n > budget:
             raise BudgetError(
-                f"submodule enumeration needs {p ** self.dim} vectors, budget is {budget}"
+                f"submodule enumeration needs {p ** n} vectors, budget is {budget}"
             )
-        all_vectors = [
-            np.array(c, dtype=np.int64)
-            for c in itertools.product(range(p), repeat=self.dim)
-        ]
         zero = self.zero_submodule()
         found = {zero.space: zero}
-        queue = [zero]
+        generators: dict[Subspace, np.ndarray] = {}
+        for lead in range(n):
+            for tail in itertools.product(range(p), repeat=n - lead - 1):
+                v = np.array((0,) * lead + (1,) + tail, dtype=np.int64)
+                cyclic = self.submodule([v])
+                found.setdefault(cyclic.space, cyclic)
+                generators.setdefault(cyclic.space, v)
+        queue = list(generators)
         while queue:
             current = queue.pop()
-            for v in all_vectors:
-                if current.space.contains(v):
+            for space, v in generators.items():
+                if current.contains(v):
                     continue
-                bigger = self.submodule(list(current.space.basis) + [v])
-                if bigger.space not in found:
-                    found[bigger.space] = bigger
+                bigger = current + space
+                if bigger not in found:
+                    found[bigger] = FSubmodule(self, bigger)
                     queue.append(bigger)
         return sorted(
             found.values(), key=lambda s: (s.space.dim, s.space.basis.tobytes())

@@ -7,6 +7,7 @@ detection in the rest of the package a pure comparison of values.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 MAX_PRIME = 1 << 25
 
 
+@functools.lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -132,6 +134,11 @@ class FpMatrix:
         self._compat(other)
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.cols} vs {other.rows}")
+        if self.cols * (self.p - 1) ** 2 >= 1 << 63:
+            raise ValueError(
+                f"a product with inner dimension {self.cols} over F_{self.p} "
+                "can overflow int64"
+            )
         return FpMatrix(self.p, self.data @ other.data)
 
     def __pow__(self, k: int) -> "FpMatrix":

@@ -23,7 +23,8 @@ from froblab.fmodule import (
     twisted_frobenius_module,
     twisted_modules_isomorphic,
 )
-from froblab.generators import random_module, standard_algebras
+from froblab.duality import build_duality_context, dual_module
+from froblab.generators import default_catalog, random_module, standard_algebras
 from froblab.linalg import FpMatrix, Subspace
 from froblab.report import Report
 from froblab.skew import (
@@ -491,6 +492,57 @@ def test_enumerate_submodules_budget():
     H = natural_frobenius_module(F2T3)
     with pytest.raises(BudgetError):
         H.enumerate_submodules(budget=4)
+    # the budget counts the p^dim vectors, inclusive
+    assert len(H.enumerate_submodules(budget=2**3)) > 0
+    with pytest.raises(BudgetError, match="needs 8 vectors, budget is 7"):
+        H.enumerate_submodules(budget=2**3 - 1)
+
+
+def reference_enumerate_submodules(module) -> list[FSubmodule]:
+    """The former enumeration: from each submodule found, close it together
+    with every vector outside it, until no new submodule appears."""
+    p = module.algebra.p
+    all_vectors = [
+        np.array(c, dtype=np.int64) for c in itertools.product(range(p), repeat=module.dim)
+    ]
+    zero = module.zero_submodule()
+    found = {zero.space: zero}
+    queue = [zero]
+    while queue:
+        current = queue.pop()
+        for v in all_vectors:
+            if current.space.contains(v):
+                continue
+            bigger = module.submodule(list(current.space.basis) + [v])
+            if bigger.space not in found:
+                found[bigger.space] = bigger
+                queue.append(bigger)
+    return sorted(found.values(), key=lambda s: (s.space.dim, s.space.basis.tobytes()))
+
+
+def assert_same_submodules(module) -> None:
+    """The same spaces in the same order as the reference; raises BudgetError
+    above p^dim = 2^10, so every module given is compared."""
+    got = module.enumerate_submodules(1 << 10)
+    want = reference_enumerate_submodules(module)
+    assert [s.space for s in got] == [s.space for s in want]
+    assert all(s.parent is module for s in got)
+
+
+def test_enumerate_submodules_matches_reference_on_catalog():
+    cat = default_catalog()
+    for alg_name, module in cat.modules.values():
+        ctx = build_duality_context(cat.algebras[alg_name])
+        assert_same_submodules(module)
+        assert_same_submodules(dual_module(module, ctx))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_enumerate_submodules_matches_reference_on_random_modules(seed):
+    rng = random.Random(seed)
+    for A in standard_algebras().values():
+        for side in ("left", "right"):
+            assert_same_submodules(random_module(A, side, 4, rng))
 
 
 # -- reductions ----------------------------------------------------------------------

@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from froblab.linalg import (
+    MAX_PRIME,
     FpMatrix,
     Subspace,
     close_under,
     combine,
     operator_kernel,
     operator_solve,
+    is_prime,
     quotient_representatives,
     stabilize,
 )
@@ -67,6 +69,28 @@ def test_non_prime_modulus_rejected():
         FpMatrix(4, [[1]])
     with pytest.raises(ValueError):
         FpMatrix(1, [[0]])
+
+
+def test_prime_check_is_cached_and_keeps_its_messages():
+    FpMatrix(1048573, [[1]])
+    FpMatrix(1048573, [[2]])
+    assert is_prime.cache_info().hits >= 1
+    with pytest.raises(ValueError, match="modulus 4 is not prime"):
+        FpMatrix(4, [[1]])
+    with pytest.raises(ValueError, match="modulus 4 is not prime"):
+        Subspace.from_vectors(4, 1, [[1]])
+
+
+def test_matmul_refuses_products_past_int64_headroom():
+    p = next(q for q in range(MAX_PRIME, 1, -1) if is_prime(q))
+    # entries are at most p - 1, so an inner dimension n is safe while
+    # n * (p - 1)^2 < 2^63
+    limit = ((1 << 63) - 1) // (p - 1) ** 2
+    under = FpMatrix(p, np.full((1, limit), p - 1))
+    assert (under @ under.T).data.tolist() == [[limit % p]]
+    past = FpMatrix(p, np.full((1, limit + 1), p - 1))
+    with pytest.raises(ValueError, match="overflow int64"):
+        past @ past.T
 
 
 def test_kernel_of_identity_is_zero():
