@@ -13,7 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AxiomError
-from .linalg import FpMatrix, Subspace, as_vector, close_under, stabilize
+from .linalg import (
+    FpMatrix,
+    Subspace,
+    as_vector,
+    check_word_size,
+    close_under,
+    is_prime,
+    restrict,
+    stabilize,
+)
 
 
 class FiniteAlgebra:
@@ -35,6 +44,7 @@ class FiniteAlgebra:
             raise ValueError("need one label per basis element")
         self.table.setflags(write=False)
         self.one.setflags(write=False)
+        self._basis_matrices: tuple[FpMatrix, ...] | None = None
         self._frobenius: FrobeniusData | None = None
         self._local: LocalDecomposition | None = None
         if check:
@@ -45,10 +55,10 @@ class FiniteAlgebra:
     def validate(self) -> bool:
         """Check commutativity, associativity, identity, and primality of p.
 
-        Raises AxiomError naming the first violated axiom and its indices.
+        Raises AxiomError naming the first violated axiom and its indices,
+        and ValueError for a characteristic above the single-word limit.
         """
-        from .linalg import is_prime
-
+        check_word_size(self.p)
         if not is_prime(self.p):
             raise AxiomError(f"characteristic({self.p}) is not prime")
         t = self.table
@@ -95,9 +105,12 @@ class FiniteAlgebra:
         m = np.tensordot(u, self.table, axes=(0, 0)).T % self.p
         return FpMatrix(self.p, m)
 
-    def basis_matrices(self) -> list[FpMatrix]:
-        eye = np.eye(self.dim, dtype=np.int64)
-        return [self.mult_matrix(eye[i]) for i in range(self.dim)]
+    def basis_matrices(self) -> tuple[FpMatrix, ...]:
+        """The multiplication matrices of the basis elements, computed once."""
+        if self._basis_matrices is None:
+            eye = np.eye(self.dim, dtype=np.int64)
+            self._basis_matrices = tuple(self.mult_matrix(eye[i]) for i in range(self.dim))
+        return self._basis_matrices
 
     def is_unit(self, u) -> bool:
         return self.mult_matrix(u).is_invertible()
@@ -319,30 +332,29 @@ class LocalDecomposition:
     algebra: FiniteAlgebra
     idempotents: list[np.ndarray]
     components: list[FiniteAlgebra]
-    component_bases: list[np.ndarray]  # rows: basis of each factor inside the algebra
+    component_spaces: list[Subspace]  # each factor eps_i A; its basis rows are the factor basis
     maximal_ideals: list[Ideal]  # nilradical of each factor, in factor coordinates
 
     def lift(self, index: int, v) -> np.ndarray:
         """Coordinates in the ambient algebra of a factor element."""
         v = as_vector(v, self.algebra.p)
-        return (v @ self.component_bases[index]) % self.algebra.p
+        return (v @ self.component_spaces[index].basis) % self.algebra.p
 
     def project(self, index: int, v) -> np.ndarray:
         """Factor coordinates of eps_i * v."""
-        A = self.algebra
-        w = A.mul(self.idempotents[index], v)
-        space = Subspace.from_vectors(A.p, A.dim, self.component_bases[index])
-        coords = space.coordinates(w)
-        assert coords is not None
+        w = self.algebra.mul(self.idempotents[index], v)
+        coords = self.component_spaces[index].coordinates(w)
+        if coords is None:
+            raise AxiomError(f"eps_{index} * v lies outside factor {index}")
         return coords
 
     def maximal_ideal_in_ambient(self, index: int) -> Ideal:
         """The maximal ideal of the algebra sitting over the given factor."""
         A = self.algebra
         gens = [self.lift(index, g) for g in self.maximal_ideals[index].space.basis]
-        for j, basis in enumerate(self.component_bases):
+        for j, space in enumerate(self.component_spaces):
             if j != index:
-                gens.extend(basis)
+                gens.extend(space.basis)
         return Ideal(A, gens)
 
 
@@ -398,26 +410,20 @@ def _decompose(A: FiniteAlgebra) -> LocalDecomposition:
     if not np.array_equal(total, A.one):
         raise AxiomError("primitive idempotents do not sum to the identity")
 
-    components, bases, maximals = [], [], []
+    components, spaces, maximals = [], [], []
     for e in primitive:
         space = A.mult_matrix(e).image()
-        basis = space.basis
-        k = space.dim
-        table = np.zeros((k, k, k), dtype=np.int64)
-        for i in range(k):
-            for j in range(k):
-                coords = space.coordinates(A.mul(basis[i], basis[j]))
-                assert coords is not None
-                table[i, j] = coords
+        # table[i][j] holds the coordinates of b_i b_j, column j of restrict(b_i)
+        table = np.array([restrict(A.mult_matrix(b), space).data.T for b in space.basis])
         one = space.coordinates(e)
-        comp = FiniteAlgebra(A.p, table, one, labels=[f"b{i}" for i in range(k)])
+        comp = FiniteAlgebra(A.p, table, one, labels=[f"b{i}" for i in range(space.dim)])
         components.append(comp)
-        bases.append(basis)
+        spaces.append(space)
         maximals.append(comp.nilradical())
 
     if sum(c.dim for c in components) != A.dim:
         raise AxiomError("component dimensions do not sum to the algebra dimension")
-    return LocalDecomposition(A, primitive, components, bases, maximals)
+    return LocalDecomposition(A, primitive, components, spaces, maximals)
 
 
 # -- standard constructions ------------------------------------------------

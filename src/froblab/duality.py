@@ -21,7 +21,7 @@ import numpy as np
 from .algebra import FiniteAlgebra
 from .errors import AxiomError
 from .fmodule import LeftFModule, RightFModule, _FModule
-from .linalg import FpMatrix, Subspace, as_vector, combine, operator_kernel
+from .linalg import FpMatrix, Subspace, as_vector, combine, mulmod, operator_kernel
 from .report import Report
 from .skew import GradedTwoSidedIdeal, unit_graded_ideal, x_power_graded_ideal, zero_graded_ideal
 
@@ -89,16 +89,14 @@ def _hom_basis_of(algebra: FiniteAlgebra) -> list[FpMatrix]:
     return operator_kernel(algebra.p, (algebra.dim, algebra.dim), pairs)
 
 
-def _canonical_psi_columns(algebra: FiniteAlgebra) -> list[FpMatrix]:
-    """For each dual basis vector z, the map r -> (z . r) after Frobenius."""
-    regs = algebra.basis_matrices()
+def _canonical_psi_maps(algebra: FiniteAlgebra) -> np.ndarray:
+    """Row k: the map r -> (z_k . r) after Frobenius for the k-th dual basis
+    vector z_k, as a row-major d x d matrix."""
+    d = algebra.dim
     F = algebra.frobenius().matrix
-    cols_per_j = [(F.T @ regs[j].T).data for j in range(algebra.dim)]
-    out = []
-    for k in range(algebra.dim):
-        m = np.stack([cols_per_j[j][:, k] for j in range(algebra.dim)], axis=1)
-        out.append(FpMatrix(algebra.p, m))
-    return out
+    # entry [j, i, k] is entry (i, j) of the k-th map
+    maps = np.stack([(F.T @ reg.T).data for reg in algebra.basis_matrices()])
+    return maps.transpose(2, 1, 0).reshape(d, d * d)
 
 
 def build_duality_context(A: FiniteAlgebra, psi: FpMatrix | None = None) -> DualityContext:
@@ -123,13 +121,10 @@ def build_duality_context(A: FiniteAlgebra, psi: FpMatrix | None = None) -> Dual
 
     canonical = psi is None
     if canonical:
-        cols = []
-        for m in _canonical_psi_columns(A):
-            coords = hom_span.coordinates(m.data.ravel())
-            if coords is None:
-                raise AxiomError("canonical map lands outside the twisted hom space")
-            cols.append(coords)
-        psi = FpMatrix(p, np.array(cols, dtype=np.int64).T)
+        coords = hom_span.coordinates(_canonical_psi_maps(A))
+        if coords is None:
+            raise AxiomError("canonical map lands outside the twisted hom space")
+        psi = FpMatrix(p, coords.T)
     else:
         if psi.p != p or psi.rows != d or psi.cols != d:
             raise ValueError("psi must be a d x d matrix over F_p")
@@ -141,20 +136,19 @@ def build_duality_context(A: FiniteAlgebra, psi: FpMatrix | None = None) -> Dual
     # bimodule conditions: psi must intertwine both actions on E and on
     # the hom space.  The hom-space actions are (a . m) = rho_E(a) m and
     # (m . a) = m . (mult by a on the source).
-    def op_in_hom_coords(op) -> FpMatrix:
-        cols = []
-        for b in hom_basis:
-            moved = op(b)
-            coords = hom_span.coordinates(moved.data.ravel())
-            if coords is None:
-                raise AxiomError("hom space is not stable under the bimodule actions")
-            cols.append(coords)
-        return FpMatrix(p, np.array(cols, dtype=np.int64).T)
+    hom_stack = np.stack([b.data for b in hom_basis])
+
+    def in_hom_coords(moved: np.ndarray) -> FpMatrix:
+        """The map sending hom_basis[h] to moved[h], in hom_basis coordinates."""
+        coords = hom_span.coordinates(moved.reshape(d, d * d))
+        if coords is None:
+            raise AxiomError("hom space is not stable under the bimodule actions")
+        return FpMatrix(p, coords.T)
 
     for i in range(d):
         reg_frob_i = A.mult_matrix(F.apply(eye[i]))
-        left_on_hom = op_in_hom_coords(lambda b, i=i: regs[i].T @ b)
-        right_on_hom = op_in_hom_coords(lambda b, i=i: b @ regs[i])
+        left_on_hom = in_hom_coords(mulmod(regs[i].data.T, hom_stack, p))
+        right_on_hom = in_hom_coords(mulmod(hom_stack, regs[i].data, p))
         if psi @ reg_frob_i.T != left_on_hom @ psi:
             raise AxiomError(f"psi does not intertwine the left action at {A.labels[i]}")
         if psi @ regs[i].T != right_on_hom @ psi:

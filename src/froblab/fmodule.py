@@ -23,9 +23,11 @@ from .linalg import (
     as_vector,
     close_under,
     combine,
+    image_rows,
     operator_kernel,
     operator_solve,
-    quotient_representatives,
+    quotient_maps,
+    restrict,
     stabilize,
 )
 from .skew import GradedTwoSidedIdeal, SkewPolynomial
@@ -45,17 +47,6 @@ def semilinear_pairs(
         return list(zip(action, frob))
     return list(zip(frob, action))
 
-
-def _restrict(op: FpMatrix, space: Subspace) -> FpMatrix:
-    """Matrix of op on an invariant subspace, in the subspace's canonical basis."""
-    cols = []
-    for row in space.basis:
-        coords = space.coordinates(op.apply(row))
-        if coords is None:
-            raise AxiomError("operator does not preserve the subspace")
-        cols.append(coords)
-    data = np.array(cols, dtype=np.int64).T if cols else np.zeros((0, 0), dtype=np.int64)
-    return FpMatrix(op.p, data.reshape(space.dim, space.dim))
 
 
 class _FModule:
@@ -148,17 +139,7 @@ class _FModule:
         """Quotient module and the projection matrix onto its basis."""
         if sub.parent is not self:
             raise ValueError("submodule belongs to a different module")
-        p = self.algebra.p
-        reps = quotient_representatives(Subspace.full(p, self.dim), sub.space)
-        m = reps.shape[0]
-        basis = np.vstack([sub.space.basis, reps]) if self.dim else reps
-        if self.dim:
-            change = FpMatrix(p, basis.T).inverse()
-            proj = FpMatrix(p, change.data[sub.space.dim :, :])
-            lift = FpMatrix(p, reps.T)
-        else:
-            proj = FpMatrix.zeros(p, 0, 0)
-            lift = FpMatrix.zeros(p, 0, 0)
+        proj, lift = quotient_maps(sub.space)
         action = [proj @ a @ lift for a in self.action]
         x_new = proj @ self.x_action @ lift
         return type(self)(self.algebra, action, x_new), proj
@@ -353,16 +334,10 @@ class RightFModule(_FModule):
         decomp = self.algebra.local_components()
         if not 0 <= index < len(decomp.components):
             raise ValueError(f"no component with index {index}")
-        eps = decomp.idempotents[index]
-        comp = decomp.components[index]
-        part = self.rho(eps).image()
-        eye = np.eye(comp.dim, dtype=np.int64)
-        action = [
-            _restrict(self.rho(decomp.lift(index, eye[i])), part)
-            for i in range(comp.dim)
-        ]
-        x_new = _restrict(self.x_action, part)
-        return RightFModule(comp, action, x_new)
+        part = self.rho(decomp.idempotents[index]).image()
+        action = [restrict(self.rho(b), part) for b in decomp.component_spaces[index].basis]
+        x_new = restrict(self.x_action, part)
+        return RightFModule(decomp.components[index], action, x_new)
 
 
 class FSubmodule:
@@ -373,10 +348,8 @@ class FSubmodule:
     def __init__(self, parent: _FModule, space: Subspace):
         if space.ambient_dim != parent.dim or space.p != parent.algebra.p:
             raise ValueError("subspace has the wrong ambient space")
-        for op in parent.action + [parent.x_action]:
-            for row in space.basis:
-                if not space.contains(op.apply(row)):
-                    raise AxiomError("subspace is not closed under the module structure")
+        if not space.contains(image_rows(space, parent.action + [parent.x_action])):
+            raise AxiomError("subspace is not closed under the module structure")
         self.parent = parent
         self.space = space
 
@@ -389,8 +362,8 @@ class FSubmodule:
 
     def as_module(self) -> tuple[_FModule, FpMatrix]:
         """The submodule as a module of its own, plus the inclusion matrix."""
-        action = [_restrict(a, self.space) for a in self.parent.action]
-        x_new = _restrict(self.parent.x_action, self.space)
+        action = [restrict(a, self.space) for a in self.parent.action]
+        x_new = restrict(self.parent.x_action, self.space)
         mod = type(self.parent)(self.parent.algebra, action, x_new)
         incl = FpMatrix(self.space.p, self.space.basis.T.reshape(self.parent.dim, self.dim))
         return mod, incl

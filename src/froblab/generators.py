@@ -24,7 +24,7 @@ from .algebra import (
 )
 from .errors import AxiomError
 from .fmodule import LeftFModule, RightFModule, _FModule, hom_space, semilinear_pairs
-from .linalg import FpMatrix, Subspace, combine, operator_kernel, quotient_representatives
+from .linalg import FpMatrix, combine, operator_kernel, quotient_maps
 
 
 # -- named algebras -----------------------------------------------------------
@@ -127,16 +127,8 @@ def random_proper_ideal(A: FiniteAlgebra, rng: random.Random, max_codim: int) ->
 
 def _quotient_action(A: FiniteAlgebra, a: Ideal) -> list[np.ndarray]:
     """Matrices of the regular action on the quotient by an ideal."""
-    full = Subspace.full(A.p, A.dim)
-    reps = quotient_representatives(full, a.space)
-    k = reps.shape[0]
-    basis = np.vstack([a.space.basis, reps])
-    change = FpMatrix(A.p, basis.T).inverse()
-    proj = change.data[a.space.dim :, :]
-    out = []
-    for m in A.basis_matrices():
-        out.append((proj @ m.data @ reps.T) % A.p)
-    return out
+    proj, lift = quotient_maps(a.space)
+    return [(proj @ m @ lift).data for m in A.basis_matrices()]
 
 
 def semilinear_solution_space(action: list[FpMatrix], A: FiniteAlgebra, side: str) -> list[FpMatrix]:

@@ -12,6 +12,8 @@ import itertools
 
 import numpy as np
 
+from .errors import AxiomError
+
 # Coefficients are machine integers reduced mod p; entries of a product of
 # two n x n matrices are bounded by n * (p-1)^2, which must fit in int64.
 MAX_PRIME = 1 << 25
@@ -33,11 +35,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _check_prime(p: int) -> None:
-    if not isinstance(p, (int, np.integer)) or not is_prime(int(p)):
-        raise ValueError(f"modulus {p!r} is not prime")
+def check_word_size(p: int) -> None:
+    """Refuse a modulus above MAX_PRIME; runs before any trial division."""
     if p > MAX_PRIME:
         raise ValueError(f"modulus {p} exceeds the single-word limit {MAX_PRIME}")
+
+
+def _check_prime(p: int) -> None:
+    if not isinstance(p, (int, np.integer)):
+        raise ValueError(f"modulus {p!r} is not prime")
+    check_word_size(p)
+    if not is_prime(int(p)):
+        raise ValueError(f"modulus {p!r} is not prime")
+
+
+def mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) % p for reduced int64 operands, refusing products that can overflow.
+
+    Every entry of a @ b is a sum of a.shape[-1] terms below (p - 1)^2.
+    """
+    inner = a.shape[-1]
+    if inner * (p - 1) ** 2 >= 1 << 63:
+        raise ValueError(
+            f"a product with inner dimension {inner} over F_{p} can overflow int64"
+        )
+    return (a @ b) % p
 
 
 def inv_mod(a: int, p: int) -> int:
@@ -134,12 +156,7 @@ class FpMatrix:
         self._compat(other)
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.cols} vs {other.rows}")
-        if self.cols * (self.p - 1) ** 2 >= 1 << 63:
-            raise ValueError(
-                f"a product with inner dimension {self.cols} over F_{self.p} "
-                "can overflow int64"
-            )
-        return FpMatrix(self.p, self.data @ other.data)
+        return FpMatrix(self.p, mulmod(self.data, other.data, self.p))
 
     def __pow__(self, k: int) -> "FpMatrix":
         if self.rows != self.cols:
@@ -176,7 +193,7 @@ class FpMatrix:
         v = as_vector(v, self.p)
         if v.shape[0] != self.cols:
             raise ValueError(f"vector length {v.shape[0]} != {self.cols} columns")
-        return (self.data @ v) % self.p
+        return mulmod(self.data, v, self.p)
 
     def rref(self) -> tuple["FpMatrix", int]:
         reduced, pivots = _rref(self.data, self.p)
@@ -234,7 +251,7 @@ class FpMatrix:
         if target.ambient_dim != self.rows:
             raise ValueError("target lives in the wrong ambient space")
         cut = target.annihilator().basis  # rows w with w.v == 0 for v in target
-        stacked = FpMatrix(self.p, (cut @ self.data) % self.p)
+        stacked = FpMatrix(self.p, mulmod(cut, self.data, self.p))
         return stacked.kernel()
 
 
@@ -245,19 +262,16 @@ class Subspace:
     structural.
     """
 
-    __slots__ = ("p", "ambient_dim", "basis")
+    __slots__ = ("p", "ambient_dim", "basis", "pivots")
 
-    def __init__(self, p: int, ambient_dim: int, basis: np.ndarray):
-        # trusted constructor: basis must already be canonical
+    def __init__(self, p: int, ambient_dim: int, basis: np.ndarray, pivots: list[int]):
+        # trusted constructor: basis is a k x ambient_dim reduced echelon
+        # matrix whose row i has its leading 1 in column pivots[i]
         self.p = int(p)
         self.ambient_dim = int(ambient_dim)
-        basis = np.asarray(basis, dtype=np.int64)
-        if basis.size == 0:
-            basis = np.zeros((0, ambient_dim), dtype=np.int64)
-        else:
-            basis = basis.reshape(-1, ambient_dim)
         basis.setflags(write=False)
         self.basis = basis
+        self.pivots = np.array(pivots, dtype=np.intp)
 
     @classmethod
     def from_vectors(cls, p: int, ambient_dim: int, vectors) -> "Subspace":
@@ -266,11 +280,9 @@ class Subspace:
         for v in vecs:
             if v.shape[0] != ambient_dim:
                 raise ValueError(f"vector length {v.shape[0]} != ambient {ambient_dim}")
-        if not vecs:
-            return cls(p, ambient_dim, np.zeros((0, ambient_dim), dtype=np.int64))
-        mat = np.array(vecs, dtype=np.int64)
+        mat = np.array(vecs, dtype=np.int64).reshape(len(vecs), ambient_dim)
         reduced, pivots = _rref(mat, p)
-        return cls(p, ambient_dim, reduced[: len(pivots)])
+        return cls(p, ambient_dim, reduced[: len(pivots)], pivots)
 
     @classmethod
     def zero(cls, p: int, ambient_dim: int) -> "Subspace":
@@ -290,26 +302,29 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
-    def _pivots(self) -> list[int]:
-        return [int(np.nonzero(row)[0][0]) for row in self.basis]
-
     def coordinates(self, v) -> np.ndarray | None:
-        """Coefficients of v in the canonical basis, or None if v is outside."""
-        v = as_vector(v, self.p)
-        if v.shape[0] != self.ambient_dim:
+        """Coefficients in the canonical basis of a vector, or of each row of a
+        k x n block (a k x dim array); None if any of them lies outside.
+
+        In reduced echelon form the coefficient of basis row i is the entry at
+        its pivot column, so v lies in the space exactly when v equals that
+        combination.
+        """
+        v = np.asarray(v, dtype=np.int64) % self.p
+        if v.ndim not in (1, 2) or v.shape[-1] != self.ambient_dim:
             raise ValueError("vector has wrong length")
-        coords = np.array([v[c] for c in self._pivots()], dtype=np.int64)
-        residue = (v - coords @ self.basis) % self.p if self.dim else v
-        if residue.any():
+        coords = v[..., self.pivots]
+        if not np.array_equal(v, mulmod(coords, self.basis, self.p)):
             return None
         return coords
 
     def contains(self, v) -> bool:
+        """Whether a vector, or every row of a block, lies in the space."""
         return self.coordinates(v) is not None
 
     def contains_space(self, other: "Subspace") -> bool:
         self._compat(other)
-        return all(self.contains(row) for row in other.basis)
+        return self.contains(other.basis)
 
     def _compat(self, other: "Subspace") -> None:
         if self.p != other.p or self.ambient_dim != other.ambient_dim:
@@ -360,20 +375,42 @@ class Subspace:
 
 
 def quotient_representatives(space: Subspace, sub: Subspace) -> np.ndarray:
-    """Rows spanning a complement of sub inside space (coset representatives)."""
+    """Rows spanning a complement of sub inside space (coset representatives).
+
+    These are the basis rows of space outside the span of sub and of the rows
+    before them: the pivot columns of the matrix whose columns are the rows
+    of sub, then those of space.
+    """
     space._compat(sub)
     if not space.contains_space(sub):
         raise ValueError("sub is not contained in space")
-    running = sub
-    reps: list[np.ndarray] = []
-    for row in space.basis:
-        if not running.contains(row):
-            reps.append(row)
-            running = running + Subspace.from_vectors(space.p, space.ambient_dim, [row])
-    out = np.array(reps, dtype=np.int64) if reps else np.zeros(
-        (0, space.ambient_dim), dtype=np.int64
-    )
-    return out
+    _, pivots = _rref(np.vstack([sub.basis, space.basis]).T, space.p)
+    return space.basis[[c - sub.dim for c in pivots[sub.dim :]]]
+
+
+def quotient_maps(sub: Subspace) -> tuple[FpMatrix, FpMatrix]:
+    """Projection of F_p^n onto F_p^n / sub and a lift back (proj @ lift = id).
+
+    The quotient basis is the classes of quotient_representatives.
+    """
+    p, n = sub.p, sub.ambient_dim
+    reps = quotient_representatives(Subspace.full(p, n), sub)
+    change = FpMatrix(p, np.vstack([sub.basis, reps]).T).inverse()
+    return FpMatrix(p, change.data[sub.dim :, :]), FpMatrix(p, reps.T)
+
+
+def image_rows(space: Subspace, operators) -> np.ndarray:
+    """The rows op @ b for every operator and every basis row b of space."""
+    images = [mulmod(space.basis, op.data.T, space.p) for op in operators]
+    return np.vstack([np.zeros((0, space.ambient_dim), dtype=np.int64), *images])
+
+
+def restrict(op: FpMatrix, space: Subspace) -> FpMatrix:
+    """Matrix of op on an invariant subspace, in the subspace's canonical basis."""
+    coords = space.coordinates(image_rows(space, [op]))
+    if coords is None:
+        raise AxiomError("operator does not preserve the subspace")
+    return FpMatrix(op.p, coords.T)
 
 
 def stabilize(start, step, key=None) -> tuple[list, int, int]:
@@ -403,8 +440,7 @@ def close_under(space: Subspace, operators: list[FpMatrix]) -> Subspace:
     p, n = space.p, space.ambient_dim
 
     def step(current: Subspace) -> Subspace:
-        images = [(current.basis @ op.data.T) % p for op in operators]
-        return Subspace.from_vectors(p, n, np.vstack([current.basis, *images]))
+        return Subspace.from_vectors(p, n, np.vstack([current.basis, image_rows(current, operators)]))
 
     return stabilize(space, step)[0][-1]
 

@@ -49,6 +49,20 @@ def test_one_dimensional_algebra_is_valid():
     assert F2.validate()
 
 
+def test_characteristic_far_above_the_limit_is_refused_at_once():
+    # 2^61 - 1 is prime; the size test runs before trial division
+    with pytest.raises(ValueError, match="exceeds the single-word limit"):
+        FiniteAlgebra(2**61 - 1, [[[1]]], [1])
+
+
+def test_basis_matrices_are_computed_once():
+    A = truncated_polynomial_algebra(3, 3)
+    mats = A.basis_matrices()
+    assert isinstance(mats, tuple)
+    assert A.basis_matrices() is mats
+    assert list(mats) == [A.mult_matrix(row) for row in np.eye(3, dtype=np.int64)]
+
+
 def test_truncated_polynomial_is_valid():
     assert F2T2.validate()
     assert np.array_equal(F2T2.mul([0, 1], [0, 1]), [0, 0])  # t*t = 0

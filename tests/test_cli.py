@@ -136,6 +136,14 @@ def test_fclosure_zero_ideal_reduced(tmp_path, capsys):
     assert "closure: Ideal(0)" in out and "Q: 1" in out
 
 
+def test_fclosure_refuses_a_prime_far_above_the_limit(tmp_path, capsys):
+    # 2^61 - 1 is prime; trial division up to its square root would not return
+    alg = tmp_path / "big.json"
+    alg.write_text(json.dumps({"p": 2**61 - 1, "dim": 1, "table": [[[1]]], "one": [1]}))
+    assert main(["fclosure", str(alg)]) == 2
+    assert "exceeds the single-word limit" in capsys.readouterr().err
+
+
 def test_fclosure_bad_generator(fixtures):
     _, alg, _, _ = fixtures
     assert main(["fclosure", alg, "0,banana"]) == 2

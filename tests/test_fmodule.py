@@ -3,14 +3,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from froblab.algebra import (
+    FiniteAlgebra,
     extension_field,
     prime_field,
     product_algebra,
     truncated_polynomial_algebra,
 )
-from froblab.checks import check_localization
+from froblab.checks import check_localization, check_square_multiplier
 from froblab.errors import AxiomError, BudgetError
 from froblab.fmodule import (
     FSubmodule,
@@ -20,12 +23,13 @@ from froblab.fmodule import (
     find_module_isomorphism,
     hom_space,
     natural_frobenius_module,
+    semilinear_pairs,
     twisted_frobenius_module,
     twisted_modules_isomorphic,
 )
-from froblab.duality import build_duality_context, dual_module
+from froblab.duality import build_duality_context, dual_left, dual_module
 from froblab.generators import default_catalog, random_module, standard_algebras
-from froblab.linalg import FpMatrix, Subspace
+from froblab.linalg import FpMatrix, Subspace, quotient_representatives
 from froblab.report import Report
 from froblab.skew import (
     GradedTwoSidedIdeal,
@@ -35,6 +39,7 @@ from froblab.skew import (
     x_power_graded_ideal,
     zero_graded_ideal,
 )
+from module_strategies import STANDARD_ALGEBRAS, modules
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -548,6 +553,60 @@ def test_enumerate_submodules_matches_reference_on_random_modules(seed):
 # -- reductions ----------------------------------------------------------------------
 
 
+# -- the per-row restrictions and change of basis the linalg primitives replaced --
+
+
+def reference_restrict(op: FpMatrix, space: Subspace) -> FpMatrix:
+    """Column j: the coordinates of op applied to basis row j, one row at a time."""
+    cols = []
+    for row in space.basis:
+        coords = space.coordinates(op.apply(row))
+        assert coords is not None
+        cols.append(coords)
+    data = np.array(cols, dtype=np.int64).T if cols else np.zeros((0, 0), dtype=np.int64)
+    return FpMatrix(op.p, data.reshape(space.dim, space.dim))
+
+
+def reference_quotient(M, sub: FSubmodule):
+    """Quotient action, x-action and projection through the old change of basis."""
+    p = M.algebra.p
+    reps = quotient_representatives(Subspace.full(p, M.dim), sub.space)
+    if M.dim:
+        change = FpMatrix(p, np.vstack([sub.space.basis, reps]).T).inverse()
+        proj = FpMatrix(p, change.data[sub.space.dim :, :])
+        lift = FpMatrix(p, reps.T)
+    else:
+        proj = lift = FpMatrix.zeros(p, 0, 0)
+    return [proj @ a @ lift for a in M.action], proj @ M.x_action @ lift, proj
+
+
+def reference_localize(M: RightFModule, index: int):
+    decomp = M.algebra.local_components()
+    part = M.rho(decomp.idempotents[index]).image()
+    eye = np.eye(decomp.components[index].dim, dtype=np.int64)
+    action = [reference_restrict(M.rho(decomp.lift(index, row)), part) for row in eye]
+    return action, reference_restrict(M.x_action, part)
+
+
+@settings(max_examples=80, deadline=None)
+@given(modules(), st.data())
+def test_quotient_as_module_and_localize_match_reference(M, data):
+    p = M.algebra.p
+    vectors = data.draw(
+        st.lists(st.lists(st.integers(0, p - 1), min_size=M.dim, max_size=M.dim), max_size=2)
+    )
+    for sub in (M.zero_submodule(), M.full_submodule(), M.submodule(vectors)):
+        quotient, proj = M.quotient(sub)
+        assert (quotient.action, quotient.x_action, proj) == reference_quotient(M, sub)
+        smod, _ = sub.as_module()
+        assert smod.action == [reference_restrict(a, sub.space) for a in M.action]
+        assert smod.x_action == reference_restrict(M.x_action, sub.space)
+    if M.side == "right":
+        for idx in range(len(M.algebra.local_components().components)):
+            local = M.localize(idx)
+            assert (local.action, local.x_action) == reference_localize(M, idx)
+
+
 def test_reductions_invertible_x():
     M = residue_right_module()
     assert M.mod_eventual_annihilator().dim == M.dim
@@ -617,6 +676,150 @@ def test_check_localization_beyond_element_scans():
     check_localization("cartier", M, report)
     assert [r.check for r in report.results] == ["localization_commutes"] * 2
     assert report.ok
+
+
+# -- the element scans the square-multiplier and fraction-rule checks replaced ----
+
+
+def reference_square_multiplier(M: RightFModule) -> tuple[bool, int]:
+    """Scan every s: the verdict, and the number of s with rho(s) M inside Mx."""
+    A = M.algebra
+    power_images = [(M.x_action**k).image() for k in range(1, M.dim + 2)]
+    witnesses = 0
+    for s in A.elements():
+        if all(power_images[0].contains(col) for col in M.rho(s).data.T):
+            witnesses += 1
+            s2 = M.rho(A.mul(s, s))
+            if not all(imk.contains(col) for imk in power_images for col in s2.data.T):
+                return False, witnesses
+    return True, witnesses
+
+
+def reference_fraction_rule(local: RightFModule) -> bool:
+    """Scan every unit s: rho(s)^-1 X rho(s^(p-1)) == X rho(s)^-1."""
+    comp = local.algebra
+    for s in comp.units():
+        rs_inv = local.rho(s).inverse()
+        lhs = rs_inv @ local.x_action @ local.rho(comp.power(s, comp.p - 1))
+        if lhs != local.x_action @ rs_inv:
+            return False
+    return True
+
+
+def reference_localization(M: RightFModule) -> list[bool]:
+    """The localization verdicts, per factor, with the fraction rule scanned."""
+    A = M.algebra
+    decomp = A.local_components()
+    verdicts = []
+    for idx in range(len(decomp.components)):
+        local = M.localize(idx)
+        proj = M.rho(decomp.idempotents[idx])
+        part = proj.image()
+        ok = True
+        for k in range(1, M.dim + 2):
+            projected = Subspace.from_vectors(
+                A.p, M.dim, [proj.apply(col) for col in (M.x_action**k).data.T]
+            )
+            lifted = Subspace.from_vectors(
+                A.p, M.dim, [(vec @ part.basis) % A.p for vec in (local.x_action**k).image().basis]
+            )
+            ok = ok and projected == lifted
+        verdicts.append(ok and reference_fraction_rule(local))
+    return verdicts
+
+
+@settings(max_examples=80, deadline=None)
+@given(modules(sides=("right",)))
+def test_square_multiplier_and_localization_match_element_scans(M):
+    report = Report()
+    check_square_multiplier("m", M, report)
+    if M.is_zero():
+        assert report.results == []
+    else:
+        ok, witnesses = reference_square_multiplier(M)
+        [result] = report.results
+        assert result.ok == ok
+        assert result.details == (f"{witnesses} applicable elements" if ok else "")
+    report = Report()
+    check_localization("m", M, report)
+    assert [r.ok for r in report.results] == reference_localization(M)
+
+
+@settings(max_examples=80, deadline=None)
+@given(modules(sides=("right",)), st.integers(0, 2**32 - 1))
+def test_square_multiplier_matches_element_scan_for_any_x(M, seed):
+    # the reduction to a kernel and to products of its basis needs only a
+    # linear action, so it must agree with the scan for any x-action; a
+    # rank-deficient X makes the law fail now and then
+    A = M.algebra
+    rng = random.Random(seed)
+    n = M.dim
+    rank = rng.randrange(n + 1)
+    u = np.array([rng.randrange(A.p) for _ in range(n * rank)], dtype=np.int64).reshape(n, rank)
+    v = np.array([rng.randrange(A.p) for _ in range(rank * n)], dtype=np.int64).reshape(rank, n)
+    N = RightFModule(A, M.action, FpMatrix(A.p, u @ v), check=False)
+    report = Report()
+    check_square_multiplier("m", N, report)
+    if N.is_zero():
+        assert report.results == []
+    else:
+        ok, witnesses = reference_square_multiplier(N)
+        assert [(r.ok, r.details) for r in report.results] == [
+            (ok, f"{witnesses} applicable elements" if ok else "")
+        ]
+
+
+def test_square_multiplier_checks_cross_products_for_odd_p():
+    # F_3[t,s]/(t^2, s^2) on basis 1, t, s, ts, acting on itself, with X
+    # sending 1 -> t -> s -> ts -> 0: Mx is the maximal ideal, so t and s are
+    # applicable and t^2 = s^2 = 0, but (t + s)^2 = 2ts and ts is not in Mx^4
+    monomials = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    table = np.zeros((4, 4, 4), dtype=np.int64)
+    for i, (a, b) in enumerate(monomials):
+        for j, (c, d) in enumerate(monomials):
+            if (a + c, b + d) in monomials:
+                table[i, j, monomials.index((a + c, b + d))] = 1
+    A = FiniteAlgebra(3, table, [1, 0, 0, 0])
+    shift = FpMatrix(3, np.eye(4, k=-1, dtype=np.int64))
+    N = RightFModule(A, A.basis_matrices(), shift, check=False)
+    report = Report()
+    check_square_multiplier("shift", N, report)
+    assert not reference_square_multiplier(N)[0]
+    assert [(r.ok, r.details) for r in report.results] == [(False, "")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(n for n, A in STANDARD_ALGEBRAS.items() if A.is_local())),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_fraction_rule_is_the_semilinearity_on_a_basis(name, seed, data):
+    # on a local algebra, the unit scan and the check on basis elements agree
+    # for every X, semilinear or not
+    A = STANDARD_ALGEBRAS[name]
+    rng = random.Random(seed)
+    M = random_module(A, "right", 3, rng)
+    x = M.x_action
+    if data.draw(st.booleans()):
+        noise = [rng.randrange(A.p) for _ in range(M.dim**2)]
+        x = x + FpMatrix(A.p, np.array(noise, dtype=np.int64).reshape(M.dim, M.dim))
+    local = RightFModule(A, M.action, x, check=False)
+    linear = all(x @ a == b @ x for a, b in semilinear_pairs(A, M.action, "right"))
+    assert linear == reference_fraction_rule(local)
+
+
+def test_square_multiplier_beyond_element_scans():
+    # over F_1048573[t]/t^2 the dual of the natural module has X = diag(1, 0);
+    # rho(a + bt) maps it into Mx exactly when a = 0
+    p = 1048573
+    A = truncated_polynomial_algebra(p, 2)
+    M = dual_left(natural_frobenius_module(A), build_duality_context(A))
+    report = Report()
+    check_square_multiplier("dual natural", M, report)
+    assert [(r.check, r.ok, r.details) for r in report.results] == [
+        ("square_multiplier_descends", True, f"{p} applicable elements")
+    ]
 
 
 # -- homomorphisms ------------------------------------------------------------------

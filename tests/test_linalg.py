@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from froblab.errors import AxiomError
 from froblab.linalg import (
     MAX_PRIME,
     FpMatrix,
@@ -12,7 +13,9 @@ from froblab.linalg import (
     operator_kernel,
     operator_solve,
     is_prime,
+    quotient_maps,
     quotient_representatives,
+    restrict,
     stabilize,
 )
 
@@ -71,6 +74,17 @@ def test_non_prime_modulus_rejected():
         FpMatrix(1, [[0]])
 
 
+def test_prime_far_above_the_limit_is_refused_before_trial_division():
+    # 2^61 - 1 is prime; trial division up to its square root never ends
+    with pytest.raises(ValueError, match="exceeds the single-word limit"):
+        FpMatrix(2**61 - 1, [[1]])
+    with pytest.raises(ValueError, match="exceeds the single-word limit"):
+        Subspace.from_vectors(2**61 - 1, 1, [[1]])
+    # the size test comes first, also for a composite modulus
+    with pytest.raises(ValueError, match="modulus 33554433 exceeds"):
+        FpMatrix(MAX_PRIME + 1, [[1]])
+
+
 def test_prime_check_is_cached_and_keeps_its_messages():
     FpMatrix(1048573, [[1]])
     FpMatrix(1048573, [[2]])
@@ -91,6 +105,10 @@ def test_matmul_refuses_products_past_int64_headroom():
     past = FpMatrix(p, np.full((1, limit + 1), p - 1))
     with pytest.raises(ValueError, match="overflow int64"):
         past @ past.T
+    # the raw numpy product behind apply shares the same test
+    assert under.apply(np.full(limit, p - 1)).tolist() == [limit % p]
+    with pytest.raises(ValueError, match="overflow int64"):
+        past.apply(np.full(limit + 1, p - 1))
 
 
 def test_kernel_of_identity_is_zero():
@@ -206,6 +224,103 @@ def test_quotient_representatives_extend_sub():
     assert reps.shape == (2, 3)
     total = Subspace.from_vectors(2, 3, list(sub.basis) + list(reps))
     assert total.is_full()
+
+
+# -- the per-vector coordinates loop the block primitive replaced ---------------
+
+
+def reference_coordinates(space: Subspace, v) -> np.ndarray | None:
+    """One vector: pivots found row by row, then the residue against the basis."""
+    v = np.asarray(v, dtype=np.int64) % space.p
+    pivots = [int(np.nonzero(row)[0][0]) for row in space.basis]
+    coords = np.array([v[c] for c in pivots], dtype=np.int64)
+    residue = (v - coords @ space.basis) % space.p if space.dim else v
+    return None if residue.any() else coords
+
+
+@st.composite
+def subspaces_and_blocks(draw):
+    """A subspace (often zero or full) and a block of rows, some of them inside."""
+    p = draw(st.sampled_from([2, 3, 1048573]))
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    kind = draw(st.sampled_from(["zero", "full", "span"]))
+    if kind == "zero":
+        space = Subspace.zero(p, n)
+    elif kind == "full":
+        space = Subspace.full(p, n)
+    else:
+        gens = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4))
+        space = Subspace.from_vectors(p, n, gens)
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            coeffs = np.array(draw(st.lists(entry, min_size=space.dim, max_size=space.dim)), dtype=np.int64)
+            rows.append(((coeffs @ space.basis) % p).tolist() if space.dim else [0] * n)
+        else:
+            rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    return space, np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(subspaces_and_blocks())
+def test_block_coordinates_match_per_vector_reference(case):
+    space, block = case
+    want = [reference_coordinates(space, row) for row in block]
+    got = space.coordinates(block)
+    if any(w is None for w in want):
+        assert got is None
+        assert not space.contains(block)
+    else:
+        assert got.shape == (len(block), space.dim)
+        assert got.tolist() == [w.tolist() for w in want]
+    for row, w in zip(block, want):
+        one = space.coordinates(row)
+        assert (one is None) == (w is None)
+        if w is not None:
+            assert one.tolist() == w.tolist()
+
+
+def reference_quotient_representatives(space: Subspace, sub: Subspace) -> np.ndarray:
+    """Keep each basis row of space outside the span of sub and the rows kept so far."""
+    running = sub
+    reps = []
+    for row in space.basis:
+        if not running.contains(row):
+            reps.append(row)
+            running = running + Subspace.from_vectors(space.p, space.ambient_dim, [row])
+    return np.array(reps, dtype=np.int64).reshape(len(reps), space.ambient_dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subspaces_and_blocks())
+def test_quotient_representatives_match_greedy_reference(case):
+    sub, block = case
+    space = sub + Subspace.from_vectors(sub.p, sub.ambient_dim, block)
+    got = quotient_representatives(space, sub)
+    assert got.tolist() == reference_quotient_representatives(space, sub).tolist()
+    assert got.shape == (space.dim - sub.dim, sub.ambient_dim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(subspaces_and_blocks())
+def test_quotient_maps_split_off_the_subspace(case):
+    sub, _ = case
+    p, n = sub.p, sub.ambient_dim
+    proj, lift = quotient_maps(sub)
+    assert (proj.rows, proj.cols, lift.rows, lift.cols) == (n - sub.dim, n, n, n - sub.dim)
+    assert proj @ lift == FpMatrix.identity(p, n - sub.dim)
+    assert proj.kernel() == sub
+    assert lift.data.T.tolist() == quotient_representatives(Subspace.full(p, n), sub).tolist()
+
+
+def test_restrict_gives_the_matrix_on_an_invariant_subspace():
+    j = FpMatrix(3, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    plane = Subspace.from_vectors(3, 3, [[1, 0, 0], [0, 1, 0]])
+    assert restrict(j, plane) == FpMatrix(3, [[0, 1], [0, 0]])
+    assert restrict(j, Subspace.zero(3, 3)) == FpMatrix.zeros(3, 0, 0)
+    with pytest.raises(AxiomError, match="does not preserve"):
+        restrict(j, Subspace.from_vectors(3, 3, [[0, 1, 0]]))
 
 
 def test_operator_kernel_finds_commutant():
