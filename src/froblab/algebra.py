@@ -28,7 +28,7 @@ from .linalg import (
 class FiniteAlgebra:
     """A commutative unital F_p-algebra given by structure constants."""
 
-    def __init__(self, p: int, table, one, labels: list[str] | None = None, check: bool = True):
+    def __init__(self, p: int, table, one, labels: list[str] | None = None):
         self.p = int(p)
         self.table = np.asarray(table, dtype=np.int64) % self.p
         if self.table.ndim != 3 or len({self.table.shape[0], self.table.shape[1], self.table.shape[2]}) != 1:
@@ -47,8 +47,7 @@ class FiniteAlgebra:
         self._basis_matrices: tuple[FpMatrix, ...] | None = None
         self._frobenius: FrobeniusData | None = None
         self._local: LocalDecomposition | None = None
-        if check:
-            self.validate()
+        self.validate()
 
     # -- axioms ---------------------------------------------------------
 

@@ -62,21 +62,17 @@ def check_stabilization(name: str, M: RightFModule, report: Report) -> None:
 
 
 def check_uniform_torsion_bound(name: str, H: LeftFModule, report: Report) -> None:
-    """One exponent kills all x-torsion; exhaustive at small scale."""
+    """One exponent kills all x-torsion, and the torsion exponent is the least.
+
+    The kernels of the powers of X ascend and stop for good within dim
+    steps, so the x-torsion is ker(X^dim) and a power X^e kills it exactly
+    when ker(X^max(dim, e)) lies in ker(X^e).
+    """
     e = H.torsion_exponent()
     x = H.x_action
-    ok = (x**e).kernel() == (x ** (e + 1)).kernel() == (x ** (e + 2)).kernel()
+    ok = (x ** max(H.dim, e)).kernel() <= (x**e).kernel()
     if e > 0:
         ok = ok and (x ** (e - 1)).kernel() != (x**e).kernel()
-    if H.algebra.p**H.dim <= 1 << 12:
-        killer = x**e
-        for v in Subspace.full(H.algebra.p, H.dim).vectors():
-            torsion = any(
-                not H.apply_x_power(v, j).any() for j in range(1, H.dim + 1)
-            )
-            if torsion and killer.apply(v).any():
-                ok = False
-                break
     report.add(
         "uniform_torsion_exponent",
         "every x-torsion element is killed by one uniform power of x",

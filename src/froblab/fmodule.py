@@ -23,6 +23,7 @@ from .linalg import (
     as_vector,
     close_under,
     combine,
+    common_kernel,
     image_rows,
     operator_kernel,
     operator_solve,
@@ -33,7 +34,6 @@ from .linalg import (
 from .skew import GradedTwoSidedIdeal, SkewPolynomial
 
 ISOMORPHISM_SEARCH_BOUND = 1 << 14
-UNIT_SEARCH_BOUND = 1 << 20
 
 def semilinear_pairs(
     algebra: FiniteAlgebra, action: list[FpMatrix], side: str
@@ -249,19 +249,21 @@ class LeftFModule(_FModule):
         return self._graded_annihilator(FpMatrix.image, lambda a, power: a @ power)
 
     def annihilator_submodule(self, ideal: GradedTwoSidedIdeal) -> "FSubmodule":
-        """Elements killed by every homogeneous piece of the graded ideal."""
+        """Elements killed by every homogeneous piece of the graded ideal.
+
+        With N = ideal.stable_from this is the common kernel of rho(b) X^n for
+        n <= N + dim and b in a basis of b_n.  Beyond N the conditions cut
+        out U_m = {h : rho(b_N) X^(N+j) h = 0 for j <= m}, a descending chain
+        with U_(m+1) = U_0 & X^-1(U_m), so it stops for good within dim steps.
+        """
         if ideal.algebra != self.algebra:
             raise ValueError("graded ideal lives over a different algebra")
-        p = self.algebra.p
-        space = Subspace.full(p, self.dim)
-        for n in range(ideal.stable_from + 1):
-            xp = self.x_action**n
-            for b in ideal.component(n).space.basis:
-                space = space & (self.rho(b) @ xp).kernel()
-        # conditions in degrees beyond the stable index follow once the
-        # candidate space is x-stable, so cut down to the largest such part
-        states, _, _ = stabilize(space, lambda s: s & self.x_action.preimage(s))
-        return FSubmodule(self, states[-1])
+        conditions = []
+        power = FpMatrix.identity(self.algebra.p, self.dim)
+        for n in range(ideal.stable_from + self.dim + 1):
+            conditions.extend(self.rho(b) @ power for b in ideal.component(n).space.basis)
+            power = self.x_action @ power
+        return FSubmodule(self, common_kernel(self.algebra.p, self.dim, conditions))
 
 
 class RightFModule(_FModule):
@@ -282,15 +284,12 @@ class RightFModule(_FModule):
         """The submodule spanned by all m . (b x^n) with b in the n-th piece."""
         if ideal.algebra != self.algebra:
             raise ValueError("graded ideal lives over a different algebra")
-        p = self.algebra.p
         pieces = []
         for n in range(ideal.stable_from + 1):
             xp = self.x_action**n
             for b in ideal.component(n).space.basis:
                 pieces.extend((xp @ self.rho(b)).data.T)
-        space = Subspace.from_vectors(p, self.dim, pieces)
-        space = close_under(space, self.action + [self.x_action])
-        return FSubmodule(self, space)
+        return self.submodule(pieces)
 
     def annihilator_chain(self) -> tuple[list[Subspace], int]:
         """Ascending chain (0 : R x^k) = {m : X^k rho(r) m = 0 for all r}.
@@ -298,13 +297,9 @@ class RightFModule(_FModule):
         This is the universally quantified condition, which is smaller than
         ker(X^k) in general; the two are kept separate on purpose.
         """
-        p = self.algebra.p
-
-        def killed_by(power: FpMatrix) -> Subspace:
-            stacked = np.vstack([(power @ a).data for a in self.action])
-            return FpMatrix(p, stacked).kernel()
-
-        states, k = self._x_chain(killed_by)
+        states, k = self._x_chain(
+            lambda power: common_kernel(self.algebra.p, self.dim, [power @ a for a in self.action])
+        )
         return [space for _, space in states], k
 
     def eventual_annihilator(self) -> tuple["FSubmodule", int]:
@@ -402,20 +397,22 @@ def twisted_modules_isomorphic(algebra: FiniteAlgebra, c1, c2) -> tuple[bool, np
 
     Multiplication by u intertwines r -> c1 r^p and r -> c2 r^p exactly when
     u c1 = c2 u^p (take r = 1, and multiply by r^p for the converse), a
-    linear condition on u.  Its solution space is searched exhaustively for
-    a unit, which is returned as the witness; solution spaces with more than
-    UNIT_SEARCH_BOUND elements raise BudgetError.
+    linear condition on u with solution space S.  A primitive idempotent e
+    has e^p = e, so S is the sum of the e S, and it holds a unit exactly when
+    each e S holds a unit of the local factor eR.  Its non-units form the
+    maximal ideal, a subspace, so some e b with b in a basis of S is a unit
+    of eR if any element of e S is.  The witness is the sum of one per factor.
     """
     F = algebra.frobenius().matrix
     solutions = (algebra.mult_matrix(c1) - algebra.mult_matrix(c2) @ F).kernel()
-    if algebra.p**solutions.dim > UNIT_SEARCH_BOUND:
-        raise BudgetError(
-            f"unit search needs {algebra.p}^{solutions.dim} elements, bound is {UNIT_SEARCH_BOUND}"
-        )
-    for u in solutions.vectors():
-        if algebra.is_unit(u):
-            return True, u
-    return False, None
+    witness = algebra.zero()
+    for e in algebra.local_components().idempotents:
+        parts = image_rows(solutions, [algebra.mult_matrix(e)])
+        unit = next((v for v in parts if algebra.is_unit(v + algebra.one - e)), None)
+        if unit is None:
+            return False, None
+        witness = (witness + unit) % algebra.p
+    return True, witness
 
 
 def cartier_from_splitting(

@@ -3,8 +3,9 @@ seeded random ideals, modules, and homomorphisms.
 
 Random modules are valid by construction: the ring action is a block sum of
 regular actions on quotients by random ideals, and the x-action is sampled
-from the solution space of the side's semilinearity constraint.  Nothing is
-rejection-sampled.
+from the solution space of the side's semilinearity constraint.  Only the
+quotient ideals are rejection-sampled: random_proper_ideal draws up to 30
+random ideals before it falls back to a maximal ideal.
 """
 from __future__ import annotations
 

@@ -206,18 +206,14 @@ class FpMatrix:
         """The solution space of self @ v == 0, inside F_p^cols."""
         reduced, pivots = _rref(self.data, self.p)
         free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = np.zeros(self.cols, dtype=np.int64)
-            v[fc] = 1
-            for r_idx, pc in enumerate(pivots):
-                v[pc] = (-reduced[r_idx, fc]) % self.p
-            basis.append(v)
+        basis = np.zeros((len(free), self.cols), dtype=np.int64)
+        basis[range(len(free)), free] = 1
+        basis[:, pivots] = (-reduced[: len(pivots), free].T) % self.p
         return Subspace.from_vectors(self.p, self.cols, basis)
 
     def image(self) -> "Subspace":
         """The column span of the matrix, inside F_p^rows."""
-        return Subspace.from_vectors(self.p, self.rows, list(self.data.T))
+        return Subspace.from_vectors(self.p, self.rows, self.data.T)
 
     def solve(self, b) -> np.ndarray | None:
         """One solution of self @ v == b, or None if the system is inconsistent."""
@@ -275,13 +271,17 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, p: int, ambient_dim: int, vectors) -> "Subspace":
+        """The span of an iterable of vectors, or of the rows of a 2-d array."""
         _check_prime(p)
-        vecs = [as_vector(v, p) for v in vectors]
-        for v in vecs:
-            if v.shape[0] != ambient_dim:
-                raise ValueError(f"vector length {v.shape[0]} != ambient {ambient_dim}")
-        mat = np.array(vecs, dtype=np.int64).reshape(len(vecs), ambient_dim)
-        reduced, pivots = _rref(mat, p)
+        if not (isinstance(vectors, np.ndarray) and vectors.ndim == 2):
+            rows = [as_vector(v, p) for v in vectors]
+            for v in rows:
+                if v.shape[0] != ambient_dim:
+                    raise ValueError(f"vector length {v.shape[0]} != ambient {ambient_dim}")
+            vectors = np.array(rows, dtype=np.int64).reshape(len(rows), ambient_dim)
+        elif vectors.shape[1] != ambient_dim:
+            raise ValueError(f"vector length {vectors.shape[1]} != ambient {ambient_dim}")
+        reduced, pivots = _rref(vectors.astype(np.int64, copy=False), p)
         return cls(p, ambient_dim, reduced[: len(pivots)], pivots)
 
     @classmethod
@@ -332,9 +332,7 @@ class Subspace:
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._compat(other)
-        return Subspace.from_vectors(
-            self.p, self.ambient_dim, list(self.basis) + list(other.basis)
-        )
+        return Subspace.from_vectors(self.p, self.ambient_dim, np.vstack([self.basis, other.basis]))
 
     def __and__(self, other: "Subspace") -> "Subspace":
         # (A ^ B) = (A° + B°)° for the standard dot-product pairing
@@ -403,6 +401,12 @@ def image_rows(space: Subspace, operators) -> np.ndarray:
     """The rows op @ b for every operator and every basis row b of space."""
     images = [mulmod(space.basis, op.data.T, space.p) for op in operators]
     return np.vstack([np.zeros((0, space.ambient_dim), dtype=np.int64), *images])
+
+
+def common_kernel(p: int, n: int, matrices) -> Subspace:
+    """The vectors of F_p^n that every matrix sends to zero (all of them for none)."""
+    rows = [m.data for m in matrices]
+    return FpMatrix(p, np.vstack([np.zeros((0, n), dtype=np.int64), *rows])).kernel()
 
 
 def restrict(op: FpMatrix, space: Subspace) -> FpMatrix:

@@ -209,14 +209,14 @@ def test_criterion_07_kernel_identities(contexts, samples):
             ("unit", unit_graded_ideal(A)),
             ("grann", module.graded_annihilator()),
         ]
+        dual = dual_module(module, ctx)
         for bname, B in ideals:
             pairs += 1
             if module.side == "left":
-                _check_left_kernel_identity(ctx, name, module, B, bname, report)
+                _check_left_kernel_identity(name, module, dual, B, bname, report)
             else:
-                _check_right_kernel_identity(ctx, name, module, B, bname, report)
+                _check_right_kernel_identity(ctx, name, module, dual, B, bname, report)
         if module.side == "right":
-            dual = dual_module(module, ctx)
             report.add(
                 "divisible_iff_dual_torsion_free",
                 "",

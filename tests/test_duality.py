@@ -223,6 +223,19 @@ def test_reflexivity_round_trip():
     assert dual_map(omega) @ omega_of_dual == FpMatrix.identity(2, H.dim)
 
 
+def test_failed_round_trip_is_reported_not_raised():
+    # with the right-dual tensor zeroed, dualizing a left module twice loses
+    # its x-action, and so does the round trip through its dual
+    ctx = build_duality_context(F2T2)
+    ctx.phi = np.zeros_like(ctx.phi)
+    H = natural_frobenius_module(F2T2)
+    report = check_duality_identities(ctx, [("natural", H)], random.Random(0))
+    failed = {r.check: r.details for r in report.failures()}
+    assert set(failed) == {"double_dual", "reflexivity_round_trip"}
+    for details in failed.values():
+        assert details.startswith("double dual does not reproduce the module; side=left")
+
+
 def test_functoriality():
     rng = random.Random(9)
     for A in (F2T2, F4):

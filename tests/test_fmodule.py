@@ -13,7 +13,11 @@ from froblab.algebra import (
     product_algebra,
     truncated_polynomial_algebra,
 )
-from froblab.checks import check_localization, check_square_multiplier
+from froblab.checks import (
+    check_localization,
+    check_square_multiplier,
+    check_uniform_torsion_bound,
+)
 from froblab.errors import AxiomError, BudgetError
 from froblab.fmodule import (
     FSubmodule,
@@ -29,7 +33,7 @@ from froblab.fmodule import (
 )
 from froblab.duality import build_duality_context, dual_left, dual_module
 from froblab.generators import default_catalog, random_module, standard_algebras
-from froblab.linalg import FpMatrix, Subspace, quotient_representatives
+from froblab.linalg import FpMatrix, Subspace, quotient_representatives, stabilize
 from froblab.report import Report
 from froblab.skew import (
     GradedTwoSidedIdeal,
@@ -39,7 +43,7 @@ from froblab.skew import (
     x_power_graded_ideal,
     zero_graded_ideal,
 )
-from module_strategies import STANDARD_ALGEBRAS, modules
+from module_strategies import ALL_ALGEBRAS, LARGE_PRIME, STANDARD_ALGEBRAS, modules
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -190,6 +194,21 @@ def test_unit_search_matches_element_scan_on_seeded_pairs(A):
     for _ in range(50):
         c1, c2 = ([rng.randrange(A.p) for _ in range(A.dim)] for _ in range(2))
         assert_unit_search_matches_scan(A, c1, c2)
+
+
+def test_unit_search_beyond_element_scans():
+    # the solution space is all of F_p x F_p: 1048573^2 elements, of which
+    # the units are found per factor
+    p = LARGE_PRIME
+    A = product_algebra(prime_field(p), prime_field(p))
+    ok, witness = twisted_modules_isomorphic(A, [1, 1], [1, 1])
+    assert ok
+    F = A.frobenius().matrix
+    mu = A.mult_matrix(witness)
+    assert mu.is_invertible()
+    assert mu @ F == F @ mu
+    # over F_p, u^p = u, so u c1 = c2 u^p has only u = 0 when c1 != c2
+    assert twisted_modules_isomorphic(A, [1, 1], [1, 2]) == (False, None)
 
 
 # -- Cartier-type structures ---------------------------------------------------
@@ -397,6 +416,40 @@ def test_annihilator_of_x_ideal_is_kernel():
     H = natural_frobenius_module(F2T2)
     ann = H.annihilator_submodule(x_power_graded_ideal(F2T2, 1))
     assert ann.space == Subspace.from_vectors(2, 2, [[0, 1]])
+
+
+def reference_annihilator_submodule(H: LeftFModule, ideal: GradedTwoSidedIdeal) -> Subspace:
+    """Intersect the kernels in degrees up to the stable index one at a time,
+    then cut down to the largest x-stable part."""
+    space = Subspace.full(H.algebra.p, H.dim)
+    for n in range(ideal.stable_from + 1):
+        xp = H.x_action**n
+        for b in ideal.component(n).space.basis:
+            space = space & (H.rho(b) @ xp).kernel()
+    states, _, _ = stabilize(space, lambda s: s & H.x_action.preimage(s))
+    return states[-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    modules(sides=("left",), pool=ALL_ALGEBRAS),
+    st.sampled_from(["left", "right"]),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_annihilator_submodule_matches_intersection_loop(H, side, dim, seed):
+    A = H.algebra
+    other = random_module(A, side, dim, random.Random(seed))
+    ideals = [
+        zero_graded_ideal(A),
+        x_power_graded_ideal(A, 1),
+        x_power_graded_ideal(A, 3),
+        unit_graded_ideal(A),
+        H.graded_annihilator(),
+        other.graded_annihilator(),
+    ]
+    for B in ideals:
+        assert H.annihilator_submodule(B).space == reference_annihilator_submodule(H, B)
 
 
 def test_annihilator_exhaustive_oracle():
@@ -807,6 +860,63 @@ def test_fraction_rule_is_the_semilinearity_on_a_basis(name, seed, data):
     local = RightFModule(A, M.action, x, check=False)
     linear = all(x @ a == b @ x for a, b in semilinear_pairs(A, M.action, "right"))
     assert linear == reference_fraction_rule(local)
+
+
+def torsion_killed_by_scan(H: LeftFModule, e: int) -> bool:
+    """Scan every element: each one some x^j (j <= dim) kills is killed by x^e."""
+    killer = H.x_action**e
+    for v in Subspace.full(H.algebra.p, H.dim).vectors():
+        torsion = any(not H.apply_x_power(v, j).any() for j in range(1, H.dim + 1))
+        if torsion and killer.apply(v).any():
+            return False
+    return True
+
+
+def reference_uniform_torsion_bound(H: LeftFModule, e: int) -> bool:
+    """The torsion law for a claimed exponent e: the kernel chain is stable
+    from e and not before, and below 2^12 elements the scan agrees."""
+    x = H.x_action
+    ok = (x**e).kernel() == (x ** (e + 1)).kernel() == (x ** (e + 2)).kernel()
+    if e > 0:
+        ok = ok and (x ** (e - 1)).kernel() != (x**e).kernel()
+    if H.algebra.p**H.dim <= 1 << 12:
+        ok = ok and torsion_killed_by_scan(H, e)
+    return ok
+
+
+@settings(max_examples=150, deadline=None)
+@given(modules(sides=("left",), pool=ALL_ALGEBRAS), st.data())
+def test_torsion_law_matches_element_scan(H, data):
+    # the true exponent passes; a claimed one passes exactly when the
+    # reference accepts it
+    report = Report()
+    check_uniform_torsion_bound("h", H, report)
+    assert [(r.check, r.ok) for r in report.results] == [("uniform_torsion_exponent", True)]
+    e = data.draw(st.integers(0, H.dim + 2))
+    H.torsion_exponent = lambda: e
+    report = Report()
+    check_uniform_torsion_bound("h", H, report)
+    assert [r.ok for r in report.results] == [reference_uniform_torsion_bound(H, e)]
+    if H.algebra.p**H.dim <= 1 << 12:
+        x = H.x_action
+        assert torsion_killed_by_scan(H, e) == ((x ** max(H.dim, e)).kernel() <= (x**e).kernel())
+
+
+def test_torsion_law_beyond_element_scans():
+    # a nilpotent shift of index 3 over F_1048573 next to an invertible block
+    p = LARGE_PRIME
+    x = np.zeros((4, 4), dtype=np.int64)
+    x[0, 1] = x[1, 2] = 1
+    x[3, 3] = 5
+    H = LeftFModule(prime_field(p), [FpMatrix.identity(p, 4)], FpMatrix(p, x))
+    assert H.torsion_exponent() == 3
+    report = Report()
+    check_uniform_torsion_bound("shift", H, report)
+    assert report.ok and len(report.results) == 1
+    H.torsion_exponent = lambda: 2
+    report = Report()
+    check_uniform_torsion_bound("shift", H, report)
+    assert [r.ok for r in report.results] == [False]
 
 
 def test_square_multiplier_beyond_element_scans():

@@ -10,6 +10,7 @@ from froblab.linalg import (
     Subspace,
     close_under,
     combine,
+    common_kernel,
     operator_kernel,
     operator_solve,
     is_prime,
@@ -312,6 +313,70 @@ def test_quotient_maps_split_off_the_subspace(case):
     assert proj @ lift == FpMatrix.identity(p, n - sub.dim)
     assert proj.kernel() == sub
     assert lift.data.T.tolist() == quotient_representatives(Subspace.full(p, n), sub).tolist()
+
+
+def test_from_vectors_keeps_its_messages():
+    with pytest.raises(ValueError, match=r"^vector length 3 != ambient 2$"):
+        Subspace.from_vectors(2, 2, [[1, 0], [1, 0, 1]])
+    with pytest.raises(ValueError, match=r"^vector length 3 != ambient 2$"):
+        Subspace.from_vectors(2, 2, np.zeros((2, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match=r"^vector length 3 != ambient 2$"):
+        Subspace.from_vectors(2, 2, np.zeros((0, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match=r"^expected a vector, got shape \(\)$"):
+        Subspace.from_vectors(2, 2, [1, 0])
+    with pytest.raises(ValueError, match=r"^expected a vector, got shape \(1, 2\)$"):
+        Subspace.from_vectors(2, 2, np.zeros((1, 1, 2), dtype=np.int64))
+    # every row is converted before any length is compared
+    with pytest.raises(ValueError, match=r"^expected a vector, got shape \(\)$"):
+        Subspace.from_vectors(2, 2, [[1, 0, 1], 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(subspaces_and_blocks())
+def test_from_vectors_block_matches_rows(case):
+    space, block = case
+    n = space.ambient_dim
+    rows = Subspace.from_vectors(space.p, n, [list(map(int, row)) for row in block])
+    assert Subspace.from_vectors(space.p, n, block) == rows
+    assert Subspace.from_vectors(space.p, n, block - space.p) == rows
+    assert Subspace.from_vectors(space.p, n, block.astype(np.int32)) == rows
+
+
+def reference_kernel(m: FpMatrix) -> Subspace:
+    """One vector per free column, filled in entry by entry."""
+    reduced, _ = m.rref()
+    pivots = [int(np.nonzero(row)[0][0]) for row in reduced.data if row.any()]
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = np.zeros(m.cols, dtype=np.int64)
+        v[fc] = 1
+        for r_idx, pc in enumerate(pivots):
+            v[pc] = (-reduced.data[r_idx, fc]) % m.p
+        basis.append(v)
+    return Subspace.from_vectors(m.p, m.cols, basis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_kernel_matches_reference(m):
+    assert m.kernel() == reference_kernel(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_common_kernel_is_the_intersection_of_kernels(m, data):
+    p, n = m.p, m.cols
+    extra = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    mats = [m, FpMatrix(p, [extra]), FpMatrix(p, m.data[::-1])][: data.draw(st.integers(0, 3))]
+    want = Subspace.full(p, n)
+    for a in mats:
+        want = want & a.kernel()
+    assert common_kernel(p, n, mats) == want
+
+
+def test_common_kernel_of_nothing_is_everything():
+    assert common_kernel(3, 4, []) == Subspace.full(3, 4)
+    assert common_kernel(3, 0, []) == Subspace.full(3, 0)
 
 
 def test_restrict_gives_the_matrix_on_an_invariant_subspace():
