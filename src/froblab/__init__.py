@@ -38,6 +38,7 @@ from .fmodule import (
     RightFModule,
     cartier_from_splitting,
     find_module_isomorphism,
+    graded_annihilator_set,
     hom_space,
     natural_frobenius_module,
     twisted_frobenius_module,
@@ -86,6 +87,7 @@ __all__ = [
     "extension_field",
     "find_module_isomorphism",
     "frobenius_closure_data",
+    "graded_annihilator_set",
     "hom_space",
     "is_graded_two_sided",
     "natural_frobenius_module",

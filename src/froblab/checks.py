@@ -153,13 +153,10 @@ def module_suite(
     module: _FModule,
     rng: random.Random,
     report: Report,
-    submodule_budget: int,
+    unused=None,  # kept: perfbench/workloads.py wraps module_suite with six positional arguments
 ) -> None:
     """All per-module checks: duality identities plus the theorem suites."""
-    inner = check_duality_identities(
-        ctx, [(name, module)], rng, submodule_budget=submodule_budget
-    )
-    report.extend(inner)
+    report.extend(check_duality_identities(ctx, [(name, module)], rng))
     if module.side == "right":
         check_stabilization(name, module, report)
         check_square_multiplier(name, module, report)
@@ -175,7 +172,6 @@ def run_catalog_checks(
 ) -> Report:
     """Validate a catalog and run every suite over it plus random instances."""
     report = Report()
-    submodule_budget = catalog.budgets.get("submodule", 1 << 10)
     contexts: dict[str, object] = {}
     for alg_name, A in sorted(catalog.algebras.items()):
         A.validate()
@@ -189,9 +185,7 @@ def run_catalog_checks(
     rng = random.Random(seed)
     for mod_name, (alg_name, module) in sorted(catalog.modules.items()):
         module.validate()
-        module_suite(
-            contexts[alg_name], mod_name, module, rng, report, submodule_budget
-        )
+        module_suite(contexts[alg_name], mod_name, module, rng, report, None)
     for ideal_name, (alg_name, ideal) in sorted(catalog.ideals.items()):
         closure, exponent = ideal.frobenius_closure()
         again, _ = closure.frobenius_closure()
@@ -215,12 +209,5 @@ def run_catalog_checks(
             A, seed=seed + index, per_side=instances_per_algebra, extras=False
         )
         for sub_name, module in samples:
-            module_suite(
-                contexts[alg_name],
-                f"{alg_name}/{sub_name}",
-                module,
-                rng,
-                report,
-                submodule_budget,
-            )
+            module_suite(contexts[alg_name], f"{alg_name}/{sub_name}", module, rng, report, None)
     return report

@@ -2,14 +2,14 @@
 
 Subcommands: analyze | dualize | fclosure | check | probe-question.
 Exit codes: 0 all good, 1 a theorem check failed, 2 bad input or validation.
-The FROBLAB_BUDGET environment variable overrides the catalog's submodule
-enumeration budget used by check and probe-question.
+check and probe-question get the graded annihilators of quotients from the
+radical ideals of the algebra (fmodule.graded_annihilator_set), so they run
+at every module size with no enumeration budget.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -19,20 +19,9 @@ from .algebra import frobenius_closure_data
 from .checks import run_catalog_checks
 from .duality import build_duality_context, dual_module
 from .errors import AxiomError, BudgetError
+from .fmodule import graded_annihilator_set
 from .generators import default_catalog
 from .skew import SkewPolynomial
-
-DEFAULT_SUBMODULE_BUDGET = 1 << 10
-
-
-def _env_budget(default: int) -> int:
-    raw = os.environ.get("FROBLAB_BUDGET")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"FROBLAB_BUDGET must be an integer, got {raw!r}") from None
 
 
 def _emit(doc: dict, text: str, args) -> None:
@@ -149,12 +138,8 @@ def cmd_fclosure(args) -> int:
 
 def _load_catalog(path: str | None):
     if path is None:
-        catalog = default_catalog()
-    else:
-        catalog = fileio.catalog_from_doc(fileio.load_json(path))
-    budget = _env_budget(catalog.budgets.get("submodule", DEFAULT_SUBMODULE_BUDGET))
-    catalog.budgets["submodule"] = budget
-    return catalog
+        return default_catalog()
+    return fileio.catalog_from_doc(fileio.load_json(path))
 
 
 def cmd_check(args) -> int:
@@ -166,37 +151,23 @@ def cmd_check(args) -> int:
 
 def cmd_probe_question(args) -> int:
     catalog = _load_catalog(args.catalog)
-    budget = min(args.budget, catalog.budgets.get("submodule", DEFAULT_SUBMODULE_BUDGET))
     results = []
-    partial = False
     for name, (alg_name, module) in sorted(catalog.modules.items()):
         if module.side != "right" or not module.is_x_divisible():
             continue
-        entry = {"module": name, "algebra": alg_name}
-        try:
-            chains = set()
-            for sub in module.enumerate_submodules(budget):
-                quotient, _ = module.quotient(sub)
-                chains.add(quotient.graded_annihilator().key())
-            entry["distinct_graded_annihilators"] = len(chains)
-        except BudgetError as exc:
-            entry["skipped"] = str(exc)
-            partial = True
-        results.append(entry)
+        count = len(graded_annihilator_set(module))
+        results.append({"module": name, "algebra": alg_name, "distinct_graded_annihilators": count})
     note = (
         "finite by construction at this scale; experimental data only, "
         "not evidence either way"
     )
-    doc = {"note": note, "partial": partial, "results": results}
-    lines = [f"note: {note}", f"partial: {partial}"]
+    doc = {"note": note, "results": results}
+    lines = [f"note: {note}"]
     for entry in results:
-        if "skipped" in entry:
-            lines.append(f"{entry['module']}: skipped ({entry['skipped']})")
-        else:
-            lines.append(
-                f"{entry['module']}: {entry['distinct_graded_annihilators']} "
-                f"distinct graded annihilators of quotients"
-            )
+        lines.append(
+            f"{entry['module']}: {entry['distinct_graded_annihilators']} "
+            f"distinct graded annihilators of quotients"
+        )
     _emit(doc, "\n".join(lines), args)
     return 0
 
@@ -254,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="count graded annihilators of quotients of divisible modules",
     )
     p_probe.add_argument("catalog", nargs="?")
-    p_probe.add_argument("--budget", type=int, default=DEFAULT_SUBMODULE_BUDGET)
     common(p_probe)
     p_probe.set_defaults(func=cmd_probe_question)
 

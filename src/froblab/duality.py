@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import FiniteAlgebra
 from .errors import AxiomError
-from .fmodule import LeftFModule, RightFModule, _FModule
+from .fmodule import LeftFModule, RightFModule, _FModule, graded_annihilator_set
 from .linalg import FpMatrix, Subspace, as_vector, combine, common_kernel, mulmod, operator_kernel
 from .report import Report
 from .skew import GradedTwoSidedIdeal, unit_graded_ideal, x_power_graded_ideal, zero_graded_ideal
@@ -297,7 +297,6 @@ def check_duality_identities(
     ctx: DualityContext,
     modules: list[tuple[str, _FModule]],
     rng,
-    submodule_budget: int = 1 << 10,
     eval_samples_per_module: int = 6,
 ) -> Report:
     """Verify the duality laws on a sample of modules over one algebra.
@@ -306,15 +305,15 @@ def check_duality_identities(
     preserved; the kernel identities for ann/product against a graded ideal;
     divisibility matching torsion-freeness of the dual; equality of the two
     stabilization exponents; the literal dual-action formulas agreeing with
-    the fast path; and, within budget, the exhaustive correspondence between
-    graded annihilators of quotients and of submodules of the dual.
+    the fast path; and, on x-divisible right modules, the correspondence
+    between graded annihilators of quotients and of submodules of the dual.
     """
     report = Report()
     A = ctx.algebra
     for name, module in modules:
         if module.algebra != A:
             raise ValueError(f"module {name} lives over a different algebra")
-        _check_one_module(ctx, name, module, rng, report, submodule_budget, eval_samples_per_module)
+        _check_one_module(ctx, name, module, rng, report, eval_samples_per_module)
     return report
 
 
@@ -328,43 +327,43 @@ def _check_one_module(
     module: _FModule,
     rng,
     report: Report,
-    submodule_budget: int,
     eval_samples: int,
 ) -> None:
     A = ctx.algebra
     dual = dual_module(module, ctx)
 
-    # (a) evaluation map: invertible intertwiner, double dual is the module
+    # (a) evaluation maps: under the linear-dual identification both are
+    # identity matrices, so they are isomorphisms exactly when dualizing twice
+    # gives back the module, and the dual, on the nose
+    duals, error = [module, dual], ""
     try:
-        omega = double_dual_map(module, ctx)
-        ok = omega.is_invertible() or module.is_zero()
-        report.add(
-            "double_dual",
-            "dualizing twice returns the module, with the evaluation map as the isomorphism",
-            name,
-            ok,
-        )
+        duals.append(dual_module(dual, ctx))
+        duals.append(dual_module(duals[2], ctx))
     except AxiomError as exc:
-        report.add(
-            "double_dual",
-            "dualizing twice returns the module",
-            name,
-            False,
-            f"{exc}; {_dump_module(module)}",
-        )
+        error = str(exc)
 
-    # reflexivity round trip: dual(omega) composed with omega of the dual is the identity
-    identity = FpMatrix.identity(A.p, module.dim)
-    try:
-        ok, details = dual_map(identity) @ double_dual_map(dual, ctx) == identity, ""
-    except AxiomError as exc:
-        ok, details = False, f"{exc}; {_dump_module(module)}"
+    def round_trip(k: int) -> tuple[bool, str]:
+        if len(duals) <= k + 2:
+            return False, f"{error}; {_dump_module(module)}"
+        if duals[k + 2] != duals[k]:
+            return False, f"double dual does not reproduce the module; {_dump_module(module)}"
+        return True, ""
+
+    ok, details = round_trip(0)
+    report.add(
+        "double_dual",
+        "dualizing twice returns the module, with the evaluation map as the isomorphism"
+        if ok
+        else "dualizing twice returns the module",
+        name,
+        ok,
+        details,
+    )
     report.add(
         "reflexivity_round_trip",
         "the dual of the evaluation map undoes the evaluation map of the dual",
         name,
-        ok,
-        details,
+        *round_trip(1),
     )
 
     # (b) graded annihilators are preserved
@@ -410,25 +409,22 @@ def _check_one_module(
             name,
             module.divisibility_exponent() == dual.torsion_exponent(),
         )
-        # (f) exhaustive finiteness correspondence, within budget
-        if module.is_x_divisible() and A.p**module.dim <= submodule_budget:
-            quotient_chains = set()
-            for sub in module.enumerate_submodules(submodule_budget):
-                q, _ = module.quotient(sub)
-                quotient_chains.add(q.graded_annihilator().key())
-            sub_chains = set()
-            for sub in dual.enumerate_submodules(submodule_budget):
-                smod, _ = sub.as_module()
-                sub_chains.add(smod.graded_annihilator().key())
+        # (f) finiteness correspondence, from the radical ideals of the algebra
+        if module.is_x_divisible():
+            try:
+                quotient_chains = graded_annihilator_set(module)
+                sub_chains = graded_annihilator_set(dual)
+                ok = quotient_chains == sub_chains
+                details = "" if ok else f"{len(quotient_chains)} vs {len(sub_chains)} chains"
+            except AxiomError as exc:  # the dual has x-torsion; (d) reports it too
+                ok, details = False, f"{exc}; {_dump_module(module)}"
             report.add(
                 "quotient_submodule_grann_sets",
                 "graded annihilators of quotients match graded annihilators of "
                 "submodules of the dual",
                 name,
-                quotient_chains == sub_chains,
-                f"{len(quotient_chains)} vs {len(sub_chains)} chains"
-                if quotient_chains != sub_chains
-                else "",
+                ok,
+                details,
             )
 
     # literal dual-action formulas against the fast path

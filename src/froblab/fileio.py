@@ -133,7 +133,6 @@ def catalog_to_doc(catalog: InstanceCatalog) -> dict:
             k: {"algebra": alg, **ideal_to_doc(i)}
             for k, (alg, i) in catalog.ideals.items()
         },
-        "budgets": dict(catalog.budgets),
     }
 
 
@@ -159,7 +158,6 @@ def catalog_from_doc(doc: dict) -> InstanceCatalog:
     for name, idoc in section("ideals").items():
         alg_name = _algebra_name(idoc, f"ideal {name!r}", cat)
         cat.add_ideal(name, alg_name, ideal_from_doc(idoc, cat.algebras[alg_name]))
-    cat.budgets = {k: _as_int(v, f"budget {k!r}") for k, v in section("budgets").items()}
     return cat
 
 

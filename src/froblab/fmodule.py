@@ -150,7 +150,8 @@ class _FModule:
         Every submodule is the sum of the cyclic submodules of its vectors, and
         nonzero multiples of a vector generate the same one, so one closure per
         line of F_p^dim suffices (its vector with leading coordinate 1).  A sum
-        of submodules is a submodule, so the sums need no closure.
+        of submodules is a submodule, so the sums need no closure.  The tests
+        check graded_annihilator_set against it; nothing in the package calls it.
         """
         p, n = self.algebra.p, self.dim
         if p**n > budget:
@@ -375,6 +376,42 @@ class FSubmodule:
 
     def __repr__(self) -> str:
         return f"FSubmodule(dim={self.dim} of {self.parent!r})"
+
+
+def graded_annihilator_set(module: _FModule) -> set[tuple]:
+    """Keys of the graded annihilators of all quotients of an x-divisible
+    right module, or of all submodules of an x-torsion-free left module.
+
+    Each of them is J_b = b R[x,f] = (b, b, ...) with b a radical ideal of R.
+    Right: let Q = M/N, so Q = Q x^n.  If Q r x^n = 0 then
+    Q r = Q x^n r = Q r^(p^n) x^n, inside Q r x^n = 0; and if Q r^p = 0 then
+    Q r = Q x r = Q r^p x = 0.  Left (Sharp, Trans. AMS 359, 2007): for h in
+    a submodule N, r x^n N = 0 gives x^n (r h) = r^(p^n-1) r x^n h = 0, and
+    r^p N = 0 gives x (r h) = r^p (x h) = 0; in both cases r h = 0.  J_b is
+    two-sided because b^[p] lies in b.
+
+    Q is a quotient of M / M J for its J = gr-ann(Q), so
+    J <= gr-ann(M / M J) <= J; dually N lies in ann_H(J), so
+    gr-ann(ann_H(J)) = J.  The sets are therefore the graded annihilators of
+    M / M J_b, or of ann_H(J_b), as b runs over the radical ideals.  In
+    R = prod R_i those are nil(R) + sum_(i in S) e_i R, one per subset S.
+    Outside the hypothesis the formula can miss members, so it refuses.
+    """
+    A, right = module.algebra, module.side == "right"
+    if right and not module.is_x_divisible():
+        raise AxiomError("graded annihilators of quotients need an x-divisible right module")
+    if not right and not module.is_x_torsion_free():
+        raise AxiomError("graded annihilators of submodules need an x-torsion-free left module")
+    nil = A.nilradical().space
+    factors = A.local_components().component_spaces
+    subs = {}
+    for chosen in itertools.product((False, True), repeat=len(factors)):
+        b = sum((s for s, keep in zip(factors, chosen) if keep), nil)
+        J = GradedTwoSidedIdeal(A, [Ideal(A, list(b.basis), space=b)])
+        sub = module.times_graded_ideal(J) if right else module.annihilator_submodule(J)
+        subs.setdefault(sub.space, sub)
+    pieces = (module.quotient(sub)[0] if right else sub.as_module()[0] for sub in subs.values())
+    return {piece.graded_annihilator().key() for piece in pieces}
 
 
 # -- distinguished modules ---------------------------------------------------

@@ -183,12 +183,11 @@ def random_hom(source: _FModule, target: _FModule, rng: random.Random) -> FpMatr
 
 @dataclass
 class InstanceCatalog:
-    """Named instances plus enumeration budgets; the unit the CLI operates on."""
+    """Named instances; the unit the CLI operates on."""
 
     algebras: dict[str, FiniteAlgebra] = field(default_factory=dict)
     modules: dict[str, tuple[str, _FModule]] = field(default_factory=dict)  # name -> (algebra name, module)
     ideals: dict[str, tuple[str, Ideal]] = field(default_factory=dict)
-    budgets: dict[str, int] = field(default_factory=dict)
 
     def add_module(self, name: str, algebra_name: str, module: _FModule) -> None:
         if algebra_name not in self.algebras:
@@ -211,7 +210,6 @@ def default_catalog() -> InstanceCatalog:
     from .fmodule import natural_frobenius_module, twisted_frobenius_module
 
     cat = InstanceCatalog(algebras=standard_algebras())
-    cat.budgets = {"submodule": 1 << 10}
 
     f2t2 = cat.algebras["F2[t]/t2"]
     cat.add_module("natural_F2t2", "F2[t]/t2", natural_frobenius_module(f2t2))

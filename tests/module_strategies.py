@@ -37,3 +37,14 @@ def modules(draw, sides=("left", "right"), max_dim=4, pool=STANDARD_ALGEBRAS):
     dim = draw(st.integers(1, max_dim))
     seed = draw(st.integers(0, 2**32 - 1))
     return random_module(A, side, dim, random.Random(seed))
+
+
+SMALL_PRIME_ALGEBRAS = {n: A for n, A in STANDARD_ALGEBRAS.items() if A.p in (2, 3)}
+
+
+@st.composite
+def divisible_right_modules(draw, max_dim=4, pool=SMALL_PRIME_ALGEBRAS):
+    """The stable image M x^e of a drawn right module M, as a module: from
+    M x^(e+1) = M x^e it is x-divisible."""
+    M = draw(modules(sides=("right",), max_dim=max_dim, pool=pool))
+    return M.stable_image()[0].as_module()[0]

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 
 import pytest
 
@@ -7,7 +8,7 @@ from froblab import fileio
 from froblab.algebra import prime_field, truncated_polynomial_algebra
 from froblab.cli import main
 from froblab.fmodule import RightFModule, natural_frobenius_module
-from froblab.generators import default_catalog
+from froblab.generators import InstanceCatalog, default_catalog
 from froblab.linalg import FpMatrix
 
 
@@ -160,7 +161,6 @@ def test_fclosure_bad_generator(fixtures):
             "algebras": {"F2": fileio.algebra_to_doc(prime_field(2))},
             "ideals": {"i": {"algebra": "F2", "generators": 5}},
         },
-        {"budgets": {"submodule": [1]}},
     ],
 )
 def test_check_rejects_malformed_catalog(tmp_path, capsys, doc):
@@ -241,19 +241,26 @@ def test_probe_question_zero_module(tmp_path, capsys):
     assert "zero_right: 1 distinct graded annihilators" in capsys.readouterr().out
 
 
-def test_probe_question_budget_gives_partial_report(capsys):
-    assert main(["probe-question", "--budget", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "partial: True" in out
-    assert "skipped" in out
-
-
-def test_env_budget_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FROBLAB_BUDGET", "1")
-    assert main(["probe-question"]) == 0
-    assert "partial: True" in capsys.readouterr().out
-    monkeypatch.setenv("FROBLAB_BUDGET", "not-a-number")
-    assert main(["probe-question"]) == 2
+def test_large_divisible_module_is_checked_and_counted(tmp_path, capsys):
+    # 3^12 vectors: far beyond any submodule enumeration, so only the
+    # radical-ideal formula can reach this module
+    rng = random.Random(12)
+    while True:
+        X = FpMatrix(3, [[rng.randrange(3) for _ in range(12)] for _ in range(12)])
+        if X.is_invertible():
+            break
+    F3 = prime_field(3)
+    cat = InstanceCatalog(algebras={"F3": F3})
+    cat.add_module("big_F3", "F3", RightFModule(F3, [FpMatrix.identity(3, 12)], X))
+    path = tmp_path / "cat.json"
+    path.write_text(fileio.dump_json(fileio.catalog_to_doc(cat)))
+    out = tmp_path / "report.json"
+    assert main(["check", str(path), "--budget", "0", "--format", "structured", "--out", str(out)]) == 0
+    laws = {(r["check"], r["instance"]): r["ok"] for r in json.loads(out.read_text())["results"]}
+    assert laws[("quotient_submodule_grann_sets", "big_F3")] is True
+    assert main(["probe-question", str(path)]) == 0
+    # F3 has two radical ideals: the quotient M/0 has annihilator 0, M/M all of R
+    assert "big_F3: 2 distinct graded annihilators" in capsys.readouterr().out
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

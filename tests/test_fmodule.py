@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -25,6 +26,7 @@ from froblab.fmodule import (
     RightFModule,
     cartier_from_splitting,
     find_module_isomorphism,
+    graded_annihilator_set,
     hom_space,
     natural_frobenius_module,
     semilinear_pairs,
@@ -43,7 +45,13 @@ from froblab.skew import (
     x_power_graded_ideal,
     zero_graded_ideal,
 )
-from module_strategies import ALL_ALGEBRAS, LARGE_PRIME, STANDARD_ALGEBRAS, modules
+from module_strategies import (
+    ALL_ALGEBRAS,
+    LARGE_PRIME,
+    STANDARD_ALGEBRAS,
+    divisible_right_modules,
+    modules,
+)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -601,6 +609,49 @@ def test_enumerate_submodules_matches_reference_on_random_modules(seed):
     for A in standard_algebras().values():
         for side in ("left", "right"):
             assert_same_submodules(random_module(A, side, 4, rng))
+
+
+# -- graded-annihilator sets against the submodule lattice ------------------------
+
+
+_contexts = functools.cache(build_duality_context)
+
+
+def lattice_quotient_grann_set(M) -> set[tuple]:
+    return {M.quotient(s)[0].graded_annihilator().key() for s in M.enumerate_submodules(1 << 10)}
+
+
+def lattice_submodule_grann_set(H) -> set[tuple]:
+    return {s.as_module()[0].graded_annihilator().key() for s in H.enumerate_submodules(1 << 10)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(divisible_right_modules())
+def test_graded_annihilator_set_matches_lattice_on_quotients(M):
+    assert graded_annihilator_set(M) == lattice_quotient_grann_set(M)
+
+
+@settings(max_examples=100, deadline=None)
+@given(divisible_right_modules())
+def test_graded_annihilator_set_matches_lattice_on_dual_submodules(M):
+    dual = dual_module(M, _contexts(M.algebra))
+    assert graded_annihilator_set(dual) == lattice_submodule_grann_set(dual)
+
+
+def test_graded_annihilator_set_needs_its_hypothesis():
+    # x nilpotent: not x-divisible, and its dual has x-torsion
+    M = RightFModule(F2, [FpMatrix.identity(2, 2)], FpMatrix(2, [[0, 1], [0, 0]]))
+    radical_formula = set()
+    for b in (F2.zero_ideal(), F2.unit_ideal()):
+        product = M.times_graded_ideal(GradedTwoSidedIdeal(F2, [b]))
+        radical_formula.add(M.quotient(product)[0].graded_annihilator().key())
+    # the lattice also has M/ker(X), whose annihilator is (0, F2)
+    assert len(radical_formula) == 2
+    assert len(lattice_quotient_grann_set(M)) == 3
+    with pytest.raises(AxiomError, match="x-divisible"):
+        graded_annihilator_set(M)
+    with pytest.raises(AxiomError, match="x-torsion-free"):
+        graded_annihilator_set(dual_module(M, _contexts(F2)))
 
 
 # -- reductions ----------------------------------------------------------------------
