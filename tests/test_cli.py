@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -199,6 +200,39 @@ def test_check_reports_are_deterministic(tmp_path):
     assert main(["check", "--budget", "1", "--seed", "5", "--format", "structured", "--out", str(out1)]) == 0
     assert main(["check", "--budget", "1", "--seed", "5", "--format", "structured", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# sha256 of the structured `check` report of the default catalog: any change
+# to what `check` computes or prints shows here
+GOLDEN_CHECK_DIGESTS = [
+    pytest.param(
+        ["--seed", "0"],
+        "748e3faab337c21e5a126684940570ca0a2dca3ee09e64f817415ab840df3147",
+        id="seed0",
+    ),
+    pytest.param(
+        ["--seed", "1", "--budget", "8"],
+        "b8d3a138dacdbe2d193362c9511038bf93c85b7aabd923f3df3c361c197ee6f6",
+        id="seed1_budget8",
+    ),
+    pytest.param(
+        ["--seed", "2", "--budget", "8"],
+        "1a8ee58f29d21b92d289925a2deb60d3ff94cf75cc5e56e4dc1e249464ea9ce6",
+        id="seed2_budget8",
+    ),
+    pytest.param(
+        ["--seed", "3", "--budget", "8"],
+        "8431374f7add079b5d0b0d4a5bf3bb8be73734ffd5f538bd0a9604b378f6eb11",
+        id="seed3_budget8",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN_CHECK_DIGESTS)
+def test_check_report_matches_golden_digest(tmp_path, args, digest):
+    out = tmp_path / "report.json"
+    assert main(["check", *args, "--format", "structured", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_check_exits_1_on_identity_failure(monkeypatch, capsys):
