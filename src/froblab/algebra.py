@@ -47,6 +47,7 @@ class FiniteAlgebra:
         self._basis_matrices: tuple[FpMatrix, ...] | None = None
         self._frobenius: FrobeniusData | None = None
         self._local: LocalDecomposition | None = None
+        self._nilradical: Ideal | None = None
         self.validate()
 
     # -- axioms ---------------------------------------------------------
@@ -146,11 +147,13 @@ class FiniteAlgebra:
 
     def nilradical(self) -> "Ideal":
         """The ideal of nilpotent elements, as the kernel of an iterated Frobenius."""
-        m = 0
-        while self.p**m < self.dim:
-            m += 1
-        space = (self.frobenius().matrix ** m).kernel()
-        return Ideal(self, [row for row in space.basis], space=space)
+        if self._nilradical is None:
+            m = 0
+            while self.p**m < self.dim:
+                m += 1
+            space = (self.frobenius().matrix ** m).kernel()
+            self._nilradical = Ideal(self, [row for row in space.basis], space=space)
+        return self._nilradical
 
     def is_reduced(self) -> bool:
         return self.nilradical().space.is_zero()
@@ -332,7 +335,6 @@ class LocalDecomposition:
     idempotents: list[np.ndarray]
     components: list[FiniteAlgebra]
     component_spaces: list[Subspace]  # each factor eps_i A; its basis rows are the factor basis
-    maximal_ideals: list[Ideal]  # nilradical of each factor, in factor coordinates
 
     def lift(self, index: int, v) -> np.ndarray:
         """Coordinates in the ambient algebra of a factor element."""
@@ -347,14 +349,12 @@ class LocalDecomposition:
             raise AxiomError(f"eps_{index} * v lies outside factor {index}")
         return coords
 
-    def maximal_ideal_in_ambient(self, index: int) -> Ideal:
-        """The maximal ideal of the algebra sitting over the given factor."""
+    def radical_ideal(self, factors) -> Ideal:
+        """nil(A) + sum of eps_i A over the given factors: as A = prod A_i with
+        A_i local, these are its radical ideals (maximal: all factors but one)."""
         A = self.algebra
-        gens = [self.lift(index, g) for g in self.maximal_ideals[index].space.basis]
-        for j, space in enumerate(self.component_spaces):
-            if j != index:
-                gens.extend(space.basis)
-        return Ideal(A, gens)
+        space = sum((self.component_spaces[i] for i in factors), A.nilradical().space)
+        return Ideal(A, list(space.basis), space=space)
 
 
 def _primitive_idempotents(A: FiniteAlgebra) -> list[np.ndarray]:
@@ -409,7 +409,7 @@ def _decompose(A: FiniteAlgebra) -> LocalDecomposition:
     if not np.array_equal(total, A.one):
         raise AxiomError("primitive idempotents do not sum to the identity")
 
-    components, spaces, maximals = [], [], []
+    components, spaces = [], []
     for e in primitive:
         space = A.mult_matrix(e).image()
         # table[i][j] holds the coordinates of b_i b_j, column j of restrict(b_i)
@@ -418,11 +418,10 @@ def _decompose(A: FiniteAlgebra) -> LocalDecomposition:
         comp = FiniteAlgebra(A.p, table, one, labels=[f"b{i}" for i in range(space.dim)])
         components.append(comp)
         spaces.append(space)
-        maximals.append(comp.nilradical())
 
     if sum(c.dim for c in components) != A.dim:
         raise AxiomError("component dimensions do not sum to the algebra dimension")
-    return LocalDecomposition(A, primitive, components, spaces, maximals)
+    return LocalDecomposition(A, primitive, components, spaces)
 
 
 # -- standard constructions ------------------------------------------------

@@ -16,6 +16,8 @@ be cross-checked against them.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .algebra import FiniteAlgebra
@@ -26,6 +28,7 @@ from .report import Report
 from .skew import GradedTwoSidedIdeal, unit_graded_ideal, x_power_graded_ideal, zero_graded_ideal
 
 
+@dataclass(eq=False)
 class DualityContext:
     """The dualizing module E together with a fixed bimodule isomorphism.
 
@@ -33,36 +36,24 @@ class DualityContext:
       dual_action    action of the algebra on E (transposed regular matrices)
       x_on_dual      the x-action on E determined by psi, via  z x = psi(z)(1)
       hom_basis      canonical basis of the maps R -> E right-linear over p-th powers
+      hom_span       their span as flattened d*d vectors, read by hom_coordinates
       psi, psi_inv   the isomorphism in hom_basis coordinates, and its inverse
       twist          element t with the left-dual x-action equal to (rho(t) X)^T
       phi            d x d tensor giving the right-dual x-action
     """
 
-    def __init__(
-        self,
-        algebra: FiniteAlgebra,
-        dual_action: list[FpMatrix],
-        x_on_dual: FpMatrix,
-        hom_basis: list[FpMatrix],
-        psi: FpMatrix,
-        psi_inv: FpMatrix,
-        twist: np.ndarray,
-        phi: np.ndarray,
-    ):
-        self.algebra = algebra
-        self.dual_action = dual_action
-        self.x_on_dual = x_on_dual
-        self.hom_basis = hom_basis
-        self.psi = psi
-        self.psi_inv = psi_inv
-        self.twist = twist
-        self.phi = phi
-        self._hom_span = Subspace.from_vectors(
-            algebra.p, algebra.dim**2, [b.data.ravel() for b in hom_basis]
-        )
+    algebra: FiniteAlgebra
+    dual_action: list[FpMatrix]
+    x_on_dual: FpMatrix
+    hom_basis: list[FpMatrix]
+    hom_span: Subspace
+    psi: FpMatrix
+    psi_inv: FpMatrix
+    twist: np.ndarray
+    phi: np.ndarray
 
     def as_right_module(self) -> RightFModule:
-        return RightFModule(self.algebra, self.dual_action, self.x_on_dual)
+        return RightFModule(self.algebra, self.dual_action, self.x_on_dual, check=False)
 
     def hom_matrix(self, coords) -> FpMatrix:
         """The map R -> E with the given hom_basis coordinates."""
@@ -70,7 +61,7 @@ class DualityContext:
         return combine(p, (d, d), as_vector(coords, p), self.hom_basis)
 
     def hom_coordinates(self, matrix: FpMatrix) -> np.ndarray | None:
-        return self._hom_span.coordinates(matrix.data.ravel())
+        return self.hom_span.coordinates(matrix.data.ravel())
 
     def psi_apply(self, z) -> FpMatrix:
         """Psi(z) as a map R -> E."""
@@ -192,7 +183,7 @@ def build_duality_context(A: FiniteAlgebra, psi: FpMatrix | None = None) -> Dual
         raise AxiomError("evaluation tensor has no solution; hom basis is degenerate")
     phi = phi_vec.reshape(d, d)
 
-    ctx = DualityContext(A, dual_action, x_on_dual, hom_basis, psi, psi_inv, twist, phi)
+    ctx = DualityContext(A, dual_action, x_on_dual, hom_basis, hom_span, psi, psi_inv, twist, phi)
     # consistency of the two evaluation routes:  z x == psi(z)(1)
     for k in range(d):
         if not np.array_equal(x_on_dual.apply(eye[k]), ctx.psi_apply(eye[k]).apply(A.one)):
@@ -208,7 +199,7 @@ def dual_left(H: LeftFModule, ctx: DualityContext) -> RightFModule:
     if H.algebra != ctx.algebra:
         raise ValueError("module and context live over different algebras")
     x_new = (H.rho(ctx.twist) @ H.x_action).T
-    return RightFModule(H.algebra, [a.T for a in H.action], x_new)
+    return RightFModule(H.algebra, [a.T for a in H.action], x_new, check=False)
 
 
 def dual_right(M: RightFModule, ctx: DualityContext) -> LeftFModule:
@@ -221,7 +212,7 @@ def dual_right(M: RightFModule, ctx: DualityContext) -> LeftFModule:
         col = ctx.phi[:, j]
         if col.any():
             total = total + M.rho(col) @ M.x_action @ M.action[j]
-    return LeftFModule(M.algebra, [a.T for a in M.action], total.T)
+    return LeftFModule(M.algebra, [a.T for a in M.action], total.T, check=False)
 
 
 def dual_module(module: _FModule, ctx: DualityContext) -> _FModule:

@@ -144,7 +144,9 @@ def _algebra_name(entry, what: str, cat: InstanceCatalog) -> str:
 
 
 def catalog_from_doc(doc: dict) -> InstanceCatalog:
-    _object(doc, "catalog document")
+    unknown = set(_object(doc, "catalog document")) - {"algebras", "modules", "ideals"}
+    if unknown:
+        raise ValueError(f"catalog has unknown sections {sorted(unknown)}")
 
     def section(key: str) -> dict:
         return _object(doc.get(key, {}), f"catalog {key!r}")

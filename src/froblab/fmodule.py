@@ -53,6 +53,10 @@ class _FModule:
     side = "?"
 
     def __init__(self, algebra: FiniteAlgebra, action, x_action: FpMatrix, check: bool = True):
+        """Shapes are always checked; check=True (the default, for data from
+        outside) also validates the axioms.  check=False trusts the caller:
+        the package passes it only for modules valid by construction, such as
+        duals, quotients, submodules, localizations and generated modules."""
         self.algebra = algebra
         self.action = list(action)
         self.x_action = x_action
@@ -142,7 +146,7 @@ class _FModule:
         proj, lift = quotient_maps(sub.space)
         action = [proj @ a @ lift for a in self.action]
         x_new = proj @ self.x_action @ lift
-        return type(self)(self.algebra, action, x_new), proj
+        return type(self)(self.algebra, action, x_new, check=False), proj
 
     def enumerate_submodules(self, budget: int) -> list["FSubmodule"]:
         """Every invariant subspace: the cyclic submodules, closed under sums.
@@ -206,14 +210,10 @@ class _FModule:
         chain = []
         for power, _ in self._x_chain(of)[0]:
             cols = np.stack([product(a, power).data.ravel() for a in self.action], axis=1)
-            chain.append(self._b_component(FpMatrix(p, cols).kernel()))
+            # an ideal because rho is multiplicative: rho(sr) = rho(s) rho(r)
+            space = FpMatrix(p, cols).kernel()
+            chain.append(Ideal(self.algebra, list(space.basis), space=space))
         return GradedTwoSidedIdeal(self.algebra, chain)
-
-    def _b_component(self, space: Subspace) -> Ideal:
-        ideal = Ideal(self.algebra, list(space.basis))
-        if ideal.space != space:
-            raise AxiomError("annihilator component is not an ideal")
-        return ideal
 
     def __eq__(self, other) -> bool:
         return (
@@ -333,7 +333,7 @@ class RightFModule(_FModule):
         part = self.rho(decomp.idempotents[index]).image()
         action = [restrict(self.rho(b), part) for b in decomp.component_spaces[index].basis]
         x_new = restrict(self.x_action, part)
-        return RightFModule(decomp.components[index], action, x_new)
+        return RightFModule(decomp.components[index], action, x_new, check=False)
 
 
 class FSubmodule:
@@ -360,7 +360,7 @@ class FSubmodule:
         """The submodule as a module of its own, plus the inclusion matrix."""
         action = [restrict(a, self.space) for a in self.parent.action]
         x_new = restrict(self.parent.x_action, self.space)
-        mod = type(self.parent)(self.parent.algebra, action, x_new)
+        mod = type(self.parent)(self.parent.algebra, action, x_new, check=False)
         incl = FpMatrix(self.space.p, self.space.basis.T.reshape(self.parent.dim, self.dim))
         return mod, incl
 
@@ -402,12 +402,11 @@ def graded_annihilator_set(module: _FModule) -> set[tuple]:
         raise AxiomError("graded annihilators of quotients need an x-divisible right module")
     if not right and not module.is_x_torsion_free():
         raise AxiomError("graded annihilators of submodules need an x-torsion-free left module")
-    nil = A.nilradical().space
-    factors = A.local_components().component_spaces
+    decomp = A.local_components()
     subs = {}
-    for chosen in itertools.product((False, True), repeat=len(factors)):
-        b = sum((s for s, keep in zip(factors, chosen) if keep), nil)
-        J = GradedTwoSidedIdeal(A, [Ideal(A, list(b.basis), space=b)])
+    for chosen in itertools.product((False, True), repeat=len(decomp.components)):
+        b = decomp.radical_ideal(i for i, keep in enumerate(chosen) if keep)
+        J = GradedTwoSidedIdeal(A, [b])
         sub = module.times_graded_ideal(J) if right else module.annihilator_submodule(J)
         subs.setdefault(sub.space, sub)
     pieces = (module.quotient(sub)[0] if right else sub.as_module()[0] for sub in subs.values())
@@ -426,7 +425,7 @@ def twisted_frobenius_module(algebra: FiniteAlgebra, c) -> LeftFModule:
     """The regular module with x acting by r -> c * r^p."""
     F = algebra.frobenius().matrix
     x_action = algebra.mult_matrix(c) @ F
-    return LeftFModule(algebra, algebra.basis_matrices(), x_action)
+    return LeftFModule(algebra, algebra.basis_matrices(), x_action, check=False)
 
 
 def twisted_modules_isomorphic(algebra: FiniteAlgebra, c1, c2) -> tuple[bool, np.ndarray | None]:
@@ -475,7 +474,7 @@ def cartier_from_splitting(
         return None, "no splitting"
     # on a reduced finite algebra the p-th power map is injective, so invertible
     x_action = F.inverse() @ pi
-    return RightFModule(algebra, algebra.basis_matrices(), x_action), None
+    return RightFModule(algebra, algebra.basis_matrices(), x_action, check=False), None
 
 
 # -- homomorphisms -------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Instance generation: standard algebras, enumerated small algebras, and
 seeded random ideals, modules, and homomorphisms.
 
-Random modules are valid by construction: the ring action is a block sum of
-regular actions on quotients by random ideals, and the x-action is sampled
-from the solution space of the side's semilinearity constraint.  Only the
-quotient ideals are rejection-sampled: random_proper_ideal draws up to 30
-random ideals before it falls back to a maximal ideal.
+Random modules are valid by construction, so they are built without
+validation (check=False): the ring action is a block sum of regular actions
+on quotients by random ideals, and the x-action is sampled from the solution
+space of the side's semilinearity constraint.  Only the quotient ideals are
+rejection-sampled: random_proper_ideal draws up to 30 random ideals before it
+falls back to a maximal ideal.  tests/test_trusted_modules.py validates the
+modules built here.
 """
 from __future__ import annotations
 
@@ -106,7 +108,8 @@ def random_ideal(A: FiniteAlgebra, rng: random.Random) -> Ideal:
 
 def maximal_ideals(A: FiniteAlgebra) -> list[Ideal]:
     decomp = A.local_components()
-    return [decomp.maximal_ideal_in_ambient(i) for i in range(len(decomp.components))]
+    factors = range(len(decomp.components))
+    return [decomp.radical_ideal(j for j in factors if j != i) for i in factors]
 
 
 def random_proper_ideal(A: FiniteAlgebra, rng: random.Random, max_codim: int) -> Ideal | None:
@@ -169,7 +172,7 @@ def random_module(A: FiniteAlgebra, side: str, max_dim: int, rng: random.Random)
     basis = semilinear_solution_space(action, A, side)
     x = combine(A.p, (n, n), [rng.randrange(A.p) for _ in basis], basis)
     cls = LeftFModule if side == "left" else RightFModule
-    return cls(A, action, x)
+    return cls(A, action, x, check=False)
 
 
 def random_hom(source: _FModule, target: _FModule, rng: random.Random) -> FpMatrix:

@@ -1,8 +1,9 @@
 """Hypothesis strategies for algebras and modules, built on the generators.
 
-Modules come from random_module with a drawn seed, so every example is a
-valid module and a failing one is reproduced by its algebra, side, dimension
-bound and seed.
+Modules come from random_module with a drawn seed, and a failing example is
+reproduced by its algebra, side, dimension bound and seed.  random_module
+builds its modules without validating them, so that every example is a valid
+module rests on tests/test_trusted_modules.py, which validates them.
 """
 import random
 

@@ -138,7 +138,7 @@ def test_local_components_local_algebra():
     decomp = F2T2.local_components()
     assert len(decomp.components) == 1
     assert decomp.components[0].dim == 2
-    assert decomp.maximal_ideals[0].space.dim == 1
+    assert decomp.components[0].nilradical().space.dim == 1
 
 
 def test_local_components_product():
@@ -267,8 +267,8 @@ def test_local_components_match_element_scan():
         got = A.local_components()
         want = reference_primitive_idempotents(A)
         assert [tuple(e) for e in got.idempotents] == [tuple(e) for e in want]
-        for comp, mx in zip(got.components, got.maximal_ideals):
-            assert_local(comp, mx)
+        for comp in got.components:
+            assert_local(comp, comp.nilradical())
 
 
 @pytest.mark.parametrize("p, max_dim", [(2, 3), (3, 2)])

@@ -151,10 +151,20 @@ def test_fclosure_bad_generator(fixtures):
     assert main(["fclosure", alg, "0,banana"]) == 2
 
 
+def _renamed_section(old: str, new: str) -> dict:
+    """The default catalog's document with one section under a misspelt key."""
+    doc = fileio.catalog_to_doc(default_catalog())
+    doc[new] = doc.pop(old)
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc",
     [
         [],
+        _renamed_section("modules", "module"),
+        _renamed_section("ideals", "idealz"),
+        {"algebras": {}, "budgets": {"submodules": 256}},
         {"algebras": []},
         {"modules": {"m": 5}},
         {"modules": {"m": {"algebra": ["F2"]}}},
@@ -169,6 +179,13 @@ def test_check_rejects_malformed_catalog(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     assert main(["check", str(path)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_check_names_an_unknown_catalog_section(tmp_path, capsys):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(_renamed_section("modules", "module")))
+    assert main(["check", str(path)]) == 2
+    assert "unknown sections ['module']" in capsys.readouterr().err
 
 
 def test_check_default_catalog(capsys):
