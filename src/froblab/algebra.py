@@ -164,10 +164,11 @@ class FiniteAlgebra:
         return Ideal(self, generators)
 
     def zero_ideal(self) -> "Ideal":
-        return Ideal(self, [])
+        return Ideal(self, [], space=Subspace.zero(self.p, self.dim))
 
     def unit_ideal(self) -> "Ideal":
-        return Ideal(self, [self.one])
+        # the ideal of 1 is all of A, so it needs no closure
+        return Ideal(self, [self.one], space=Subspace.full(self.p, self.dim))
 
     # -- local structure --------------------------------------------------
 

@@ -285,12 +285,12 @@ class RightFModule(_FModule):
         """The submodule spanned by all m . (b x^n) with b in the n-th piece."""
         if ideal.algebra != self.algebra:
             raise ValueError("graded ideal lives over a different algebra")
-        pieces = []
+        pieces = [np.zeros((0, self.dim), dtype=np.int64)]
         for n in range(ideal.stable_from + 1):
             xp = self.x_action**n
             for b in ideal.component(n).space.basis:
-                pieces.extend((xp @ self.rho(b)).data.T)
-        return self.submodule(pieces)
+                pieces.append((xp @ self.rho(b)).data.T)
+        return self.submodule(np.vstack(pieces))
 
     def annihilator_chain(self) -> tuple[list[Subspace], int]:
         """Ascending chain (0 : R x^k) = {m : X^k rho(r) m = 0 for all r}.

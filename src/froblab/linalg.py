@@ -440,13 +440,31 @@ def stabilize(start, step, key=None) -> tuple[list, int, int]:
 
 
 def close_under(space: Subspace, operators: list[FpMatrix]) -> Subspace:
-    """The smallest subspace containing space and stable under every operator."""
+    """The smallest subspace containing space and stable under every operator.
+
+    The MeatAxe spin-up (Parker, 1984; Lux, Mueller and Ringe, J. Symbolic
+    Comput. 1994): the reduced echelon basis and pivots of the growing space
+    are kept, only the rows the last step added are pushed through the
+    operators, and their images are reduced once against the kept basis.
+    Each basis vector's images thus meet elimination once.
+    """
     p, n = space.p, space.ambient_dim
-
-    def step(current: Subspace) -> Subspace:
-        return Subspace.from_vectors(p, n, np.vstack([current.basis, image_rows(current, operators)]))
-
-    return stabilize(space, step)[0][-1]
+    basis, pivots = space.basis, space.pivots.tolist()
+    frontier = space  # the span of the rows the last step added
+    while True:
+        images = image_rows(frontier, operators)
+        images = (images - mulmod(images[:, pivots], basis, p)) % p
+        images = images[images.any(axis=1)]
+        if not images.shape[0]:
+            break
+        reduced, new_pivots = _rref(images, p)
+        frontier = Subspace(p, n, reduced[: len(new_pivots)], new_pivots)
+        kept = (basis - mulmod(basis[:, new_pivots], frontier.basis, p)) % p
+        basis = np.vstack([kept, frontier.basis])[np.argsort(pivots + new_pivots)]
+        pivots = sorted(pivots + new_pivots)
+    if frontier is space:
+        return space
+    return Subspace(p, n, basis, pivots)
 
 
 def combine(p: int, shape: tuple[int, int], coeffs, matrices) -> FpMatrix:

@@ -11,6 +11,7 @@ from froblab.linalg import (
     close_under,
     combine,
     common_kernel,
+    image_rows,
     operator_kernel,
     operator_solve,
     is_prime,
@@ -509,6 +510,93 @@ def test_close_under_shift_generates_flag():
     assert close_under(line, [j]).is_full()
     assert close_under(Subspace.from_vectors(2, 3, [[1, 0, 0]]), [j]).dim == 1
     assert close_under(line, []) == line
+    assert close_under(Subspace.zero(2, 3), []).is_zero()
+    assert close_under(Subspace.full(2, 3), []).is_full()
+
+
+# -- the whole-stack closure the spin-up replaced -------------------------------
+
+
+def _close_under_reference(space: Subspace, operators) -> Subspace:
+    """Re-eliminate the basis plus the images of the whole basis until it repeats."""
+    p, n = space.p, space.ambient_dim
+
+    def step(current: Subspace) -> Subspace:
+        return Subspace.from_vectors(p, n, np.vstack([current.basis, image_rows(current, operators)]))
+
+    return stabilize(space, step)[0][-1]
+
+
+@st.composite
+def closure_cases(draw):
+    """A start space (often zero or full) and 0-3 operators of assorted shapes."""
+    p = draw(st.sampled_from([2, 3, 1048573]))
+    n = draw(st.integers(0, 6))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    kind = draw(st.sampled_from(["zero", "full", "span"]))
+    if kind == "zero":
+        space = Subspace.zero(p, n)
+    elif kind == "full":
+        space = Subspace.full(p, n)
+    else:
+        gens = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3))
+        space = Subspace.from_vectors(p, n, gens)
+    operators = []
+    for _ in range(draw(st.integers(0, 3))):
+        m = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n)), dtype=np.int64).reshape(n, n)
+        shape = draw(st.sampled_from(["random", "upper", "zero_columns"]))
+        if shape == "upper":
+            m = np.triu(m, 1)
+        elif shape == "zero_columns" and n:
+            m[:, draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))] = 0
+        operators.append(FpMatrix(p, m))
+    return space, operators
+
+
+@settings(max_examples=300, deadline=None)
+@given(closure_cases())
+def test_close_under_matches_whole_stack_reference(case):
+    space, operators = case
+    got = close_under(space, operators)
+    want = _close_under_reference(space, operators)
+    assert got == want
+    assert got.pivots.tolist() == want.pivots.tolist()
+    assert got.basis.dtype == np.int64
+    assert not got.basis.flags.writeable
+
+
+def _count_eliminated_rows(monkeypatch) -> list[int]:
+    """Record the number of rows each _rref call receives."""
+    import froblab.linalg as linalg
+
+    counts: list[int] = []
+    real = linalg._rref
+
+    def counting(a, p):
+        counts.append(a.shape[0])
+        return real(a, p)
+
+    monkeypatch.setattr(linalg, "_rref", counting)
+    return counts
+
+
+def test_close_under_eliminates_each_image_once(monkeypatch):
+    # spin-up: every basis vector's images are reduced once, so at most
+    # dim(result) * len(operators) rows reach elimination in all; the
+    # whole-stack closure passes about n^2 rows on the shift below
+    n = 8
+    shift = FpMatrix(3, np.eye(n, k=1, dtype=np.int64))
+    line = Subspace.from_vectors(3, n, [[0] * (n - 1) + [1]])
+    rng = np.random.default_rng(0)
+    ops = [FpMatrix(5, rng.integers(0, 5, (6, 6))), FpMatrix(5, np.triu(rng.integers(0, 5, (6, 6)), 1))]
+    start = Subspace.from_vectors(5, 6, [[1, 0, 2, 0, 0, 4]])
+    for space, operators in [(line, [shift]), (start, ops)]:
+        counts = _count_eliminated_rows(monkeypatch)
+        closed = close_under(space, operators)
+        monkeypatch.undo()
+        assert closed == _close_under_reference(space, operators)
+        assert closed.dim > space.dim
+        assert sum(counts) <= closed.dim * len(operators)
 
 
 def test_combine_is_the_linear_combination():
