@@ -296,14 +296,22 @@ class ClosureData:
 
 
 def frobenius_closure_data(ideal: Ideal) -> ClosureData:
-    """Frobenius closure of an ideal, with the least test exponent Q.
+    """Frobenius closure of an ideal a, with the least test exponent Q.
 
-    c_n = {r : r^(p^n) lies in the n-th Frobenius power of the ideal} is an
-    ascending chain, but consecutive equality is NOT a valid stopping rule:
-    the chain can pause and grow again (it does for (t^2) in F_2[t]/(t^3)).
-    Both c_n and the Frobenius powers are functions of the n-th power of the
-    Frobenius matrix, so the chain runs over the distinct powers, up to the
-    point where that matrix revisits a state.
+    c_n = (F^n)^-1(a^[p^n]) = {r : r^(p^n) lies in the n-th Frobenius power
+    of a} is an ascending chain, but consecutive equality is NOT a valid
+    stopping rule: the chain can pause and grow again (it does for (t^2) in
+    F_2[t]/(t^3)).  Both c_n and the Frobenius powers are functions of the
+    n-th power of the Frobenius matrix, so the chain runs over the distinct
+    powers, up to the point where that matrix revisits a state; from the
+    preperiod on it is periodic and ascending, hence constant, and a^F is
+    c_preperiod.
+
+    Lemma: Q = p^m for the least m with c_m == a^F.  Proof: a <= a^F gives
+    a^[p^m] <= (a^F)^[p^m], and (a^F)^[p^m] is generated by F^m(a^F), as F^m
+    is additive.  So (a^F)^[p^m] == a^[p^m] exactly when F^m(a^F) <= a^[p^m],
+    that is a^F <= c_m; and c_m <= a^F always, as the chain ascends to a^F.
+    The test exponent is therefore read off the chain, with no closure.
     """
     A = ideal.algebra
     frob = A.frobenius()
@@ -316,16 +324,12 @@ def frobenius_closure_data(ideal: Ideal) -> ClosureData:
     preperiod, period = frob.preperiod, frob.period
     closure_space = chain[preperiod]
     closure = Ideal(A, [row for row in closure_space.basis], space=closure_space)
-    exponent = None
-    for m in range(preperiod + period + 1):
-        if closure.frobenius_power(m) == ideal.frobenius_power(m):
-            exponent = A.p**m
-            break
-    if exponent is None:
+    m = next((m for m, c in enumerate(chain) if c == closure_space), None)
+    if m is None:
         raise RuntimeError(
             "no test exponent within the Frobenius cycle; this is a bug"
         )
-    return ClosureData(closure, exponent, tuple(chain), preperiod, period)
+    return ClosureData(closure, A.p**m, tuple(chain), preperiod, period)
 
 
 @dataclass

@@ -109,10 +109,11 @@ def cmd_fclosure(args) -> int:
     gens = []
     for raw in args.generators:
         try:
-            vec = [int(part) for part in raw.split(",")]
+            gens.append(np.array([int(part) for part in raw.split(",")], dtype=np.int64))
+        except OverflowError:
+            raise ValueError(f"generator {raw!r} has an entry beyond the int64 range") from None
         except ValueError:
             raise ValueError(f"generator {raw!r} is not a comma-separated integer vector") from None
-        gens.append(np.array(vec, dtype=np.int64))
     ideal = algebra.ideal(gens)
     data = frobenius_closure_data(ideal)
     doc = {
@@ -143,6 +144,8 @@ def _load_catalog(path: str | None):
 
 
 def cmd_check(args) -> int:
+    if args.budget < 0:
+        raise ValueError(f"--budget must be a non-negative instance count, got {args.budget}")
     catalog = _load_catalog(args.catalog)
     report = run_catalog_checks(catalog, seed=args.seed, instances_per_algebra=args.budget)
     _emit(report.to_doc(), report.render_text(verbose=args.format == "text"), args)

@@ -17,6 +17,7 @@ be cross-checked against them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,17 @@ class DualityContext:
     def psi_apply(self, z) -> FpMatrix:
         """Psi(z) as a map R -> E."""
         return self.hom_matrix(self.psi.apply(z))
+
+    @cached_property
+    def standard_graded_ideals(self) -> tuple[tuple[str, GradedTwoSidedIdeal], ...]:
+        """The algebra-only graded ideals every kernel-identity check uses."""
+        A = self.algebra
+        return (
+            ("zero", zero_graded_ideal(A)),
+            ("deg>=1", x_power_graded_ideal(A, 1)),
+            ("deg>=2", x_power_graded_ideal(A, 2)),
+            ("unit", unit_graded_ideal(A)),
+        )
 
     def __repr__(self) -> str:
         return f"DualityContext({self.algebra!r})"
@@ -371,14 +383,7 @@ def _check_one_module(
     )
 
     # (c) kernel identities for a family of graded ideals
-    ideals = [
-        ("zero", zero_graded_ideal(A)),
-        ("deg>=1", x_power_graded_ideal(A, 1)),
-        ("deg>=2", x_power_graded_ideal(A, 2)),
-        ("unit", unit_graded_ideal(A)),
-        ("grann", g_mod),
-    ]
-    for bname, B in ideals:
+    for bname, B in [*ctx.standard_graded_ideals, ("grann", g_mod)]:
         if module.side == "left":
             _check_left_kernel_identity(name, module, dual, B, bname, report)
         else:

@@ -21,6 +21,8 @@ from .linalg import FpMatrix
 def _int_grid(data, depth: int, what: str):
     try:
         arr = np.asarray(data, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"{what}: an entry exceeds the int64 range") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what}: expected nested integer lists") from exc
     if arr.ndim != depth:
@@ -87,6 +89,8 @@ def _square_matrix(data, n: int, what: str) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.int64)
     try:
         arr = np.asarray(data, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"{what}: an entry exceeds the int64 range") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what}: expected nested integer lists") from exc
     if arr.shape != (n, n):

@@ -25,6 +25,7 @@ from .linalg import (
     combine,
     common_kernel,
     image_rows,
+    mulmod,
     operator_kernel,
     operator_solve,
     quotient_maps,
@@ -86,13 +87,18 @@ class _FModule:
 
     def validate(self) -> bool:
         A = self.algebra
-        eye = np.eye(A.dim, dtype=np.int64)
         if self.rho(A.one) != FpMatrix.identity(A.p, self.dim):
             raise AxiomError("action is not unital: rho(1) != id")
+        # rho(e_i) rho(e_j) == rho(e_i e_j) == sum_k table[i, j, k] rho(e_k),
+        # for all j at once: one d x n x n block per i
+        acts = np.stack([m.data for m in self.action])
+        flat = acts.reshape(A.dim, self.dim * self.dim)
         for i in range(A.dim):
-            for j in range(A.dim):
-                if self.action[i] @ self.action[j] != self.rho(A.mul(eye[i], eye[j])):
-                    raise AxiomError(f"action is not multiplicative on ({i},{j})")
+            products = mulmod(acts[i], acts, A.p)
+            expected = mulmod(A.table[i], flat, A.p).reshape(acts.shape)
+            bad = (products != expected).any(axis=(1, 2))
+            if bad.any():
+                raise AxiomError(f"action is not multiplicative on ({i},{int(np.argmax(bad))})")
         pairs = semilinear_pairs(A, self.action, self.side)
         for i, (a, b) in enumerate(pairs):
             if self.x_action @ a != b @ self.x_action:

@@ -243,12 +243,17 @@ class FpMatrix:
         return FpMatrix(self.p, reduced[:, n:])
 
     def preimage(self, target: "Subspace") -> "Subspace":
-        """The subspace {v : self @ v in target}."""
+        """The subspace {v : self @ v in target}.
+
+        With target in reduced echelon form (basis B, pivot columns P), w
+        lies in the target exactly when w == w[P] @ B, so the preimage is the
+        kernel of the residue self - B^T @ self[P]: one product and one
+        kernel, for any shape and for zero and full targets alike.
+        """
         if target.ambient_dim != self.rows:
             raise ValueError("target lives in the wrong ambient space")
-        cut = target.annihilator().basis  # rows w with w.v == 0 for v in target
-        stacked = FpMatrix(self.p, mulmod(cut, self.data, self.p))
-        return stacked.kernel()
+        in_target = mulmod(target.basis.T, self.data[target.pivots], self.p)
+        return FpMatrix(self.p, self.data - in_target).kernel()
 
 
 class Subspace:

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from froblab.algebra import (
     FiniteAlgebra,
@@ -430,3 +432,91 @@ def test_render_element():
     assert F2T3.render_element([1, 0, 1]) == "1 + t^2"
     assert F2T3.render_element([0, 0, 0]) == "0"
     assert truncated_polynomial_algebra(5, 2).render_element([0, 3]) == "3*t"
+
+
+# -- the exponent loop the chain read replaced -----------------------------------
+
+
+def _closure_exponent_reference(ideal: Ideal, closure: Ideal) -> int:
+    """Least p^m with (a^F)^[p^m] == a^[p^m], comparing fresh ideal closures."""
+    A = ideal.algebra
+    frob = A.frobenius()
+    for m in range(frob.preperiod + frob.period + 1):
+        if closure.frobenius_power(m) == ideal.frobenius_power(m):
+            return A.p**m
+    raise AssertionError("no test exponent within the Frobenius cycle")
+
+
+def monomial_algebra(p: int, a: int, b: int, corner: tuple[int, int]) -> FiniteAlgebra:
+    """F_p[s,t]/(s^a, t^b, s^i t^j) for corner (i, j), on the monomials outside."""
+    monos = [
+        (i, j) for i in range(a) for j in range(b) if not (i >= corner[0] and j >= corner[1])
+    ]
+    index = {m: k for k, m in enumerate(monos)}
+    d = len(monos)
+    table = np.zeros((d, d, d), dtype=np.int64)
+    for x, (i1, j1) in enumerate(monos):
+        for y, (i2, j2) in enumerate(monos):
+            if (i1 + i2, j1 + j2) in index:
+                table[x, y, index[(i1 + i2, j1 + j2)]] = 1
+    return FiniteAlgebra(p, table, np.eye(d, dtype=np.int64)[index[(0, 0)]])
+
+
+STANDARD = standard_algebras()
+
+
+@st.composite
+def algebras_and_generators(draw):
+    """A standard algebra, or a truncated, monomial or product algebra over
+    F_2, F_3 or F_5, with 0-3 drawn ideal generators."""
+    family = draw(st.sampled_from(["standard", "truncated", "monomial", "product"]))
+    p = draw(st.sampled_from([2, 3, 5]))
+    if family == "standard":
+        A = STANDARD[draw(st.sampled_from(sorted(STANDARD)))]
+    elif family == "truncated":
+        A = truncated_polynomial_algebra(p, draw(st.integers(1, 6)))
+    elif family == "monomial":
+        a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        A = monomial_algebra(p, a, b, (draw(st.integers(0, a)), draw(st.integers(1, b))))
+    else:
+        A = product_algebra(
+            truncated_polynomial_algebra(p, draw(st.integers(1, 3))),
+            truncated_polynomial_algebra(p, draw(st.integers(1, 3))),
+        )
+    vector = st.lists(st.integers(0, A.p - 1), min_size=A.dim, max_size=A.dim)
+    return A, draw(st.lists(vector, max_size=3))
+
+
+@settings(max_examples=250, deadline=None)
+@given(algebras_and_generators())
+@example((F2T3, [[0, 0, 1]]))  # (t^2): the chain pauses, then grows; Q = 4
+def test_closure_exponent_matches_reference(case):
+    A, gens = case
+    a = A.ideal(gens)
+    data = frobenius_closure_data(a)
+    assert data.exponent == _closure_exponent_reference(a, data.closure)
+
+
+def test_closure_exponent_search_does_no_closure(monkeypatch):
+    # the bracket a^[p^n] of each distinct Frobenius power is the only
+    # closure; Q is read off the chain, so comparing closures adds none
+    import froblab.algebra as algebra
+
+    real = algebra.close_under
+    calls: list[int] = []
+
+    def counting(space, operators):
+        calls.append(1)
+        return real(space, operators)
+
+    cases = [(F2T3, [[0, 0, 1]]), (F2T3, [[0, 1, 1]]), (F4, [])]
+    cases += [(truncated_polynomial_algebra(3, 5), [[0, 0, 1, 2, 0]])]
+    cases += [(A, [A.one]) for A in STANDARD.values()]
+    for A, gens in cases:
+        a = A.ideal(gens)
+        frob = A.frobenius()
+        monkeypatch.setattr(algebra, "close_under", counting)
+        calls.clear()
+        frobenius_closure_data(a)
+        monkeypatch.undo()
+        assert 0 < len(calls) <= len(frob.powers)

@@ -151,6 +151,32 @@ def test_fclosure_bad_generator(fixtures):
     assert main(["fclosure", alg, "0,banana"]) == 2
 
 
+def test_fclosure_generator_beyond_int64_exits_2(fixtures, capsys):
+    _, _, _, alg3 = fixtures
+    assert main(["fclosure", alg3, "99999999999999999999999,0,0"]) == 2
+    assert "beyond the int64 range" in capsys.readouterr().err
+
+
+def test_algebra_entry_beyond_int64_exits_2(fixtures, tmp_path, capsys):
+    _, alg, _, _ = fixtures
+    doc = json.loads(open(alg).read())
+    doc["one"] = [10**23, 0]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(doc))
+    assert main(["fclosure", str(big)]) == 2
+    assert "one: an entry exceeds the int64 range" in capsys.readouterr().err
+
+
+def test_module_entry_beyond_int64_exits_2(fixtures, tmp_path, capsys):
+    _, alg, mod, _ = fixtures
+    doc = json.loads(open(mod).read())
+    doc["X"][0][0] = 10**30
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(doc))
+    assert main(["analyze", alg, str(big)]) == 2
+    assert "X: an entry exceeds the int64 range" in capsys.readouterr().err
+
+
 def _renamed_section(old: str, new: str) -> dict:
     """The default catalog's document with one section under a misspelt key."""
     doc = fileio.catalog_to_doc(default_catalog())
@@ -192,6 +218,13 @@ def test_check_default_catalog(capsys):
     assert main(["check", "--budget", "1"]) == 0
     out = capsys.readouterr().out
     assert "0 failures" in out
+
+
+def test_check_refuses_a_negative_budget(capsys):
+    assert main(["check", "--budget", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert "--budget must be a non-negative instance count, got -3" in captured.err
+    assert captured.out == ""
 
 
 def test_check_empty_catalog(tmp_path, capsys):

@@ -307,3 +307,26 @@ def test_identity_suite_random_sample():
         mods = [(f"m{i}", random_module(A, side, 3, rng)) for i in range(3) for side in ("left", "right")]
         report = check_duality_identities(ctx, mods, rng)
         assert report.ok, report.render_text()
+
+
+def test_standard_graded_ideals_are_built_once_per_context(monkeypatch):
+    # they depend only on the algebra, so every module checked against one
+    # context shares them
+    import froblab.duality as duality
+
+    real = duality.zero_graded_ideal
+    calls: list[int] = []
+
+    def counting(A):
+        calls.append(1)
+        return real(A)
+
+    monkeypatch.setattr(duality, "zero_graded_ideal", counting)
+    ctx = build_duality_context(F2T2)
+    rng = random.Random(3)
+    mods = [(f"m{i}", random_module(F2T2, side, 3, rng)) for i in range(2) for side in ("left", "right")]
+    report = check_duality_identities(ctx, mods, rng)
+    assert report.ok, report.render_text()
+    assert len(calls) == 1
+    assert [name for name, _ in ctx.standard_graded_ideals] == ["zero", "deg>=1", "deg>=2", "unit"]
+    assert ctx.standard_graded_ideals[2][1] == x_power_graded_ideal(F2T2, 2)

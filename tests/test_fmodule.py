@@ -110,6 +110,60 @@ def test_non_multiplicative_action_is_rejected():
         LeftFModule(F2T2, bad, FpMatrix.zeros(2, 2, 2))
 
 
+# -- the pairwise multiplicativity loop the batched check replaced ---------------
+
+
+def reference_validate(M) -> str | None:
+    """The d^2-pair validate: the message of the first failing axiom, or None."""
+    A = M.algebra
+    eye = np.eye(A.dim, dtype=np.int64)
+    if M.rho(A.one) != FpMatrix.identity(A.p, M.dim):
+        return "action is not unital: rho(1) != id"
+    for i in range(A.dim):
+        for j in range(A.dim):
+            if M.action[i] @ M.action[j] != M.rho(A.mul(eye[i], eye[j])):
+                return f"action is not multiplicative on ({i},{j})"
+    for i, (a, b) in enumerate(semilinear_pairs(A, M.action, M.side)):
+        if M.x_action @ a != b @ M.x_action:
+            return f"{M.side} semilinearity fails on basis element {A.labels[i]}"
+    return None
+
+
+def validate_message(M) -> str | None:
+    try:
+        M.validate()
+    except AxiomError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(modules(pool=ALL_ALGEBRAS), st.data())
+def test_validate_matches_pairwise_reference(M, data):
+    assert validate_message(M) is None and reference_validate(M) is None
+    if not M.dim:
+        return
+    # one action entry moved (off the unit, where it can, so that the
+    # multiplicativity check is what refuses it): both give the same message
+    A = M.algebra
+    i = data.draw(st.sampled_from([k for k in range(A.dim) if not A.one[k]] or [0]))
+    r, c = data.draw(st.integers(0, M.dim - 1)), data.draw(st.integers(0, M.dim - 1))
+    moved = M.action[i].data.copy()
+    moved[r, c] += data.draw(st.integers(1, A.p - 1))
+    action = [FpMatrix(A.p, moved) if k == i else a for k, a in enumerate(M.action)]
+    bad = type(M)(A, action, M.x_action, check=False)
+    assert validate_message(bad) == reference_validate(bad)
+
+
+def test_validate_names_the_first_failing_pair():
+    # F2[t]/t3 with rho(1) = rho(t) = rho(t^2) = id: the pairs (0, *), (1, 0)
+    # and (1, 1) hold, and t * t^2 == t^3 == 0 fails first, at (1, 2)
+    eye = FpMatrix.identity(2, 2)
+    bad = LeftFModule(F2T3, [eye, eye, eye], FpMatrix.zeros(2, 2, 2), check=False)
+    assert reference_validate(bad) == "action is not multiplicative on (1,2)"
+    assert validate_message(bad) == reference_validate(bad)
+
+
 # -- twisted regular modules ----------------------------------------------------
 
 

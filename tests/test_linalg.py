@@ -219,6 +219,55 @@ def test_preimage():
     assert m.preimage(Subspace.full(2, 2)).is_full()
 
 
+# -- the annihilator route the one-kernel preimage replaced ---------------------
+
+
+def _preimage_reference(m: FpMatrix, target: Subspace) -> Subspace:
+    """Rows cutting out the target (its annihilator), then the kernel of cut @ m."""
+    cut = target.annihilator().basis
+    return FpMatrix(m.p, (cut @ m.data) % m.p).kernel()
+
+
+@st.composite
+def preimage_cases(draw):
+    """A square or rectangular matrix and a zero, full or spanned target."""
+    p = draw(st.sampled_from([2, 3, 1048573]))
+    rows = draw(st.integers(0, 5))
+    cols = draw(st.sampled_from([rows, draw(st.integers(0, 5))]))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    m = np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)), dtype=np.int64)
+    kind = draw(st.sampled_from(["zero", "full", "span"]))
+    if kind == "zero":
+        target = Subspace.zero(p, rows)
+    elif kind == "full":
+        target = Subspace.full(p, rows)
+    else:
+        gens = draw(st.lists(st.lists(entry, min_size=rows, max_size=rows), max_size=4))
+        target = Subspace.from_vectors(p, rows, gens)
+    return FpMatrix(p, m.reshape(rows, cols)), target
+
+
+@settings(max_examples=300, deadline=None)
+@given(preimage_cases())
+def test_preimage_matches_annihilator_reference(case):
+    m, target = case
+    got, want = m.preimage(target), _preimage_reference(m, target)
+    assert got == want
+    assert got.pivots.tolist() == want.pivots.tolist()
+
+
+def test_preimage_is_one_kernel(monkeypatch):
+    # the residue m - B^T m[P] needs one elimination, plus the canonical
+    # form of its kernel; the annihilator route took four
+    m = FpMatrix(3, [[1, 2, 0, 1], [0, 1, 1, 0], [2, 2, 1, 1]])
+    target = Subspace.from_vectors(3, 3, [[1, 1, 0]])
+    counts = _count_eliminated_rows(monkeypatch)
+    got = m.preimage(target)
+    monkeypatch.undo()
+    assert got == _preimage_reference(m, target)
+    assert len(counts) == 2
+
+
 def test_quotient_representatives_extend_sub():
     full = Subspace.full(2, 3)
     sub = Subspace.from_vectors(2, 3, [[1, 0, 0]])
