@@ -18,8 +18,8 @@ from .linalg import (
     Subspace,
     as_vector,
     check_word_size,
-    close_under,
     is_prime,
+    mulmod,
     restrict,
     stabilize,
 )
@@ -235,8 +235,12 @@ class Ideal:
             if g.shape[0] != algebra.dim:
                 raise ValueError("generator has wrong length")
         if space is None:
-            span = Subspace.from_vectors(algebra.p, algebra.dim, self.generators)
-            space = close_under(span, algebra.basis_matrices())
+            # A is commutative, associative and unital, so the products g e_j
+            # span the ideal: g = sum one_j (g e_j), and e_k (g e_j) = g (e_k e_j)
+            d, p = algebra.dim, algebra.p
+            G = np.array(self.generators, dtype=np.int64).reshape(-1, d)
+            products = mulmod(G, algebra.table.reshape(d, d * d), p).reshape(-1, d)
+            space = Subspace.from_vectors(p, d, products)
         self.space = space
 
     @property

@@ -172,13 +172,10 @@ def build_duality_context(A: FiniteAlgebra, psi: FpMatrix | None = None) -> Dual
         if not common_kernel(p, d, [x_on_dual**n @ a for a in dual_action]).is_zero():
             raise AxiomError(f"dual pairing is degenerate at degree {n}")
 
-    # E cogenerates: maps out of nonzero cyclic modules into E exist.  For a
-    # proper ideal the annihilator of the ideal inside E is its linear
-    # annihilator, of dimension d - dim(ideal) > 0.
-    sample_ideals = [A.zero_ideal(), A.nilradical()] + [A.ideal([eye[i]]) for i in range(d)]
-    for a in sample_ideals:
-        if common_kernel(p, d, [A.mult_matrix(g).T for g in a.space.basis]).dim != d - a.space.dim:
-            raise AxiomError("dual module does not cogenerate cyclic modules")
+    # E cogenerates cyclic modules with no check: for an ideal I with basis
+    # g, the common kernel of the mult(g)^T is the annihilator in E of the
+    # span of the columns of the mult(g), which is I A = I; its dimension is
+    # d - dim I for every psi, so a test of it could never fail.
 
     # twist element for the left-dual fast path
     twist = (x_on_dual.data.T @ A.one) % p

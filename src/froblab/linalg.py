@@ -76,8 +76,61 @@ def as_vector(v, p: int) -> np.ndarray:
     return out
 
 
+# Up to this many entries a matrix is eliminated on Python lists, where
+# numpy's fixed cost per row operation outweighs the arithmetic; above it the
+# numpy row operations win (the measured crossover).
+LIST_KERNEL_CELLS = 4096
+
+
 def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot columns, in place on a copy."""
+    """Reduced row echelon form and pivot columns of a, on a copy."""
+    p = int(p)  # pow(a, p - 2, p) refuses a numpy integer modulus
+    if a.shape[0] * a.shape[1] <= LIST_KERNEL_CELLS:
+        return _rref_rows(a, p)
+    return _rref_numpy(a, p)
+
+
+def _rref_rows(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """_rref on Python lists of Python integers, exact for every p.
+
+    Zero rows are dropped first, as they do not change the echelon form, and
+    come back as zero rows at the bottom.  A pivot row is zero left of its
+    pivot column c, so rows are updated from column c on only.
+    """
+    rows, cols = a.shape
+    m = [row for row in (a % p).tolist() if any(row)]
+    n = len(m)
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == n:
+            break
+        for i in range(r, n):
+            if m[i][c]:
+                break
+        else:
+            continue
+        row = m[i]
+        m[i] = m[r]
+        m[r] = row
+        if row[c] != 1:
+            inv = pow(row[c], p - 2, p)
+            row[c:] = [x * inv % p for x in row[c:]]
+        pivot_tail = row[c:]
+        for other in m:
+            f = other[c]
+            if f and other is not row:
+                other[c:] = [(x - f * y) % p for x, y in zip(other[c:], pivot_tail)]
+        pivots.append(c)
+        r += 1
+    out = np.zeros((rows, cols), dtype=np.int64)
+    if n:
+        out[:n] = m
+    return out, pivots
+
+
+def _rref_numpy(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """_rref with numpy row operations, for matrices past LIST_KERNEL_CELLS."""
     a = a.copy() % p
     rows, cols = a.shape
     pivots: list[int] = []

@@ -17,7 +17,7 @@ from froblab.algebra import (
 )
 from froblab.errors import AxiomError
 from froblab.generators import enumerate_local_algebras, standard_algebras
-from froblab.linalg import FpMatrix, Subspace, quotient_representatives
+from froblab.linalg import FpMatrix, Subspace, close_under, quotient_representatives
 
 
 F2 = prime_field(2)
@@ -498,16 +498,16 @@ def test_closure_exponent_matches_reference(case):
 
 
 def test_closure_exponent_search_does_no_closure(monkeypatch):
-    # the bracket a^[p^n] of each distinct Frobenius power is the only
-    # closure; Q is read off the chain, so comparing closures adds none
-    import froblab.algebra as algebra
-
-    real = algebra.close_under
+    # the bracket a^[p^n] of each distinct Frobenius power is the only ideal
+    # built from generators; Q is read off the chain, so comparing closures
+    # adds none
+    real = Ideal.__init__
     calls: list[int] = []
 
-    def counting(space, operators):
-        calls.append(1)
-        return real(space, operators)
+    def counting(self, algebra, generators, space=None):
+        if space is None:
+            calls.append(1)
+        real(self, algebra, generators, space)
 
     cases = [(F2T3, [[0, 0, 1]]), (F2T3, [[0, 1, 1]]), (F4, [])]
     cases += [(truncated_polynomial_algebra(3, 5), [[0, 0, 1, 2, 0]])]
@@ -515,8 +515,26 @@ def test_closure_exponent_search_does_no_closure(monkeypatch):
     for A, gens in cases:
         a = A.ideal(gens)
         frob = A.frobenius()
-        monkeypatch.setattr(algebra, "close_under", counting)
+        monkeypatch.setattr(Ideal, "__init__", counting)
         calls.clear()
         frobenius_closure_data(a)
         monkeypatch.undo()
         assert 0 < len(calls) <= len(frob.powers)
+
+
+# -- the closure the one-elimination ideal replaced -------------------------------
+
+
+def _generated_ideal_reference(A: FiniteAlgebra, gens) -> Subspace:
+    """The span of the generators, closed under every basis multiplication."""
+    return close_under(Subspace.from_vectors(A.p, A.dim, gens), A.basis_matrices())
+
+
+@settings(max_examples=250, deadline=None)
+@given(algebras_and_generators())
+def test_generated_ideal_matches_closure_reference(case):
+    A, gens = case
+    got = A.ideal(gens).space
+    want = _generated_ideal_reference(A, gens)
+    assert got == want
+    assert got.pivots.tolist() == want.pivots.tolist()

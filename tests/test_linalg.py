@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from froblab.errors import AxiomError
+import froblab.linalg as linalg
 from froblab.linalg import (
+    LIST_KERNEL_CELLS,
     MAX_PRIME,
     FpMatrix,
     Subspace,
@@ -33,7 +35,7 @@ def brute_kernel(m: FpMatrix) -> set[tuple[int, ...]]:
 
 @st.composite
 def matrices(draw, max_dim=5):
-    p = draw(st.sampled_from([2, 3, 5]))
+    p = draw(st.sampled_from([2, 3, 5, 1048573]))
     rows = draw(st.integers(0, max_dim))
     cols = draw(st.integers(0, max_dim))
     entries = draw(
@@ -67,6 +69,80 @@ def test_rref_dependent_rows():
     reduced, rank = m.rref()
     assert reduced.data.tolist() == [[1, 1], [0, 0]]
     assert rank == 1
+
+
+# -- the numpy kernel the list kernel replaced on small matrices -----------------
+
+
+@st.composite
+def rref_inputs(draw):
+    """Unreduced int64 matrices with zero and duplicate rows: small ones drawn
+    entry by entry, tall sparse blocks and blocks past LIST_KERNEL_CELLS
+    drawn from a seed."""
+    p = draw(st.sampled_from([2, 3, 5, 1048573]))
+    kind = draw(st.sampled_from(["small", "small", "small", "tall", "big"]))
+    if kind == "small":
+        rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+        entry = st.one_of(st.sampled_from([0, 1, p - 1, p, -1]), st.integers(-3 * p, 3 * p))
+        entries = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+        a = np.array(entries, dtype=np.int64).reshape(rows, cols)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "tall":
+            rows, cols = draw(st.integers(100, 600)), draw(st.integers(1, 4))
+        else:
+            cols = draw(st.integers(40, 80))
+            rows = LIST_KERNEL_CELLS // cols + draw(st.integers(1, 8))
+        a = rng.integers(-3 * p, 3 * p, (rows, cols))
+        a[rng.random((rows, cols)) < draw(st.sampled_from([0.5, 0.9, 0.99]))] = 0
+    if rows:
+        for i in draw(st.lists(st.integers(0, rows - 1), max_size=3)):
+            a[i] = 0
+        for i, j in draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, rows - 1)), max_size=3)):
+            a[j] = a[i] + p
+    return a, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(rref_inputs())
+@example((np.zeros((0, 5), dtype=np.int64), 3))
+@example((np.zeros((5, 0), dtype=np.int64), 1048573))
+def test_list_kernel_matches_numpy_kernel(case):
+    a, p = case
+    got, got_pivots = linalg._rref_rows(a, p)
+    want, want_pivots = linalg._rref_numpy(a, p)
+    assert got.shape == a.shape
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got_pivots == want_pivots
+
+
+def test_rref_picks_the_kernel_by_entry_count(monkeypatch):
+    picked: list[str] = []
+
+    def spy(name):
+        real = getattr(linalg, name)
+
+        def recorded(a, p):
+            picked.append(name)
+            return real(a, p)
+
+        return recorded
+
+    for name in ("_rref_rows", "_rref_numpy"):
+        monkeypatch.setattr(linalg, name, spy(name))
+    # 4097 = 17 * 241
+    for shape in [(64, 64), (4096, 1), (0, 5000), (17, 241), (241, 17), (4097, 1)]:
+        linalg._rref(np.ones(shape, dtype=np.int64), 3)
+    assert LIST_KERNEL_CELLS == 4096
+    assert picked == ["_rref_rows"] * 3 + ["_rref_numpy"] * 3
+
+
+def test_rref_takes_a_numpy_integer_modulus():
+    for shape in [(3, 3), (70, 70)]:
+        a = np.full(shape, 2, dtype=np.int64)
+        want = Subspace.from_vectors(3, shape[1], a)
+        assert Subspace.from_vectors(np.int64(3), shape[1], a) == want
 
 
 def test_non_prime_modulus_rejected():
@@ -616,8 +692,6 @@ def test_close_under_matches_whole_stack_reference(case):
 
 def _count_eliminated_rows(monkeypatch) -> list[int]:
     """Record the number of rows each _rref call receives."""
-    import froblab.linalg as linalg
-
     counts: list[int] = []
     real = linalg._rref
 
