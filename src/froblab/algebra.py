@@ -126,11 +126,6 @@ class FiniteAlgebra:
         for coords in itertools.product(range(self.p), repeat=self.dim):
             yield np.array(coords, dtype=np.int64)
 
-    def units(self):
-        for u in self.elements():
-            if self.is_unit(u):
-                yield u
-
     # -- Frobenius -------------------------------------------------------
 
     def frobenius(self) -> "FrobeniusData":

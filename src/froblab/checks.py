@@ -7,6 +7,7 @@ command and the acceptance tests both drive these.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 
 import numpy as np
@@ -81,6 +82,11 @@ def check_uniform_torsion_bound(name: str, H: LeftFModule, report: Report) -> No
     )
 
 
+def _x_powers(x: FpMatrix, n: int):
+    """x, x^2, ..., x^n, each one product from the last."""
+    return itertools.accumulate(itertools.repeat(x, n), operator.matmul)
+
+
 def check_square_multiplier(name: str, M: RightFModule, report: Report) -> None:
     """If multiplication by s lands in Mx, its square lands in every Mx^k.
 
@@ -92,7 +98,7 @@ def check_square_multiplier(name: str, M: RightFModule, report: Report) -> None:
     A = M.algebra
     if M.is_zero():
         return
-    power_images = [(M.x_action**k).image() for k in range(1, M.dim + 2)]
+    power_images = [xk.image() for xk in _x_powers(M.x_action, M.dim + 1)]
     C = FpMatrix(A.p, power_images[0].annihilator().basis)
     system = np.stack([(C @ a).data.ravel() for a in M.action], axis=1)
     S = FpMatrix(A.p, system).kernel()
@@ -124,10 +130,12 @@ def check_localization(name: str, M: RightFModule, report: Report) -> None:
         proj = M.rho(eps)
         part = proj.image()
         ok = True
-        for k in range(1, M.dim + 2):
+        for xk, local_xk in zip(
+            _x_powers(M.x_action, M.dim + 1), _x_powers(local.x_action, M.dim + 1)
+        ):
             # project M x^k into the factor and compare with (local) x^k
-            projected = (proj @ M.x_action**k).image()
-            local_im = (local.x_action**k).image()
+            projected = (proj @ xk).image()
+            local_im = local_xk.image()
             lifted = Subspace.from_vectors(A.p, M.dim, mulmod(local_im.basis, part.basis, A.p))
             if projected != lifted:
                 ok = False

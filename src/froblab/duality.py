@@ -1,18 +1,20 @@
 """Matlis-style duality between left and right modules over the skew ring.
 
 The dualizing object E is the full linear dual of the algebra, with the ring
-acting by (phi . s)(a) = phi(s a).  E carries a right module structure over
-the skew ring through a fixed isomorphism Psi from the Frobenius-twisted E
-onto the space of maps psi: R -> E that are right-linear over p-th powers
-(psi(a^p r) = psi(r) . a).  The canonical choice sends z to the map
-r -> (z . r) composed with the p-th power map, i.e. x acts on E by
-precomposition with Frobenius.
+acting by (z . s)(a) = z(s a).  E carries a right module structure over the
+skew ring through the fixed isomorphism psi from the Frobenius-twisted E onto
+the maps g: R -> E that are right-linear over p-th powers
+(g(a^p r) = g(r) . a):
 
-Through the identification of Hom(G, E) with the plain linear dual of G
-(evaluate at 1), both duality functors become transposes of the module data,
-twisted by two small tensors computed once from Psi.  The literal formulas
-for the dual actions are kept as independent evaluators so the fast path can
-be cross-checked against them.
+    psi(z)(r)(a) = z(r a^p),
+
+the inverse of the tensor-hom adjunction
+Hom_R(F_*R, Hom(R, F_p)) = Hom(F_*R, F_p).  Under it x acts on E by
+precomposition with Frobenius, and both duality functors are transposes of
+the module data; the proofs are in build_duality_context and the functors.
+The literal formulas for the dual actions evaluate psi by its definition and
+are kept as independent evaluators, so the transposes can be cross-checked
+against them.
 """
 from __future__ import annotations
 
@@ -24,49 +26,33 @@ import numpy as np
 from .algebra import FiniteAlgebra
 from .errors import AxiomError
 from .fmodule import LeftFModule, RightFModule, _FModule, graded_annihilator_set
-from .linalg import FpMatrix, Subspace, as_vector, combine, common_kernel, mulmod, operator_kernel
+from .linalg import FpMatrix, as_vector, mulmod
 from .report import Report
 from .skew import GradedTwoSidedIdeal, unit_graded_ideal, x_power_graded_ideal, zero_graded_ideal
 
 
 @dataclass(eq=False)
 class DualityContext:
-    """The dualizing module E together with a fixed bimodule isomorphism.
+    """The dualizing module E of an algebra.
 
     Fields:
       dual_action    action of the algebra on E (transposed regular matrices)
-      x_on_dual      the x-action on E determined by psi, via  z x = psi(z)(1)
-      hom_basis      canonical basis of the maps R -> E right-linear over p-th powers
-      hom_span       their span as flattened d*d vectors, read by hom_coordinates
-      psi, psi_inv   the isomorphism in hom_basis coordinates, and its inverse
-      twist          element t with the left-dual x-action equal to (rho(t) X)^T
-      phi            d x d tensor giving the right-dual x-action
+      x_on_dual      the x-action on E, z x = psi(z)(1) = z o Frobenius (F^T)
     """
 
     algebra: FiniteAlgebra
     dual_action: list[FpMatrix]
     x_on_dual: FpMatrix
-    hom_basis: list[FpMatrix]
-    hom_span: Subspace
-    psi: FpMatrix
-    psi_inv: FpMatrix
-    twist: np.ndarray
-    phi: np.ndarray
 
     def as_right_module(self) -> RightFModule:
         return RightFModule(self.algebra, self.dual_action, self.x_on_dual, check=False)
 
-    def hom_matrix(self, coords) -> FpMatrix:
-        """The map R -> E with the given hom_basis coordinates."""
-        p, d = self.algebra.p, self.algebra.dim
-        return combine(p, (d, d), as_vector(coords, p), self.hom_basis)
-
-    def hom_coordinates(self, matrix: FpMatrix) -> np.ndarray | None:
-        return self.hom_span.coordinates(matrix.data.ravel())
-
-    def psi_apply(self, z) -> FpMatrix:
-        """Psi(z) as a map R -> E."""
-        return self.hom_matrix(self.psi.apply(z))
+    def psi_matrix(self, z) -> FpMatrix:
+        """psi(z) as a map R -> E, by its definition: column i is
+        a -> z(e_i a^p), i.e. F^T (table z)^T."""
+        A = self.algebra
+        products = mulmod(A.table, as_vector(z, A.p), A.p)  # [i, j] = z(e_i e_j)
+        return A.frobenius().matrix.T @ FpMatrix(A.p, products).T
 
     @cached_property
     def standard_graded_ideals(self) -> tuple[tuple[str, GradedTwoSidedIdeal], ...]:
@@ -83,145 +69,50 @@ class DualityContext:
         return f"DualityContext({self.algebra!r})"
 
 
-def _hom_basis_of(algebra: FiniteAlgebra) -> list[FpMatrix]:
-    """Basis of the maps m: R -> E with m(a^p r) = a . m(r) for all a, r."""
-    regs = algebra.basis_matrices()
-    F = algebra.frobenius().matrix
-    eye = np.eye(algebra.dim, dtype=np.int64)
-    pairs = [(algebra.mult_matrix(F.apply(eye[i])), regs[i].T) for i in range(algebra.dim)]
-    return operator_kernel(algebra.p, (algebra.dim, algebra.dim), pairs)
+def build_duality_context(A: FiniteAlgebra) -> DualityContext:
+    """E with the x-action of the canonical psi(z)(r)(a) = z(r a^p).
 
-
-def _canonical_psi_maps(algebra: FiniteAlgebra) -> np.ndarray:
-    """Row k: the map r -> (z_k . r) after Frobenius for the k-th dual basis
-    vector z_k, as a row-major d x d matrix."""
-    d = algebra.dim
-    F = algebra.frobenius().matrix
-    # entry [j, i, k] is entry (i, j) of the k-th map
-    maps = np.stack([(F.T @ reg.T).data for reg in algebra.basis_matrices()])
-    return maps.transpose(2, 1, 0).reshape(d, d * d)
-
-
-def build_duality_context(A: FiniteAlgebra, psi: FpMatrix | None = None) -> DualityContext:
-    """Construct the context and verify every invariant, failing loudly.
-
-    With psi=None the canonical isomorphism is used.  A user-supplied psi is
-    a d x d matrix from E-coordinates to hom-basis coordinates; it is
-    validated against the bimodule conditions before anything else trusts it.
+    Every invariant is an identity (R is commutative), so nothing is checked.
+    Hom^tw is the space of maps g: R -> E right-linear over p-th powers.
+      - psi(z) lies in Hom^tw, and psi turns z . a^p into psi(z) . a:
+        psi(z)(a^p r)(b) = psi(z . a^p)(r)(b) = z(a^p r b^p) = (psi(z)(r) . a)(b).
+        It turns z . a into psi(z)(a -): psi(z . a)(r)(b) = z(a r b^p).  So psi
+        is a bimodule map.
+      - With eps(g) = (r -> g(r)(1)), eps(psi(z))(r) = z(r): eps o psi = id,
+        and psi is injective.  Every g in Hom^tw is psi(eps(g)), since
+        g(r)(a) = (g(r) . a)(1) = g(a^p r)(1); so dim Hom^tw = d, as the
+        adjunction says, and psi^-1(g) = g^T 1 for g stored with column i
+        equal to g(e_i) (the layout of DualityContext.psi_matrix).
+      - z x = psi(z)(1) = z o F is F^T, and z . s is mult(s)^T.  So E is the
+        dual D(R, F) of the natural left module: transposing turns the left
+        condition X rho(r) = rho(r^p) X into the right one
+        rho(r)^T X^T = X^T rho(r^p)^T, and E is a valid right module.
+      - Nondegeneracy: (z r x^n)(1) = z(r), so z r x^n = 0 for all r forces z = 0.
+      - The functors are transposes: read a dual vector m: G -> E as
+        lam = eps o m.  On a left module (m x)(v) = psi(m(x v))(1) gives
+        lam(x v); on a right one (x m)(v) = eps(r -> m(v r x)) gives lam(v x).
+        So x acts by X^T, and r by rho(r)^T.
+      - Cogeneration: the common kernel of the mult(g)^T over a basis g of an
+        ideal I is the annihilator of I A = I, of dimension d - dim I.
     """
-    p, d = A.p, A.dim
-    regs = A.basis_matrices()
-    F = A.frobenius().matrix
-    eye = np.eye(d, dtype=np.int64)
-    dual_action = [m.T for m in regs]
-
-    hom_basis = _hom_basis_of(A)
-    if len(hom_basis) != d:
-        raise AxiomError(
-            f"space of twisted-right-linear maps has dimension {len(hom_basis)}, expected {d}"
-        )
-    hom_span = Subspace.from_vectors(p, d * d, [b.data.ravel() for b in hom_basis])
-
-    canonical = psi is None
-    if canonical:
-        coords = hom_span.coordinates(_canonical_psi_maps(A))
-        if coords is None:
-            raise AxiomError("canonical map lands outside the twisted hom space")
-        psi = FpMatrix(p, coords.T)
-    else:
-        if psi.p != p or psi.rows != d or psi.cols != d:
-            raise ValueError("psi must be a d x d matrix over F_p")
-    try:
-        psi_inv = psi.inverse()
-    except ValueError:
-        raise AxiomError("psi is not invertible") from None
-
-    # bimodule conditions: psi must intertwine both actions on E and on
-    # the hom space.  The hom-space actions are (a . m) = rho_E(a) m and
-    # (m . a) = m . (mult by a on the source).
-    hom_stack = np.stack([b.data for b in hom_basis])
-
-    def in_hom_coords(moved: np.ndarray) -> FpMatrix:
-        """The map sending hom_basis[h] to moved[h], in hom_basis coordinates."""
-        coords = hom_span.coordinates(moved.reshape(d, d * d))
-        if coords is None:
-            raise AxiomError("hom space is not stable under the bimodule actions")
-        return FpMatrix(p, coords.T)
-
-    for i in range(d):
-        reg_frob_i = A.mult_matrix(F.apply(eye[i]))
-        left_on_hom = in_hom_coords(mulmod(regs[i].data.T, hom_stack, p))
-        right_on_hom = in_hom_coords(mulmod(hom_stack, regs[i].data, p))
-        if psi @ reg_frob_i.T != left_on_hom @ psi:
-            raise AxiomError(f"psi does not intertwine the left action at {A.labels[i]}")
-        if psi @ regs[i].T != right_on_hom @ psi:
-            raise AxiomError(f"psi does not intertwine the right action at {A.labels[i]}")
-
-    # x-action on E determined by psi through  z x = psi(z)(1)
-    x_cols = [combine(p, (d, d), psi.data[:, k], hom_basis).apply(A.one) for k in range(d)]
-    x_on_dual = FpMatrix(p, np.array(x_cols, dtype=np.int64).T)
-    if canonical and x_on_dual != F.T:
-        raise AxiomError("canonical x-action on the dual is not Frobenius precomposition")
-
-    # (E, x_on_dual) must be a valid right module; this is the semilinearity
-    # invariant for the dual structure
-    RightFModule(A, dual_action, x_on_dual)
-
-    # nondegeneracy: z r x^n = 0 for all r forces z = 0 (n = 1, 2)
-    for n in (1, 2):
-        if not common_kernel(p, d, [x_on_dual**n @ a for a in dual_action]).is_zero():
-            raise AxiomError(f"dual pairing is degenerate at degree {n}")
-
-    # E cogenerates cyclic modules with no check: for an ideal I with basis
-    # g, the common kernel of the mult(g)^T is the annihilator in E of the
-    # span of the columns of the mult(g), which is I A = I; its dimension is
-    # d - dim I for every psi, so a test of it could never fail.
-
-    # twist element for the left-dual fast path
-    twist = (x_on_dual.data.T @ A.one) % p
-
-    # tensor for the right-dual fast path: any solution of
-    # sum phi[k,j] B[k,j] = (psi_inv column . 1) over the hom basis
-    b_mat = FpMatrix(p, np.array([b.data.ravel() for b in hom_basis], dtype=np.int64))
-    rhs = np.array(
-        [int(np.dot(psi_inv.data[:, alpha], A.one) % p) for alpha in range(d)],
-        dtype=np.int64,
-    )
-    phi_vec = b_mat.solve(rhs)
-    if phi_vec is None:
-        raise AxiomError("evaluation tensor has no solution; hom basis is degenerate")
-    phi = phi_vec.reshape(d, d)
-
-    ctx = DualityContext(A, dual_action, x_on_dual, hom_basis, hom_span, psi, psi_inv, twist, phi)
-    # consistency of the two evaluation routes:  z x == psi(z)(1)
-    for k in range(d):
-        if not np.array_equal(x_on_dual.apply(eye[k]), ctx.psi_apply(eye[k]).apply(A.one)):
-            raise AxiomError("x-action and psi evaluation disagree")
-    return ctx
+    return DualityContext(A, [m.T for m in A.basis_matrices()], A.frobenius().matrix.T)
 
 
 # -- the two functors ----------------------------------------------------------
 
 
 def dual_left(H: LeftFModule, ctx: DualityContext) -> RightFModule:
-    """Right module structure on the linear dual of a left module."""
+    """Right module structure on the linear dual of a left module: X^T."""
     if H.algebra != ctx.algebra:
         raise ValueError("module and context live over different algebras")
-    x_new = (H.rho(ctx.twist) @ H.x_action).T
-    return RightFModule(H.algebra, [a.T for a in H.action], x_new, check=False)
+    return RightFModule(H.algebra, [a.T for a in H.action], H.x_action.T, check=False)
 
 
 def dual_right(M: RightFModule, ctx: DualityContext) -> LeftFModule:
-    """Left module structure on the linear dual of a right module."""
+    """Left module structure on the linear dual of a right module: X^T."""
     if M.algebra != ctx.algebra:
         raise ValueError("module and context live over different algebras")
-    p, d = ctx.algebra.p, ctx.algebra.dim
-    total = FpMatrix.zeros(p, M.dim, M.dim)
-    for j in range(d):
-        col = ctx.phi[:, j]
-        if col.any():
-            total = total + M.rho(col) @ M.x_action @ M.action[j]
-    return LeftFModule(M.algebra, [a.T for a in M.action], total.T, check=False)
+    return LeftFModule(M.algebra, [a.T for a in M.action], M.x_action.T, check=False)
 
 
 def dual_module(module: _FModule, ctx: DualityContext) -> _FModule:
@@ -242,11 +133,13 @@ def eval_dual_formula_left(ctx: DualityContext, H: LeftFModule, m_dual, r, h) ->
     r = as_vector(r, A.p)
     w = H.apply_x(h)
     z = np.array([int(lam @ a.apply(w) % A.p) for a in H.action], dtype=np.int64)
-    return ctx.psi_apply(z).apply(r)
+    return ctx.psi_matrix(z).apply(r)
 
 
 def eval_dual_formula_right(ctx: DualityContext, M: RightFModule, r, h_dual, m) -> np.ndarray:
-    """Literal dual-action formula: psi^{-1} of r' -> h(m r' x), then acted on by r."""
+    """Literal dual-action formula: psi^{-1} of g = (r' -> h(m r' x)), then acted on by r.
+
+    psi^{-1}(g) = g^T 1, exact when g is in the image of psi: psi(g^T 1) == g."""
     A = ctx.algebra
     lam = as_vector(h_dual, A.p)
     r = as_vector(r, A.p)
@@ -256,10 +149,10 @@ def eval_dual_formula_right(ctx: DualityContext, M: RightFModule, r, h_dual, m) 
         w = M.apply_x(aj.apply(m))
         for k, ak in enumerate(M.action):
             inner[k, j] = int(lam @ ak.apply(w) % A.p)
-    coords = ctx.hom_coordinates(FpMatrix(A.p, inner))
-    if coords is None:
+    g = FpMatrix(A.p, inner)
+    z = g.T.apply(A.one)
+    if ctx.psi_matrix(z) != g:
         raise AxiomError("inner map is not right-linear over p-th powers; this is a bug")
-    z = ctx.psi_inv.apply(coords)
     return A.mult_matrix(r).T.apply(z)
 
 

@@ -18,13 +18,17 @@ from .generators import InstanceCatalog
 from .linalg import FpMatrix
 
 
-def _int_grid(data, depth: int, what: str):
+def _int_array(data, what: str) -> np.ndarray:
     try:
-        arr = np.asarray(data, dtype=np.int64)
+        return np.asarray(data, dtype=np.int64)
     except OverflowError as exc:
         raise ValueError(f"{what}: an entry exceeds the int64 range") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what}: expected nested integer lists") from exc
+
+
+def _int_grid(data, depth: int, what: str):
+    arr = _int_array(data, what)
     if arr.ndim != depth:
         raise ValueError(f"{what}: expected nesting depth {depth}, got {arr.ndim}")
     return arr
@@ -86,13 +90,10 @@ def module_to_doc(module: _FModule) -> dict:
 
 def _square_matrix(data, n: int, what: str) -> np.ndarray:
     if n == 0:
+        if data != []:
+            raise ValueError(f"{what} must be [] when dim is 0")
         return np.zeros((0, 0), dtype=np.int64)
-    try:
-        arr = np.asarray(data, dtype=np.int64)
-    except OverflowError as exc:
-        raise ValueError(f"{what}: an entry exceeds the int64 range") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what}: expected nested integer lists") from exc
+    arr = _int_array(data, what)
     if arr.shape != (n, n):
         raise ValueError(f"{what} must be {n} x {n}, got shape {arr.shape}")
     return arr

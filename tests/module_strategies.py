@@ -40,6 +40,12 @@ def modules(draw, sides=("left", "right"), max_dim=4, pool=STANDARD_ALGEBRAS):
     return random_module(A, side, dim, random.Random(seed))
 
 
+def units(A):
+    """A unit of A: a drawn element when it is one, else 1."""
+    elements = st.lists(st.integers(0, A.p - 1), min_size=A.dim, max_size=A.dim)
+    return elements.map(lambda u: u if A.is_unit(u) else A.one.tolist())
+
+
 SMALL_PRIME_ALGEBRAS = {n: A for n, A in STANDARD_ALGEBRAS.items() if A.p in (2, 3)}
 
 

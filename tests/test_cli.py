@@ -177,6 +177,24 @@ def test_module_entry_beyond_int64_exits_2(fixtures, tmp_path, capsys):
     assert "X: an entry exceeds the int64 range" in capsys.readouterr().err
 
 
+def test_dim_zero_module_with_matrix_data_exits_2(tmp_path, capsys):
+    # a dim-0 module is still parsed: its matrices must be empty
+    alg = tmp_path / "f2.json"
+    alg.write_text(fileio.dump_json(fileio.algebra_to_doc(prime_field(2))))
+    doc = {"side": "left", "dim": 0, "action": [[[1, 5], [7, 3]]], "X": "not a matrix"}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["analyze", str(alg), str(bad)]) == 2
+    assert "action[0] must be [] when dim is 0" in capsys.readouterr().err
+    doc["action"] = [[]]
+    bad.write_text(json.dumps(doc))
+    assert main(["analyze", str(alg), str(bad)]) == 2
+    assert "X must be [] when dim is 0" in capsys.readouterr().err
+    doc["X"] = []
+    bad.write_text(json.dumps(doc))
+    assert main(["analyze", str(alg), str(bad)]) == 0
+
+
 def _renamed_section(old: str, new: str) -> dict:
     """The default catalog's document with one section under a misspelt key."""
     doc = fileio.catalog_to_doc(default_catalog())

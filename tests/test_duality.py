@@ -1,7 +1,9 @@
+import functools
 import random
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from froblab.algebra import (
     extension_field,
@@ -21,7 +23,6 @@ from froblab.duality import (
     eval_dual_formula_left,
     eval_dual_formula_right,
 )
-from froblab.errors import AxiomError
 from froblab.fmodule import (
     LeftFModule,
     RightFModule,
@@ -32,16 +33,25 @@ from froblab.generators import random_hom, random_module, standard_algebras
 from froblab.linalg import FpMatrix, Subspace
 from froblab.skew import x_power_graded_ideal
 
+from duality_reference import reference_context, reference_dual
+from module_strategies import ALL_ALGEBRAS, modules, units
+
 F2 = prime_field(2)
 F2T2 = truncated_polynomial_algebra(2, 2)
 F4 = extension_field(2, [1, 1, 1])
 
 
+def _psi_is_invertible(A, ctx) -> bool:
+    """eps o psi = id on the dual basis: psi(z)(r)(1) = z(r)."""
+    eye = np.eye(A.dim, dtype=np.int64)
+    return all(np.array_equal(ctx.psi_matrix(z).T.apply(A.one), z) for z in eye)
+
+
 def test_context_on_prime_field_is_trivial():
     ctx = build_duality_context(F2)
-    assert ctx.x_on_dual == FpMatrix.identity(2, 1)
-    assert ctx.psi == FpMatrix.identity(2, 1)
-    assert ctx.twist.tolist() == [1]
+    assert ctx.x_on_dual == FpMatrix.identity(2, 1) == F2.frobenius().matrix.T
+    assert ctx.psi_matrix([1]) == FpMatrix.identity(2, 1)
+    assert ctx.dual_action == [FpMatrix.identity(2, 1)]
 
 
 def test_context_on_dual_numbers():
@@ -49,10 +59,11 @@ def test_context_on_dual_numbers():
     # x on the dual kills the functional dual to t and fixes the one dual to 1
     assert ctx.x_on_dual.apply([1, 0]).tolist() == [1, 0]
     assert ctx.x_on_dual.apply([0, 1]).tolist() == [0, 0]
-    assert ctx.psi.is_invertible()
-    assert len(ctx.hom_basis) == 2
-    # brute force: every member of the hom space is right-linear over squares
-    for m in ctx.hom_basis:
+    assert ctx.x_on_dual == F2T2.frobenius().matrix.T
+    assert _psi_is_invertible(F2T2, ctx)
+    # brute force: every psi(z) is right-linear over squares
+    for z in F2T2.elements():
+        m = ctx.psi_matrix(z)
         for a in F2T2.elements():
             a_sq = F2T2.mul(a, a)
             for r in F2T2.elements():
@@ -65,29 +76,39 @@ def test_context_on_field_extension():
     ctx = build_duality_context(F4)
     # Frobenius is the nontrivial automorphism; x on the dual is its transpose
     assert ctx.x_on_dual == F4.frobenius().matrix.T
-    assert ctx.psi.is_invertible()
+    assert ctx.x_on_dual != FpMatrix.identity(2, 2)
+    assert _psi_is_invertible(F4, ctx)
 
 
-def test_invalid_psi_is_rejected():
-    singular = FpMatrix(2, [[1, 0], [1, 0]])
-    with pytest.raises(AxiomError, match="invertible"):
-        build_duality_context(F2T2, psi=singular)
-    # invertible but not a bimodule map
-    swap = FpMatrix(2, [[0, 1], [1, 0]])
-    with pytest.raises(AxiomError):
-        build_duality_context(F2T2, psi=swap)
+_reference_contexts = functools.cache(reference_context)
 
 
-def test_custom_psi_from_unit_twist():
-    ctx = build_duality_context(F2T2)
-    unit_twist = F2T2.mult_matrix([1, 1]).T
-    ctx2 = build_duality_context(F2T2, psi=ctx.psi @ unit_twist)
-    assert ctx2.twist.tolist() == [1, 1]
-    H = natural_frobenius_module(F2T2)
-    report = check_duality_identities(
-        ctx2, [("natural", H), ("dualizing", ctx2.as_right_module())], random.Random(0)
-    )
-    assert report.ok, report.render_text()
+@settings(max_examples=120, deadline=None)
+@given(modules(pool=ALL_ALGEBRAS))
+def test_reference_route_gives_the_transposes(M):
+    A = M.algebra
+    ref = _reference_contexts(A)
+    ctx = build_duality_context(A)
+    assert len(ref.hom_basis) == A.dim and ref.psi.is_invertible()
+    eye = np.eye(A.dim, dtype=np.int64)
+    assert all(ref.psi_apply(z) == ctx.psi_matrix(z) for z in eye)
+    assert ref.x_on_dual == ctx.x_on_dual
+    assert reference_dual(M, ref) == dual_module(M, ctx)
+
+
+@settings(max_examples=120, deadline=None)
+@given(modules(pool=ALL_ALGEBRAS), st.data())
+def test_reference_duals_under_unit_twisted_psi(M, data):
+    # psi_u = psi o (mult u)^T is another bimodule isomorphism; its duals
+    # are twisted transposes, and they are modules and inverse to each other
+    A = M.algebra
+    u = data.draw(units(A))
+    ref = reference_context(A, psi=_reference_contexts(A).psi @ A.mult_matrix(u).T)
+    assert ref.twist.tolist() == u
+    assert ref.as_right_module().validate()
+    dual = reference_dual(M, ref)
+    assert dual.side != M.side and dual.validate()
+    assert reference_dual(dual, ref) == M
 
 
 def test_dual_of_zero_module():
@@ -223,11 +244,20 @@ def test_reflexivity_round_trip():
     assert dual_map(omega) @ omega_of_dual == FpMatrix.identity(2, H.dim)
 
 
-def test_failed_round_trip_is_reported_not_raised():
-    # with the right-dual tensor zeroed, dualizing a left module twice loses
-    # its x-action, and so does the round trip through its dual
+def test_failed_round_trip_is_reported_not_raised(monkeypatch):
+    # with a right dual that drops X, dualizing a left module twice loses its
+    # x-action, and so does the round trip through its dual
+    import froblab.duality as duality
+
+    real = duality.dual_right
+
+    def dropping_x(M, ctx):
+        D = real(M, ctx)
+        zero = FpMatrix.zeros(D.algebra.p, D.dim, D.dim)
+        return LeftFModule(D.algebra, D.action, zero, check=False)
+
+    monkeypatch.setattr(duality, "dual_right", dropping_x)
     ctx = build_duality_context(F2T2)
-    ctx.phi = np.zeros_like(ctx.phi)
     H = natural_frobenius_module(F2T2)
     report = check_duality_identities(ctx, [("natural", H)], random.Random(0))
     failed = {r.check: r.details for r in report.failures()}

@@ -21,12 +21,6 @@ def vectors(p, n):
     return st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
 
 
-def draw_unit(data, A):
-    """A unit of A: a drawn element when it is one, else 1."""
-    u = data.draw(vectors(A.p, A.dim))
-    return u if A.is_unit(u) else A.one
-
-
 @settings(max_examples=120, deadline=None)
 @given(modules(pool=ALL_ALGEBRAS), st.data())
 def test_submodule_and_quotient_validate(M, data):
@@ -52,16 +46,13 @@ def test_localizations_validate(M):
 
 
 @settings(max_examples=120, deadline=None)
-@given(modules(pool=ALL_ALGEBRAS), st.data())
-def test_duals_validate_under_canonical_and_twisted_contexts(M, data):
-    A = M.algebra
-    ctx = build_duality_context(A)
-    twisted = build_duality_context(A, psi=ctx.psi @ A.mult_matrix(draw_unit(data, A)).T)
-    for context in (ctx, twisted):
-        dual = dual_module(M, context)
-        assert dual.side != M.side and dual.validate()
-        assert dual_module(dual, context) == M
-    assert ctx.as_right_module().validate() and twisted.as_right_module().validate()
+@given(modules(pool=ALL_ALGEBRAS))
+def test_duals_validate_and_round_trip(M):
+    ctx = build_duality_context(M.algebra)
+    dual = dual_module(M, ctx)
+    assert dual.side != M.side and dual.validate()
+    assert dual_module(dual, ctx) == M
+    assert ctx.as_right_module().validate()
 
 
 @settings(max_examples=80, deadline=None)
