@@ -350,8 +350,9 @@ def _check_left_kernel_identity(
     report: Report,
 ) -> None:
     ann = module.annihilator_submodule(B)
-    _, incl = ann.as_module()
-    kernel_of_dual_incl = incl.T.kernel()
+    # the inclusion is the transposed basis matrix, so its dual is the basis
+    # matrix and its kernel is the annihilator of the subspace
+    kernel_of_dual_incl = ann.space.annihilator()
     product = dual.times_graded_ideal(B)
     report.add(
         "ann_kernel_identity",
@@ -376,8 +377,7 @@ def _check_right_kernel_identity(
     report: Report,
 ) -> None:
     product = module.times_graded_ideal(B)
-    _, incl = product.as_module()
-    kernel_of_dual_incl = incl.T.kernel()
+    kernel_of_dual_incl = product.space.annihilator()  # of the dualized inclusion
     ann = dual.annihilator_submodule(B)
     report.add(
         "product_kernel_identity",

@@ -1,11 +1,14 @@
 """Flat-file formats for algebras, modules, ideals, and catalogs.
 
-Everything is JSON with integers already reduced into [0, p); files hold one
-object each and are meant to be hand-editable fixtures.  Writes go through a
-temp file and an atomic rename so failed runs never leave partial output.
+Everything is JSON with integers already reduced into [0, p); every number
+must be a JSON integer, so 2.0, 1.7 or true is refused rather than rounded.
+Files hold one object each and are meant to be hand-editable fixtures.
+Writes go through a temp file and an atomic rename so failed runs never
+leave partial output.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -18,13 +21,27 @@ from .generators import InstanceCatalog
 from .linalg import FpMatrix
 
 
+def _entries(data, depth: int):
+    """The entries of nested lists that are depth deep, in order."""
+    entries = [data]
+    for _ in range(depth):
+        entries = itertools.chain.from_iterable(entries)
+    return entries
+
+
 def _int_array(data, what: str) -> np.ndarray:
     try:
-        return np.asarray(data, dtype=np.int64)
+        arr = np.asarray(data, dtype=np.int64)
     except OverflowError as exc:
         raise ValueError(f"{what}: an entry exceeds the int64 range") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what}: expected nested integer lists") from exc
+    # the conversion truncates floats and reads true as 1 and "5" as 5, so
+    # the entries themselves must be ints
+    if set(map(type, _entries(data, arr.ndim))) - {int}:
+        for value in _entries(data, arr.ndim):
+            _as_int(value, what)
+    return arr
 
 
 def _int_grid(data, depth: int, what: str):
@@ -58,18 +75,18 @@ def _require_keys(doc, keys: tuple[str, ...], what: str) -> None:
 
 
 def _as_int(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what}: expected an integer, got {value!r}") from exc
+    if type(value) is not int:
+        raise ValueError(f"{what}: expected an integer, got {json.dumps(value, default=repr)}")
+    return value
 
 
 def algebra_from_doc(doc: dict) -> FiniteAlgebra:
     _require_keys(doc, ("p", "dim", "table", "one"), "algebra")
     p = _as_int(doc["p"], "p")
+    dim = _as_int(doc["dim"], "dim")
     table = _int_grid(doc["table"], 3, "table")
     one = _int_grid(doc["one"], 1, "one")
-    if table.shape != (doc["dim"],) * 3:
+    if table.shape != (dim,) * 3:
         raise ValueError("table shape does not match dim")
     if ((table < 0) | (table >= p)).any() or ((one < 0) | (one >= p)).any():
         raise ValueError("entries must lie in [0, p)")

@@ -30,9 +30,8 @@ from .linalg import (
     operator_solve,
     quotient_maps,
     restrict,
-    stabilize,
 )
-from .skew import GradedTwoSidedIdeal, SkewPolynomial
+from .skew import GradedTwoSidedIdeal
 
 ISOMORPHISM_SEARCH_BOUND = 1 << 14
 
@@ -68,6 +67,8 @@ class _FModule:
         if len(dims) != 1:
             raise ValueError("action and x matrices must be square of one size")
         self.dim = x_action.rows
+        self._powers: list[FpMatrix] = []
+        self._fitting: int | None = None
         if check:
             self.validate()
 
@@ -114,23 +115,32 @@ class _FModule:
     def apply_x(self, v) -> np.ndarray:
         return self.x_action.apply(v)
 
-    def apply_x_power(self, v, k: int) -> np.ndarray:
-        return (self.x_action**k).apply(v)
+    def x_power(self, n: int) -> FpMatrix:
+        """X^n.  The powers are kept: each new one is one product from the
+        last, so every power is built at most once per module."""
+        powers = self._powers
+        if not powers:
+            powers += [FpMatrix.identity(self.algebra.p, self.dim), self.x_action]
+        while len(powers) <= n:
+            powers.append(self.x_action @ powers[-1])
+        return powers[n]
 
-    def act(self, poly: SkewPolynomial, v) -> np.ndarray:
-        """Apply a skew polynomial: rho-then-x on the left, x-then-rho on the right."""
-        if poly.algebra != self.algebra:
-            raise ValueError("polynomial lives over a different algebra")
-        v = as_vector(v, self.algebra.p)
-        out = np.zeros(self.dim, dtype=np.int64)
-        for n, c in enumerate(poly.coeffs):
-            if not c.any():
-                continue
-            if self.side == "left":
-                out = (out + self.rho(c).apply(self.apply_x_power(v, n))) % self.algebra.p
-            else:
-                out = (out + self.apply_x_power(self.rho(c).apply(v), n)) % self.algebra.p
-        return out
+    def fitting_index(self) -> int:
+        """The least e with rank X^e == rank X^(e+1).
+
+        The kernels of the powers of X ascend and their images descend, so
+        equal ranks mean ker X^e == ker X^(e+1) and im X^e == im X^(e+1).
+        Both then hold one step up: X^(e+2) v = 0 puts X v in
+        ker X^(e+1) = ker X^e, and im X^(e+2) = X im X^(e+1) = X im X^e.
+        So from e on neither chain moves again (Fitting's lemma), and
+        e <= dim.  The torsion and divisibility exponents are both this e.
+        """
+        if self._fitting is None:
+            e, rank = 0, self.dim
+            while (following := self.x_power(e + 1).rank()) != rank:
+                e, rank = e + 1, following
+            self._fitting = e
+        return self._fitting
 
     # -- submodules and quotients ------------------------------------------
 
@@ -193,28 +203,13 @@ class _FModule:
 
     # -- common plumbing -----------------------------------------------------
 
-    def _x_chain(self, of) -> tuple[list[tuple[FpMatrix, Subspace]], int]:
-        """Pairs (X^n, of(X^n)) for n = 0, 1, ... until of(X^n) repeats.
-
-        of maps a matrix to a subspace that moves monotonically with n
-        (kernels, images), so the chain stops as soon as it stops moving;
-        the index returned is that of the stable entry.
-        """
-        X = self.x_action
-
-        def step(state):
-            power = X @ state[0]
-            return power, of(power)
-
-        identity = FpMatrix.identity(self.algebra.p, self.dim)
-        states, stable, _ = stabilize((identity, of(identity)), step, lambda s: s[1])
-        return states, stable
-
-    def _graded_annihilator(self, of, product) -> GradedTwoSidedIdeal:
-        """The chain b_n = {r : product(rho(r), X^n) == 0} along the chain of of(X^n)."""
+    def _graded_annihilator(self, product) -> GradedTwoSidedIdeal:
+        """The chain b_n = {r : product(rho(r), X^n) == 0} for n up to the
+        Fitting index, where it stops for good with the kernels and images."""
         p = self.algebra.p
         chain = []
-        for power, _ in self._x_chain(of)[0]:
+        for n in range(self.fitting_index() + 1):
+            power = self.x_power(n)
             cols = np.stack([product(a, power).data.ravel() for a in self.action], axis=1)
             # an ideal because rho is multiplicative: rho(sr) = rho(s) rho(r)
             space = FpMatrix(p, cols).kernel()
@@ -242,18 +237,17 @@ class LeftFModule(_FModule):
 
     def torsion_exponent(self) -> int:
         """Least e with ker(X^e) == ker(X^(e+1)); every x-torsion element dies by x^e."""
-        return self._x_chain(FpMatrix.kernel)[1]
+        return self.fitting_index()
 
     def x_torsion(self) -> "FSubmodule":
-        states, e = self._x_chain(FpMatrix.kernel)
-        return FSubmodule(self, states[e][1])
+        return FSubmodule(self, self.x_power(self.fitting_index()).kernel())
 
     def is_x_torsion_free(self) -> bool:
         return self.x_action.kernel().is_zero()
 
     def graded_annihilator(self) -> GradedTwoSidedIdeal:
         """Largest chain (b_n) with rho(b_n) . X^n == 0; stabilizes with im(X^n)."""
-        return self._graded_annihilator(FpMatrix.image, lambda a, power: a @ power)
+        return self._graded_annihilator(lambda a, power: a @ power)
 
     def annihilator_submodule(self, ideal: GradedTwoSidedIdeal) -> "FSubmodule":
         """Elements killed by every homogeneous piece of the graded ideal.
@@ -266,10 +260,9 @@ class LeftFModule(_FModule):
         if ideal.algebra != self.algebra:
             raise ValueError("graded ideal lives over a different algebra")
         conditions = []
-        power = FpMatrix.identity(self.algebra.p, self.dim)
         for n in range(ideal.stable_from + self.dim + 1):
+            power = self.x_power(n)
             conditions.extend(self.rho(b) @ power for b in ideal.component(n).space.basis)
-            power = self.x_action @ power
         return FSubmodule(self, common_kernel(self.algebra.p, self.dim, conditions))
 
 
@@ -278,14 +271,14 @@ class RightFModule(_FModule):
 
     def divisibility_exponent(self) -> int:
         """Least e with im(X^e) == im(X^(e+1))."""
-        return self._x_chain(FpMatrix.image)[1]
+        return self.fitting_index()
 
     def is_x_divisible(self) -> bool:
         return self.x_action.image().is_full()
 
     def graded_annihilator(self) -> GradedTwoSidedIdeal:
         """Largest chain (b_n) with X^n . rho(b_n) == 0; stabilizes with ker(X^n)."""
-        return self._graded_annihilator(FpMatrix.kernel, lambda a, power: power @ a)
+        return self._graded_annihilator(lambda a, power: power @ a)
 
     def times_graded_ideal(self, ideal: GradedTwoSidedIdeal) -> "FSubmodule":
         """The submodule spanned by all m . (b x^n) with b in the n-th piece."""
@@ -293,7 +286,7 @@ class RightFModule(_FModule):
             raise ValueError("graded ideal lives over a different algebra")
         pieces = [np.zeros((0, self.dim), dtype=np.int64)]
         for n in range(ideal.stable_from + 1):
-            xp = self.x_action**n
+            xp = self.x_power(n)
             for b in ideal.component(n).space.basis:
                 pieces.append((xp @ self.rho(b)).data.T)
         return self.submodule(np.vstack(pieces))
@@ -302,30 +295,25 @@ class RightFModule(_FModule):
         """Ascending chain (0 : R x^k) = {m : X^k rho(r) m = 0 for all r}.
 
         This is the universally quantified condition, which is smaller than
-        ker(X^k) in general; the two are kept separate on purpose.
+        ker(X^k) in general; the two are kept separate on purpose.  The
+        chain stops for good at its first repeat: m in (0 : R x^(k+1)) means
+        m r x lies in (0 : R x^k) for every r.
         """
-        states, k = self._x_chain(
-            lambda power: common_kernel(self.algebra.p, self.dim, [power @ a for a in self.action])
-        )
-        return [space for _, space in states], k
+        chain = []
+        for k in itertools.count():
+            power = self.x_power(k)
+            space = common_kernel(self.algebra.p, self.dim, [power @ a for a in self.action])
+            if chain and space == chain[-1]:
+                return chain, k - 1
+            chain.append(space)
 
     def eventual_annihilator(self) -> tuple["FSubmodule", int]:
         chain, k = self.annihilator_chain()
         return FSubmodule(self, chain[-1]), k
 
     def stable_image(self) -> tuple["FSubmodule", int]:
-        states, e = self._x_chain(FpMatrix.image)
-        return FSubmodule(self, states[e][1]), e
-
-    def mod_eventual_annihilator(self) -> "RightFModule":
-        """Quotient by (0 : R x^inf); the result has trivial eventual annihilator."""
-        sub, _ = self.eventual_annihilator()
-        return self.quotient(sub)[0]
-
-    def mod_stable_image(self) -> "RightFModule":
-        """Quotient by the intersection of all M x^k."""
-        sub, _ = self.stable_image()
-        return self.quotient(sub)[0]
+        e = self.fitting_index()
+        return FSubmodule(self, self.x_power(e).image()), e
 
     def localize(self, index: int) -> "RightFModule":
         """Projection onto an idempotent factor, as a module over that factor.

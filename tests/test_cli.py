@@ -96,6 +96,45 @@ def test_analyze_rejects_non_integer_prime(fixtures, capsys, tmp_path):
     assert "p: expected an integer" in capsys.readouterr().err
 
 
+def _set_entry(doc: dict, path: tuple, value) -> None:
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "which,path,value,message",
+    [
+        ("module", ("dim",), 1.7, "dim: expected an integer, got 1.7"),
+        ("algebra", ("p",), 2.9, "p: expected an integer, got 2.9"),
+        ("module", ("X", 0, 0), 1.6, "X: expected an integer, got 1.6"),
+        ("module", ("action", 0, 0, 0), True, "action[0]: expected an integer, got true"),
+        ("algebra", ("dim",), True, "dim: expected an integer, got true"),
+        ("algebra", ("one", 0), 1.0, "one: expected an integer, got 1.0"),
+    ],
+    ids=["module_dim_float", "p_float", "matrix_entry_float", "matrix_entry_true",
+         "algebra_dim_true", "integral_float"],
+)
+def test_analyze_refuses_a_number_that_is_not_a_json_integer(
+    tmp_path, capsys, which, path, value, message
+):
+    # over F2 with a dimension-1 module, truncating each of these numbers
+    # would give a valid document
+    docs = {
+        "algebra": fileio.algebra_to_doc(prime_field(2)),
+        "module": fileio.module_to_doc(natural_frobenius_module(prime_field(2))),
+    }
+    paths = {name: tmp_path / f"{name}.json" for name in docs}
+    for name, doc in docs.items():
+        paths[name].write_text(json.dumps(doc))
+    assert main(["analyze", str(paths["algebra"]), str(paths["module"])]) == 0
+    capsys.readouterr()
+    _set_entry(docs[which], path, value)
+    paths[which].write_text(json.dumps(docs[which]))
+    assert main(["analyze", str(paths["algebra"]), str(paths["module"])]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_analyze_missing_file(fixtures):
     _, alg, _, _ = fixtures
     assert main(["analyze", alg, "/nonexistent/path.json"]) == 2
@@ -275,22 +314,22 @@ def test_check_reports_are_deterministic(tmp_path):
 GOLDEN_CHECK_DIGESTS = [
     pytest.param(
         ["--seed", "0"],
-        "748e3faab337c21e5a126684940570ca0a2dca3ee09e64f817415ab840df3147",
+        "1ed59d27ebb228d4f0dba2ead74c28e34dc14a2450b7b5377e53c4369fab6ee5",
         id="seed0",
     ),
     pytest.param(
         ["--seed", "1", "--budget", "8"],
-        "b8d3a138dacdbe2d193362c9511038bf93c85b7aabd923f3df3c361c197ee6f6",
+        "77aa509d212639ad5fec3c32dbaf8966ebe6a8d048e5c8e8906c79b8597bcead",
         id="seed1_budget8",
     ),
     pytest.param(
         ["--seed", "2", "--budget", "8"],
-        "1a8ee58f29d21b92d289925a2deb60d3ff94cf75cc5e56e4dc1e249464ea9ce6",
+        "8f4beb76299c728f09c2fecd713d1291cec5963ca407df3ad35b61c0668e365a",
         id="seed2_budget8",
     ),
     pytest.param(
         ["--seed", "3", "--budget", "8"],
-        "8431374f7add079b5d0b0d4a5bf3bb8be73734ffd5f538bd0a9604b378f6eb11",
+        "db381f27aa314bfad7ab60d9f255aa28e322ec94adc93dcf03a05632f49a285e",
         id="seed3_budget8",
     ),
 ]

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import random
@@ -18,12 +19,14 @@ from froblab.checks import (
     check_localization,
     check_square_multiplier,
     check_uniform_torsion_bound,
+    module_suite,
 )
 from froblab.errors import AxiomError, BudgetError
 from froblab.fmodule import (
     FSubmodule,
     LeftFModule,
     RightFModule,
+    _FModule,
     cartier_from_splitting,
     find_module_isomorphism,
     graded_annihilator_set,
@@ -34,7 +37,7 @@ from froblab.fmodule import (
     twisted_modules_isomorphic,
 )
 from froblab.duality import build_duality_context, dual_left, dual_module
-from froblab.generators import default_catalog, random_module, standard_algebras
+from froblab.generators import default_catalog, random_module, sampled_modules, standard_algebras
 from froblab.linalg import FpMatrix, Subspace, quotient_representatives, stabilize
 from froblab.report import Report
 from froblab.skew import (
@@ -45,6 +48,8 @@ from froblab.skew import (
     x_power_graded_ideal,
     zero_graded_ideal,
 )
+import fmodule_reference as reference
+from fmodule_reference import act, apply_x_power
 from module_strategies import (
     ALL_ALGEBRAS,
     LARGE_PRIME,
@@ -294,10 +299,10 @@ def test_cartier_requires_reduced():
 # -- exponents and torsion -------------------------------------------------------
 
 
-def test_apply_x_power_zero_is_identity():
+def test_x_power_zero_is_identity():
     H = natural_frobenius_module(F2T3)
-    v = np.array([1, 1, 0])
-    assert np.array_equal(H.apply_x_power(v, 0), v)
+    assert H.x_power(0) == FpMatrix.identity(2, 3)
+    assert H.x_power(1) == H.x_action
 
 
 def test_torsion_exponent_invertible_x():
@@ -324,8 +329,8 @@ def test_torsion_exponent_jordan_block(k):
     # oracle: smallest uniform killer of all torsion vectors
     killers = []
     for v in Subspace.full(2, k).vectors():
-        if any(not H.apply_x_power(v, j).any() for j in range(1, k + 1)):
-            least = min(j for j in range(0, k + 1) if not H.apply_x_power(v, j).any())
+        if any(not apply_x_power(H, v, j).any() for j in range(1, k + 1)):
+            least = min(j for j in range(0, k + 1) if not apply_x_power(H, v, j).any())
             killers.append(least)
     assert max(killers) == k
 
@@ -369,6 +374,70 @@ def test_stabilization_is_permanent():
             assert (x**e).kernel() == (x ** (e + 1)).kernel() == (x ** (e + 2)).kernel()
 
 
+# -- the cached powers of x against the chains they replaced ------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(modules(pool=ALL_ALGEBRAS))
+def test_x_powers_and_exponents_match_the_chain_reference(M):
+    for N in (M, dual_module(M, _contexts(M.algebra))):
+        for n in range(N.dim + 3):
+            assert N.x_power(n) == N.x_action**n
+        assert N.graded_annihilator() == reference.graded_annihilator(N)
+        if N.side == "left":
+            assert N.torsion_exponent() == reference.torsion_exponent(N)
+            assert N.x_torsion().space == reference.x_torsion(N).space
+        else:
+            assert N.divisibility_exponent() == reference.divisibility_exponent(N)
+            stable, e = N.stable_image()
+            reference_stable, reference_e = reference.stable_image(N)
+            assert (stable.space, e) == (reference_stable.space, reference_e)
+            assert N.annihilator_chain() == reference.annihilator_chain(N)
+
+
+def test_module_suite_builds_each_power_of_x_once(monkeypatch):
+    """Within one module_suite call, each module multiplies by its X at most
+    once per power: a product of X with X^j makes X^(j+1), and no module
+    makes the same power twice."""
+    products: list[tuple] = []
+    made: list[_FModule] = []
+    real_matmul, real_init = FpMatrix.__matmul__, _FModule.__init__
+
+    def recording_matmul(a, b):
+        out = real_matmul(a, b)
+        products.append((a, b, out))
+        return out
+
+    def recording_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        made.append(self)
+
+    cat = default_catalog()
+    cases = [(cat.algebras[alg], M) for alg, M in cat.modules.values()]
+    for name in ("F2[t]/t3", "F3[t]/t2", "F2xF2"):
+        A = STANDARD_ALGEBRAS[name]
+        cases += [(A, M) for _, M in sampled_modules(A, seed=5, per_side=2)]
+    for A, M in cases:
+        ctx = _contexts(A)
+        products.clear()
+        made[:] = [M]
+        monkeypatch.setattr(FpMatrix, "__matmul__", recording_matmul)
+        monkeypatch.setattr(_FModule, "__init__", recording_init)
+        report = Report()
+        module_suite(ctx, "m", M, random.Random(0), report)
+        monkeypatch.undo()
+        assert report.ok, report.render_text()
+        for X in {id(N.x_action): N.x_action for N in made}.values():
+            exponent = {id(X): 1}  # the power of X that each matrix object is
+            builds = collections.Counter()
+            for a, b, out in products:
+                other = b if a is X else a if b is X else None
+                if other is not None and id(other) in exponent:
+                    exponent[id(out)] = exponent[id(other)] + 1
+                    builds[exponent[id(out)]] += 1
+            assert max(builds.values(), default=0) <= 1, (M, builds)
+
+
 # -- graded annihilators -----------------------------------------------------------
 
 
@@ -399,7 +468,7 @@ def test_grann_annihilates_exhaustively():
                 for b in chain.component(n).space.basis:
                     poly = SkewPolynomial(A, [A.zero()] * n + [b])
                     for v in Subspace.full(A.p, M.dim).vectors():
-                        assert not M.act(poly, v).any()
+                        assert not act(M, poly, v).any()
 
 
 def test_grann_stable_index_is_permanent():
@@ -433,7 +502,7 @@ def test_grann_is_the_largest_graded_annihilator():
                     continue
                 poly = SkewPolynomial(A, [A.zero()] * n + [r])
                 assert any(
-                    M.act(poly, v).any() for v in Subspace.full(A.p, M.dim).vectors()
+                    act(M, poly, v).any() for v in Subspace.full(A.p, M.dim).vectors()
                 )
 
 
@@ -526,7 +595,7 @@ def test_annihilator_exhaustive_oracle():
                 for n in range(B.stable_from + H.dim + 2):
                     for b in B.component(n).space.basis:
                         poly = SkewPolynomial(A, [A.zero()] * n + [b])
-                        if H.act(poly, v).any():
+                        if act(H, poly, v).any():
                             killed = False
                 if killed:
                     expected.append(v)
@@ -763,16 +832,24 @@ def test_quotient_as_module_and_localize_match_reference(M, data):
             assert (local.action, local.x_action) == reference_localize(M, idx)
 
 
+def mod_eventual_annihilator(M: RightFModule) -> RightFModule:
+    return M.quotient(M.eventual_annihilator()[0])[0]
+
+
+def mod_stable_image(M: RightFModule) -> RightFModule:
+    return M.quotient(M.stable_image()[0])[0]
+
+
 def test_reductions_invertible_x():
     M = residue_right_module()
-    assert M.mod_eventual_annihilator().dim == M.dim
-    assert M.mod_stable_image().is_zero()
+    assert mod_eventual_annihilator(M).dim == M.dim
+    assert mod_stable_image(M).is_zero()
 
 
 def test_reductions_nilpotent_x():
     M = jordan_module(2, 3)
-    assert M.mod_eventual_annihilator().is_zero()
-    assert M.mod_stable_image().dim == M.dim
+    assert mod_eventual_annihilator(M).is_zero()
+    assert mod_stable_image(M).dim == M.dim
 
 
 def test_reductions_mixed_blocks():
@@ -781,8 +858,8 @@ def test_reductions_mixed_blocks():
     x[0, 0] = 1
     x[1, 2] = 1
     M = RightFModule(F2, [FpMatrix.identity(2, 3)], FpMatrix(2, x))
-    gamma = M.mod_eventual_annihilator()
-    sigma = M.mod_stable_image()
+    gamma = mod_eventual_annihilator(M)
+    sigma = mod_stable_image(M)
     assert gamma.dim == 1 and gamma.x_action.is_invertible()
     assert sigma.dim == 2 and sigma.divisibility_exponent() == 2
     # the reductions do what they claim
@@ -970,7 +1047,7 @@ def torsion_killed_by_scan(H: LeftFModule, e: int) -> bool:
     """Scan every element: each one some x^j (j <= dim) kills is killed by x^e."""
     killer = H.x_action**e
     for v in Subspace.full(H.algebra.p, H.dim).vectors():
-        torsion = any(not H.apply_x_power(v, j).any() for j in range(1, H.dim + 1))
+        torsion = any(not apply_x_power(H, v, j).any() for j in range(1, H.dim + 1))
         if torsion and killer.apply(v).any():
             return False
     return True
