@@ -141,12 +141,16 @@ class FiniteAlgebra:
         return self._frobenius
 
     def nilradical(self) -> "Ideal":
-        """The ideal of nilpotent elements, as the kernel of an iterated Frobenius."""
+        """The ideal of nilpotent elements: ker F^preperiod, read off the cycle.
+
+        r is nilpotent exactly when some r^(p^n) vanishes, so nil(R) is the
+        union of the kernels of the powers of F.  They ascend, and
+        F^(preperiod + period) == F^preperiod, so every one of them lies in
+        ker F^preperiod, which is therefore the union.
+        """
         if self._nilradical is None:
-            m = 0
-            while self.p**m < self.dim:
-                m += 1
-            space = (self.frobenius().matrix ** m).kernel()
+            frob = self.frobenius()
+            space = frob.power(frob.preperiod).kernel()
             self._nilradical = Ideal(self, [row for row in space.basis], space=space)
         return self._nilradical
 
@@ -219,6 +223,12 @@ class FrobeniusData:
     period: int
     powers: tuple[FpMatrix, ...]
 
+    def power(self, n: int) -> FpMatrix:
+        """F^n; past the preperiod the powers repeat with the period."""
+        if n >= self.preperiod:
+            n = self.preperiod + (n - self.preperiod) % self.period
+        return self.powers[n]
+
 
 class Ideal:
     """An ideal, tracked as generators plus its canonical underlying subspace."""
@@ -270,10 +280,7 @@ class Ideal:
 
     def frobenius_power(self, n: int) -> "Ideal":
         """The ideal generated by the p^n-th powers of the stored generators."""
-        frob = self.algebra.frobenius()
-        if n >= frob.preperiod:
-            n = frob.preperiod + (n - frob.preperiod) % frob.period
-        F = frob.powers[n]
+        F = self.algebra.frobenius().power(n)
         return Ideal(self.algebra, [F.apply(g) for g in self.generators])
 
     def frobenius_closure(self) -> tuple["Ideal", int]:

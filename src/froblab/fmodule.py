@@ -27,7 +27,6 @@ from .linalg import (
     image_rows,
     mulmod,
     operator_kernel,
-    operator_solve,
     quotient_maps,
     restrict,
 )
@@ -259,10 +258,11 @@ class LeftFModule(_FModule):
         """
         if ideal.algebra != self.algebra:
             raise ValueError("graded ideal lives over a different algebra")
-        conditions = []
-        for n in range(ideal.stable_from + self.dim + 1):
-            power = self.x_power(n)
-            conditions.extend(self.rho(b) @ power for b in ideal.component(n).space.basis)
+        rhos = [[self.rho(b) for b in piece.space.basis] for piece in ideal.chain]
+        N = ideal.stable_from
+        conditions = [
+            r @ self.x_power(n) for n in range(N + self.dim + 1) for r in rhos[min(n, N)]
+        ]
         return FSubmodule(self, common_kernel(self.algebra.p, self.dim, conditions))
 
 
@@ -451,23 +451,16 @@ def cartier_from_splitting(
     """Right module structure r . x = (pi(r))^(1/p) from a Frobenius splitting.
 
     Needs the algebra reduced, so that p-th roots are unique on the image of
-    the p-th power map.  pi is found by solving the linear conditions of
-    being linear over p-th powers and restricting to the identity on them.
+    the p-th power map.  Then the splitting is the identity and x acts by
+    F^-1 (Blickle and Boeckle, J. reine angew. Math. 661, 2011): a reduced
+    finite algebra has an injective F, hence an invertible one, so pi F == F
+    forces pi == id.  An invertible F has preperiod 0 and F^period == I, so
+    F^-1 is the last power of its cycle.
     """
     if not algebra.is_reduced():
         return None, "not reduced"
-    p, d = algebra.p, algebra.dim
-    F = algebra.frobenius().matrix
-    eye = np.eye(d, dtype=np.int64)
-    # pi commutes with multiplication by p-th powers, and pi F == F
-    frob_mults = [algebra.mult_matrix(F.apply(eye[i])) for i in range(d)]
-    pairs = [(m, m) for m in frob_mults] + [(F, FpMatrix.zeros(p, d, d))]
-    rhs = [np.zeros((d, d), dtype=np.int64)] * d + [F.data]
-    pi = operator_solve(p, (d, d), pairs, rhs)
-    if pi is None:
-        return None, "no splitting"
-    # on a reduced finite algebra the p-th power map is injective, so invertible
-    x_action = F.inverse() @ pi
+    frob = algebra.frobenius()
+    x_action = frob.power(frob.period - 1)
     return RightFModule(algebra, algebra.basis_matrices(), x_action, check=False), None
 
 

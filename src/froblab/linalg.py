@@ -447,12 +447,17 @@ def quotient_representatives(space: Subspace, sub: Subspace) -> np.ndarray:
 def quotient_maps(sub: Subspace) -> tuple[FpMatrix, FpMatrix]:
     """Projection of F_p^n onto F_p^n / sub and a lift back (proj @ lift = id).
 
-    The quotient basis is the classes of quotient_representatives.
+    One elimination of [sub^T | I]: its pivots past sub's pick the unit
+    vectors reps that represent the quotient basis, so the pivot columns
+    form B = [sub^T | reps^T].  The reduced matrix is E [sub^T | I] with
+    E B == I, as its pivot columns are the unit vectors in order; its last n
+    columns are therefore E = B^-1, and rows k.. of them, k = dim sub, are
+    the projection.
     """
-    p, n = sub.p, sub.ambient_dim
-    reps = quotient_representatives(Subspace.full(p, n), sub)
-    change = FpMatrix(p, np.vstack([sub.basis, reps]).T).inverse()
-    return FpMatrix(p, change.data[sub.dim :, :]), FpMatrix(p, reps.T)
+    p, n, k = sub.p, sub.ambient_dim, sub.dim
+    eye = np.eye(n, dtype=np.int64)
+    reduced, pivots = _rref(np.hstack([sub.basis.T, eye]), p)
+    return FpMatrix(p, reduced[k:, k:]), FpMatrix(p, eye[:, [c - k for c in pivots[k:]]])
 
 
 def image_rows(space: Subspace, operators) -> np.ndarray:

@@ -79,12 +79,12 @@ class SkewPolynomial:
         A = self.algebra
         if self.is_zero() or other.is_zero():
             return SkewPolynomial.zero(A)
-        F = A.frobenius().matrix
+        frob = A.frobenius()
         out = [A.zero() for _ in range(self.degree + other.degree + 1)]
         for i, ri in enumerate(self.coeffs):
             if not ri.any():
                 continue
-            twist = F**i
+            twist = frob.power(i)
             for j, sj in enumerate(other.coeffs):
                 if not sj.any():
                     continue
@@ -167,9 +167,6 @@ class GradedTwoSidedIdeal:
 
     def is_zero(self) -> bool:
         return all(b.is_zero() for b in self.chain)
-
-    def is_unit(self) -> bool:
-        return self.chain[0].is_unit_ideal()
 
     def __eq__(self, other) -> bool:
         return (

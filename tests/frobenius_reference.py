@@ -1,0 +1,48 @@
+"""The Frobenius-derived maps the cycle replaced: the references for them.
+
+froblab reads every power of F, the nilradical and the Cartier structure of a
+reduced algebra off the Frobenius cycle.  Here each is computed the old way:
+powers by repeated squaring, the nilradical as the kernel of one large power
+of F, and the Cartier structure from a Frobenius splitting solved for as a
+linear system.
+"""
+import numpy as np
+
+from froblab.algebra import FiniteAlgebra, extension_field, prime_field, product_algebra
+from froblab.generators import enumerate_local_algebras, standard_algebras
+from froblab.linalg import FpMatrix, Subspace, operator_solve
+
+
+def frobenius_pool() -> list[FiniteAlgebra]:
+    """The standard algebras, the local algebras of dimension at most 3 over
+    F_2 and at most 2 over F_3, and F_2 x F_8, on whose F_8 factor F has
+    order 3, so that F^-1 != F."""
+    return (
+        list(standard_algebras().values())
+        + enumerate_local_algebras(2, 3)
+        + enumerate_local_algebras(3, 2)
+        + [product_algebra(prime_field(2), extension_field(2, [1, 1, 0, 1]))]
+    )
+
+
+def nilradical_by_squaring(A: FiniteAlgebra) -> Subspace:
+    """ker F^m for the least m with p^m >= dim.  A nilpotent r has
+    mult(r)^dim == 0, so r^dim = mult(r)^dim 1 = 0, and r^(p^m) = 0."""
+    m = 0
+    while A.p**m < A.dim:
+        m += 1
+    return (A.frobenius().matrix ** m).kernel()
+
+
+def cartier_by_splitting_solve(A: FiniteAlgebra) -> FpMatrix | None:
+    """x = F^-1 pi, for a splitting pi solved from its linear conditions:
+    pi commutes with multiplication by p-th powers, and pi F == F.  None if
+    the system has no solution.  Needs A reduced, so that F is invertible."""
+    p, d = A.p, A.dim
+    F = A.frobenius().matrix
+    eye = np.eye(d, dtype=np.int64)
+    frob_mults = [A.mult_matrix(F.apply(eye[i])) for i in range(d)]
+    pairs = [(m, m) for m in frob_mults] + [(F, FpMatrix.zeros(p, d, d))]
+    rhs = [np.zeros((d, d), dtype=np.int64)] * d + [F.data]
+    pi = operator_solve(p, (d, d), pairs, rhs)
+    return None if pi is None else F.inverse() @ pi

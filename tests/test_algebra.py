@@ -18,6 +18,7 @@ from froblab.algebra import (
 from froblab.errors import AxiomError
 from froblab.generators import enumerate_local_algebras, standard_algebras
 from froblab.linalg import FpMatrix, Subspace, close_under, quotient_representatives
+from frobenius_reference import frobenius_pool, nilradical_by_squaring
 
 
 F2 = prime_field(2)
@@ -354,6 +355,20 @@ def test_frobenius_power_reads_the_cycle():
             for n in range(frob.preperiod + 2 * frob.period + 3):
                 F = frob.matrix**n
                 assert a.frobenius_power(n) == Ideal(A, [F.apply(g) for g in gens])
+
+
+def test_frobenius_data_power_matches_repeated_squaring():
+    for A in frobenius_pool():
+        frob = A.frobenius()
+        for n in range(frob.preperiod + 2 * frob.period + 2):
+            assert frob.power(n) == frob.matrix**n
+
+
+def test_nilradical_matches_the_kernel_of_a_large_frobenius_power():
+    pool = frobenius_pool()
+    for A in pool:
+        assert A.nilradical().space == nilradical_by_squaring(A)
+    assert sum(A.frobenius().preperiod > 1 for A in pool) > 0
 
 
 def test_closure_of_already_closed_ideal():

@@ -49,6 +49,7 @@ from froblab.skew import (
     zero_graded_ideal,
 )
 import fmodule_reference as reference
+from frobenius_reference import cartier_by_splitting_solve, frobenius_pool, nilradical_by_squaring
 from fmodule_reference import act, apply_x_power
 from module_strategies import (
     ALL_ALGEBRAS,
@@ -294,6 +295,21 @@ def test_cartier_on_field_extension_inverts_frobenius():
 def test_cartier_requires_reduced():
     mod, reason = cartier_from_splitting(F2T2)
     assert mod is None and reason == "not reduced"
+
+
+def test_cartier_matches_the_splitting_solve():
+    inverted = 0
+    for A in frobenius_pool():
+        mod, reason = cartier_from_splitting(A)
+        if not nilradical_by_squaring(A).is_zero():
+            assert mod is None and reason == "not reduced"
+            continue
+        assert reason is None
+        assert mod.x_action == cartier_by_splitting_solve(A)
+        assert mod.validate()
+        inverted += mod.x_action != A.frobenius().matrix
+    # on a field of degree <= 2, and on products of them, F == F^-1
+    assert inverted >= 9
 
 
 # -- exponents and torsion -------------------------------------------------------

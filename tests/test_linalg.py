@@ -441,6 +441,36 @@ def test_quotient_maps_split_off_the_subspace(case):
     assert lift.data.T.tolist() == quotient_representatives(Subspace.full(p, n), sub).tolist()
 
 
+def reference_quotient_maps(sub: Subspace) -> tuple[FpMatrix, FpMatrix]:
+    """Three eliminations: the full space, its representatives over sub, and
+    the inverse of [sub^T | reps^T], whose rows past sub's are the projection."""
+    p, n = sub.p, sub.ambient_dim
+    reps = quotient_representatives(Subspace.full(p, n), sub)
+    change = FpMatrix(p, np.vstack([sub.basis, reps]).T).inverse()
+    return FpMatrix(p, change.data[sub.dim :, :]), FpMatrix(p, reps.T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(subspaces_and_blocks())
+def test_quotient_maps_match_the_three_elimination_reference(case):
+    sub, _ = case
+    assert quotient_maps(sub) == reference_quotient_maps(sub)
+
+
+def test_quotient_maps_is_one_elimination(monkeypatch):
+    rng = np.random.default_rng(2)
+    subs = [Subspace.zero(3, 4), Subspace.full(3, 4), Subspace.from_vectors(2, 3, [[0, 1, 1]])]
+    # 60 x (60 + 20) entries: past LIST_KERNEL_CELLS, on the numpy kernel
+    for p, n, k in [(1048573, 6, 3), (5, 60, 20)]:
+        subs.append(Subspace.from_vectors(p, n, rng.integers(0, p, (k, n))))
+    for sub in subs:
+        counts = _count_eliminated_rows(monkeypatch)
+        got = quotient_maps(sub)
+        monkeypatch.undo()
+        assert len(counts) == 1
+        assert got == reference_quotient_maps(sub)
+
+
 def test_from_vectors_keeps_its_messages():
     with pytest.raises(ValueError, match=r"^vector length 3 != ambient 2$"):
         Subspace.from_vectors(2, 2, [[1, 0], [1, 0, 1]])
