@@ -196,7 +196,8 @@ class FiniteAlgebra:
         return " + ".join(terms) if terms else "0"
 
     def __eq__(self, other) -> bool:
-        return (
+        # nearly every comparison is of an algebra with itself
+        return other is self or (
             isinstance(other, FiniteAlgebra)
             and self.p == other.p
             and self.dim == other.dim

@@ -163,14 +163,40 @@ class _FModule:
         x_new = proj @ self.x_action @ lift
         return type(self)(self.algebra, action, x_new, check=False), proj
 
+    def _cyclic_words(self) -> np.ndarray:
+        """The d*dim words rho(e_i) X^j (left) or X^j rho(e_i) (right), j < dim,
+        stacked as a (d*dim*dim) x dim matrix: the cyclic submodule of v is
+        the span of the W v (see enumerate_submodules)."""
+        p, n = self.algebra.p, self.dim
+        left = self.side == "left"
+        words = [
+            mulmod(a.data, xp.data, p) if left else mulmod(xp.data, a.data, p)
+            for xp in map(self.x_power, range(n))
+            for a in self.action
+        ]
+        return np.array(words, dtype=np.int64).reshape(len(words) * n, n)
+
     def enumerate_submodules(self, budget: int) -> list["FSubmodule"]:
         """Every invariant subspace: the cyclic submodules, closed under sums.
 
         Every submodule is the sum of the cyclic submodules of its vectors, and
-        nonzero multiples of a vector generate the same one, so one closure per
-        line of F_p^dim suffices (its vector with leading coordinate 1).  A sum
-        of submodules is a submodule, so the sums need no closure.  The tests
-        check graded_annihilator_set against it; nothing in the package calls it.
+        nonzero multiples of a vector generate the same one, so one cyclic
+        submodule per line of F_p^dim suffices (its vector with leading
+        coordinate 1).  Each is a direct span, with no closure.  A word in the
+        rho(e_i) and X can have all its rho moved to one side, by
+        X rho(r) == rho(r^p) X on the left and rho(r) X == X rho(r^p) on the
+        right, and rho(s) rho(r) == rho(sr); by Cayley-Hamilton X^j for
+        j >= dim lies in the span of the lower powers.  So the cyclic
+        submodule of v is the span of the W v over the d*dim words
+        W = rho(e_i) X^j (left) or X^j rho(e_i) (right), j < dim: that span
+        holds v = rho(1) v, and rho(e_k) and X map each W v back into it.  It
+        costs one product and one elimination per line.
+
+        A sum of submodules is a submodule, so the sums need no closure
+        either.  Each submodule found tests all the cyclic generators G at
+        once: those outside it are the nonzero rows of the residue
+        G - G[:, pivots] @ basis.  The tests check graded_annihilator_set
+        against it; nothing in the package calls it.
         """
         p, n = self.algebra.p, self.dim
         if p**n > budget:
@@ -179,19 +205,21 @@ class _FModule:
             )
         zero = self.zero_submodule()
         found = {zero.space: zero}
+        words = self._cyclic_words()
         generators: dict[Subspace, np.ndarray] = {}
         for lead in range(n):
             for tail in itertools.product(range(p), repeat=n - lead - 1):
                 v = np.array((0,) * lead + (1,) + tail, dtype=np.int64)
-                cyclic = self.submodule([v])
-                found.setdefault(cyclic.space, cyclic)
-                generators.setdefault(cyclic.space, v)
-        queue = list(generators)
+                images = mulmod(words, v, p).reshape(-1, n)
+                generators.setdefault(Subspace.from_vectors(p, n, images), v)
+        found.update((space, FSubmodule(self, space)) for space in generators)
+        spaces = list(generators)
+        block = np.array(list(generators.values()), dtype=np.int64).reshape(len(spaces), n)
+        queue = list(spaces)
         while queue:
             current = queue.pop()
-            for space, v in generators.items():
-                if current.contains(v):
-                    continue
+            outside = ((block - mulmod(block[:, current.pivots], current.basis, p)) % p).any(axis=1)
+            for space in itertools.compress(spaces, outside):
                 bigger = current + space
                 if bigger not in found:
                     found[bigger] = FSubmodule(self, bigger)

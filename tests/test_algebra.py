@@ -66,6 +66,27 @@ def test_basis_matrices_are_computed_once():
     assert list(mats) == [A.mult_matrix(row) for row in np.eye(3, dtype=np.int64)]
 
 
+def test_algebra_equals_itself_without_comparing_tables(monkeypatch):
+    calls = []
+    real = np.array_equal
+
+    def counting(a, b, *args, **kwargs):
+        calls.append(1)
+        return real(a, b, *args, **kwargs)
+
+    A = truncated_polynomial_algebra(3, 3)
+    monkeypatch.setattr(np, "array_equal", counting)
+    assert A == A
+    assert not calls
+    # equal copies and different algebras still compare their tables
+    copy = FiniteAlgebra(A.p, A.table, A.one, A.labels)
+    assert copy == A and A == copy and hash(copy) == hash(A)
+    assert calls
+    assert F2T2 != F2xF2 and F2xF2 != F2T2  # same p and dimension
+    assert F2 != prime_field(3)
+    assert A != "A"
+
+
 def test_truncated_polynomial_is_valid():
     assert F2T2.validate()
     assert np.array_equal(F2T2.mul([0, 1], [0, 1]), [0, 0])  # t*t = 0

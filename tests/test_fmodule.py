@@ -21,6 +21,7 @@ from froblab.checks import (
     check_uniform_torsion_bound,
     module_suite,
 )
+from froblab import fmodule as fmodule_mod
 from froblab.errors import AxiomError, BudgetError
 from froblab.fmodule import (
     FSubmodule,
@@ -38,7 +39,7 @@ from froblab.fmodule import (
 )
 from froblab.duality import build_duality_context, dual_left, dual_module
 from froblab.generators import default_catalog, random_module, sampled_modules, standard_algebras
-from froblab.linalg import FpMatrix, Subspace, quotient_representatives, stabilize
+from froblab.linalg import FpMatrix, Subspace, as_vector, mulmod, quotient_representatives, stabilize
 from froblab.report import Report
 from froblab.skew import (
     GradedTwoSidedIdeal,
@@ -746,6 +747,51 @@ def test_enumerate_submodules_matches_reference_on_random_modules(seed):
     for A in standard_algebras().values():
         for side in ("left", "right"):
             assert_same_submodules(random_module(A, side, 4, rng))
+
+
+def test_enumerate_submodules_makes_no_closure(monkeypatch):
+    cat = default_catalog()
+    alg_name, module = next(iter(cat.modules.values()))
+    dual = dual_module(module, build_duality_context(cat.algebras[alg_name]))
+    for M in (module, dual):
+        calls = []
+        real = fmodule_mod.close_under
+        monkeypatch.setattr(fmodule_mod, "close_under", lambda *a: calls.append(1) or real(*a))
+        got = M.enumerate_submodules(1 << 10)
+        monkeypatch.undo()
+        assert not calls
+        assert [s.space for s in got] == [s.space for s in reference_enumerate_submodules(M)]
+
+
+def cyclic_span(M, v) -> Subspace:
+    """The span of the vectors W v over the words W of M._cyclic_words()."""
+    p, n = M.algebra.p, M.dim
+    images = mulmod(M._cyclic_words(), as_vector(v, p).reshape(n, 1), p)
+    return Subspace.from_vectors(p, n, images.reshape(M.algebra.dim * n, n))
+
+
+# about 1 s for 200 examples on a 2-core Xeon
+@settings(max_examples=200, deadline=None)
+@given(modules(pool=ALL_ALGEBRAS), st.data())
+def test_cyclic_words_span_the_cyclic_submodule(M, data):
+    # a drawn vector mostly generates all of M, so the unit vectors, which
+    # often generate less, come too
+    p = M.algebra.p
+    drawn = data.draw(st.lists(st.integers(0, p - 1), min_size=M.dim, max_size=M.dim))
+    for v in [drawn, *np.eye(M.dim, dtype=np.int64)]:
+        assert cyclic_span(M, v) == M.submodule([v]).space
+
+
+@pytest.mark.parametrize("side", [LeftFModule, RightFModule])
+def test_cyclic_words_reach_the_last_power_of_x(side):
+    # the shift sends e_n to e_(n-1), so e_n generates everything, and only
+    # through X^(n-1)
+    n = 5
+    M = side(F2, [FpMatrix.identity(2, n)], FpMatrix(2, np.eye(n, k=1, dtype=np.int64)))
+    v = [0] * (n - 1) + [1]
+    assert cyclic_span(M, v).is_full() and M.submodule([v]).space.is_full()
+    lower = M._cyclic_words()[: (n - 1) * n]  # the words with j < n - 1
+    assert Subspace.from_vectors(2, n, mulmod(lower, np.array(v), 2).reshape(-1, n)).dim == n - 1
 
 
 # -- graded-annihilator sets against the submodule lattice ------------------------
