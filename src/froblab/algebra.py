@@ -85,19 +85,30 @@ class FiniteAlgebra:
         return np.zeros(self.dim, dtype=np.int64)
 
     def mul(self, u, v) -> np.ndarray:
-        u = as_vector(u, self.p)
-        v = as_vector(v, self.p)
-        return np.einsum("i,j,ijk->k", u, v, self.table) % self.p
+        return self._products(as_vector(u, self.p), as_vector(v, self.p))
+
+    def _products(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """u * v for reduced coordinate vectors, or row by row for two stacks
+        of them (arrays of shape (..., d)).
+
+        Contracting u, then v, with the table, reducing in between: each step
+        is a product with inner dimension d that mulmod guards, where one sum
+        of d^2 triple products below (p - 1)^3 would overflow int64.
+        """
+        d = self.dim
+        partial = mulmod(u, self.table.reshape(d, d * d), self.p).reshape(*u.shape[:-1], d, d)
+        return mulmod(v[..., None, :], partial, self.p)[..., 0, :]
 
     def power(self, u, k: int) -> np.ndarray:
-        result = self.one.copy()
-        base = as_vector(u, self.p)
+        """u^k for a coordinate vector u, or for each row of a stack of them."""
+        base = np.asarray(u, dtype=np.int64) % self.p
+        result = np.broadcast_to(self.one, base.shape)
         while k:
             if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = self._products(result, base)
+            base = self._products(base, base)
             k >>= 1
-        return result
+        return result.copy()
 
     def mult_matrix(self, u) -> FpMatrix:
         """The matrix of multiplication by u (column j = u * e_j)."""
@@ -131,9 +142,8 @@ class FiniteAlgebra:
     def frobenius(self) -> "FrobeniusData":
         """The p-th power map as a linear endomorphism, with its cycle data."""
         if self._frobenius is None:
-            eye = np.eye(self.dim, dtype=np.int64)
-            cols = [self.power(eye[i], self.p) for i in range(self.dim)]
-            F = FpMatrix(self.p, np.array(cols, dtype=np.int64).T)
+            # column i is e_i^p: one square-and-multiply on all the e_i at once
+            F = FpMatrix(self.p, self.power(np.eye(self.dim, dtype=np.int64), self.p).T)
             powers, preperiod, period = stabilize(
                 FpMatrix.identity(self.p, self.dim), lambda G: F @ G, lambda G: G.data.tobytes()
             )

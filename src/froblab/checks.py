@@ -14,7 +14,7 @@ import numpy as np
 from .duality import build_duality_context, check_duality_identities
 from .fmodule import LeftFModule, RightFModule, _FModule, semilinear_pairs
 from .generators import InstanceCatalog, sampled_modules
-from .linalg import FpMatrix, Subspace, mulmod
+from .linalg import FpMatrix, Subspace, mulmod, relations
 from .report import Report
 
 
@@ -92,8 +92,7 @@ def check_square_multiplier(name: str, M: RightFModule, report: Report) -> None:
         return
     power_images = [M.x_power(k).image() for k in range(1, M.dim + 2)]
     C = FpMatrix(A.p, power_images[0].annihilator().basis)
-    system = np.stack([(C @ a).data.ravel() for a in M.action], axis=1)
-    S = FpMatrix(A.p, system).kernel()
+    S = relations(A.p, np.stack([(C @ a).data.ravel() for a in M.action]))
     if A.p == 2:
         pairs = [(i, i) for i in range(S.dim)]
     else:

@@ -9,6 +9,7 @@ at every module size with no enumeration budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -175,7 +176,9 @@ def cmd_probe_question(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="froblab",
         description="Exact computations with modules over Frobenius skew polynomial rings",
@@ -195,14 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("algebra", help="algebra JSON file")
     p_analyze.add_argument("module", help="module JSON file")
     common(p_analyze)
-    p_analyze.set_defaults(func=cmd_analyze)
 
     p_dual = sub.add_parser("dualize", help="write the dual module")
     p_dual.add_argument("algebra")
     p_dual.add_argument("module")
     p_dual.add_argument("--out", required=True, help="path for the dual module file")
     p_dual.add_argument("--format", choices=("text", "structured"), default="text")
-    p_dual.set_defaults(func=cmd_dualize)
 
     p_fc = sub.add_parser("fclosure", help="Frobenius closure of an ideal")
     p_fc.add_argument("algebra")
@@ -212,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="ideal generators as comma-separated coordinate vectors",
     )
     common(p_fc)
-    p_fc.set_defaults(func=cmd_fclosure)
 
     p_check = sub.add_parser("check", help="run every verification suite")
     p_check.add_argument("catalog", nargs="?", help="catalog JSON file (default: built-in)")
@@ -221,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=4, help="random instances per algebra"
     )
     common(p_check)
-    p_check.set_defaults(func=cmd_check)
 
     p_probe = sub.add_parser(
         "probe-question",
@@ -229,16 +228,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_probe.add_argument("catalog", nargs="?")
     common(p_probe)
-    p_probe.set_defaults(func=cmd_probe_question)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so a command rebound on the module is the one run
+    commands = {
+        "analyze": cmd_analyze,
+        "dualize": cmd_dualize,
+        "fclosure": cmd_fclosure,
+        "check": cmd_check,
+        "probe-question": cmd_probe_question,
+    }
+    command = commands[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (AxiomError, BudgetError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

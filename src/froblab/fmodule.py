@@ -28,6 +28,7 @@ from .linalg import (
     mulmod,
     operator_kernel,
     quotient_maps,
+    relations,
     restrict,
 )
 from .skew import GradedTwoSidedIdeal
@@ -237,9 +238,9 @@ class _FModule:
         chain = []
         for n in range(self.fitting_index() + 1):
             power = self.x_power(n)
-            cols = np.stack([product(a, power).data.ravel() for a in self.action], axis=1)
+            rows = np.stack([product(a, power).data.ravel() for a in self.action])
             # an ideal because rho is multiplicative: rho(sr) = rho(s) rho(r)
-            space = FpMatrix(p, cols).kernel()
+            space = relations(p, rows)
             chain.append(Ideal(self.algebra, list(space.basis), space=space))
         return GradedTwoSidedIdeal(self.algebra, chain)
 

@@ -16,6 +16,9 @@ from .errors import AxiomError
 
 # Coefficients are machine integers reduced mod p; entries of a product of
 # two n x n matrices are bounded by n * (p-1)^2, which must fit in int64.
+# A product in an algebra of dimension d is two such products with inner
+# dimension d, each reduced before the next (FiniteAlgebra.mul), never one
+# sum of d^2 triple products, which passes int64 well below this limit.
 MAX_PRIME = 1 << 25
 
 
@@ -458,6 +461,22 @@ def quotient_maps(sub: Subspace) -> tuple[FpMatrix, FpMatrix]:
     eye = np.eye(n, dtype=np.int64)
     reduced, pivots = _rref(np.hstack([sub.basis.T, eye]), p)
     return FpMatrix(p, reduced[k:, k:]), FpMatrix(p, eye[:, [c - k for c in pivots[k:]]])
+
+
+def relations(p: int, rows: np.ndarray) -> Subspace:
+    """The relations {c : c @ rows == 0} among the rows of a k x N array,
+    inside F_p^k.
+
+    One elimination of [rows | I_k], which has k rows however long N is.
+    Its rank is k, and the rows whose pivot lies past column N are zero on
+    the rows part, so their I_k part is a combination killing rows; there
+    are k - rank(rows) of them, and in reduced echelon form they are
+    already the canonical basis of the relations.
+    """
+    k, n = rows.shape
+    space = Subspace.from_vectors(p, n + k, np.hstack([rows, np.eye(k, dtype=np.int64)]))
+    r = int(np.searchsorted(space.pivots, n))
+    return Subspace(p, k, np.ascontiguousarray(space.basis[r:, n:]), space.pivots[r:] - n)
 
 
 def image_rows(space: Subspace, operators) -> np.ndarray:

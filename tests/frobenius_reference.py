@@ -1,10 +1,11 @@
 """The Frobenius-derived maps the cycle replaced: the references for them.
 
-froblab reads every power of F, the nilradical and the Cartier structure of a
+froblab builds F by raising all basis elements to the p-th power at once,
+and reads every power of F, the nilradical and the Cartier structure of a
 reduced algebra off the Frobenius cycle.  Here each is computed the old way:
-powers by repeated squaring, the nilradical as the kernel of one large power
-of F, and the Cartier structure from a Frobenius splitting solved for as a
-linear system.
+F one basis element at a time, powers by repeated squaring, the nilradical as
+the kernel of one large power of F, and the Cartier structure from a
+Frobenius splitting solved for as a linear system.
 """
 import numpy as np
 
@@ -23,6 +24,12 @@ def frobenius_pool() -> list[FiniteAlgebra]:
         + enumerate_local_algebras(3, 2)
         + [product_algebra(prime_field(2), extension_field(2, [1, 1, 0, 1]))]
     )
+
+
+def frobenius_by_basis_powers(A: FiniteAlgebra) -> FpMatrix:
+    """F with column i = e_i^p, one square-and-multiply per basis element."""
+    eye = np.eye(A.dim, dtype=np.int64)
+    return FpMatrix(A.p, np.array([A.power(eye[i], A.p) for i in range(A.dim)]).T)
 
 
 def nilradical_by_squaring(A: FiniteAlgebra) -> Subspace:

@@ -18,7 +18,7 @@ from froblab.algebra import (
 from froblab.errors import AxiomError
 from froblab.generators import enumerate_local_algebras, standard_algebras
 from froblab.linalg import FpMatrix, Subspace, close_under, quotient_representatives
-from frobenius_reference import frobenius_pool, nilradical_by_squaring
+from frobenius_reference import frobenius_by_basis_powers, frobenius_pool, nilradical_by_squaring
 
 
 F2 = prime_field(2)
@@ -139,6 +139,64 @@ def test_frobenius_matrix_agrees_with_element_powers():
         for _ in range(10):
             v = np.array([rng.randrange(A.p) for _ in range(A.dim)], dtype=np.int64)
             assert np.array_equal(F.apply(v), A.power(v, A.p))
+
+
+def exact_mul(A: FiniteAlgebra, u, v) -> list[int]:
+    """Oracle: u * v in Python integers, reduced once at the end."""
+    d, t = A.dim, A.table.tolist()
+    u, v = [int(c) for c in u], [int(c) for c in v]
+    return [
+        sum(u[i] * v[j] * t[i][j][k] for i in range(d) for j in range(d)) % A.p
+        for k in range(d)
+    ]
+
+
+def exact_power(A: FiniteAlgebra, u, k: int) -> list[int]:
+    result, base = [int(c) for c in A.one], [int(c) for c in u]
+    while k:
+        if k & 1:
+            result = exact_mul(A, result, base)
+        base = exact_mul(A, base, base)
+        k >>= 1
+    return result
+
+
+@st.composite
+def dense_extension_fields(draw):
+    """F_p[u]/(m(u)) for a monic m with every coefficient nonzero, so that the
+    table is dense; m need not be irreducible, validation does not ask it."""
+    p = draw(st.sampled_from([2, 3, 1048573, 33554393]))
+    degree = draw(st.integers(1, 5))
+    coeffs = draw(st.lists(st.integers(1, p - 1), min_size=degree, max_size=degree))
+    return extension_field(p, coeffs + [1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_extension_fields(), st.data())
+def test_mul_and_power_are_exact_below_the_word_limit(A, data):
+    element = st.lists(st.integers(0, A.p - 1), min_size=A.dim, max_size=A.dim)
+    u, v = data.draw(element), data.draw(element)
+    assert A.mul(u, v).tolist() == exact_mul(A, u, v)
+    k = data.draw(st.integers(0, 3 * A.p))
+    assert A.power(u, k).tolist() == exact_power(A, u, k)
+    # a stack of elements is raised row by row
+    stack = np.array([u, v], dtype=np.int64)
+    assert A.power(stack, k).tolist() == [exact_power(A, u, k), exact_power(A, v, k)]
+
+
+def test_frobenius_is_exact_for_a_prime_near_the_word_limit():
+    # one sum of d^2 triple products below (p - 1)^3 overflows int64 here
+    p = 33554393
+    A = extension_field(p, [5, p - 7, p - 11, 1])
+    assert A.power([0, 1, 0], p).tolist() == [3728274, 11184806, 7456531]
+    exact = [exact_power(A, row, p) for row in np.eye(3, dtype=np.int64)]
+    assert A.frobenius().matrix == FpMatrix(p, np.array(exact).T)
+    assert A.frobenius().matrix == frobenius_by_basis_powers(A)
+
+
+def test_frobenius_matches_the_per_basis_powers():
+    for A in frobenius_pool():
+        assert A.frobenius().matrix == frobenius_by_basis_powers(A)
 
 
 def test_nilradical_known_cases():

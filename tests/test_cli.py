@@ -1,11 +1,15 @@
+import argparse
 import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from froblab import fileio
+import froblab
+from froblab import cli, fileio
 from froblab.algebra import prime_field, truncated_polynomial_algebra
 from froblab.cli import main
 from froblab.fmodule import RightFModule, natural_frobenius_module
@@ -354,6 +358,60 @@ def test_check_exits_1_on_identity_failure(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_catalog_checks", fake_checks)
     assert main(["check", "--budget", "1"]) == 1
     assert "fake_law" in capsys.readouterr().out
+
+
+def test_the_parser_is_built_once_per_process(fixtures, monkeypatch, capsys):
+    _, alg, mod, _ = fixtures
+    built: list[str] = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["analyze", alg, mod]) == 0
+    assert built.count("froblab") == 1
+    first = len(built)
+    assert main(["analyze", alg, mod]) == 0
+    assert len(built) == first
+
+
+def test_a_command_rebound_after_the_first_call_is_the_one_run(fixtures, monkeypatch, capsys):
+    _, alg, mod, _ = fixtures
+    assert main(["analyze", alg, mod]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.module) or 0)
+    assert main(["analyze", alg, mod]) == 0
+    assert seen == [mod]
+
+
+@pytest.mark.parametrize(
+    "argv,usage",
+    [(["no-such-command"], "usage: froblab "), (["analyze"], "usage: froblab analyze ")],
+)
+def test_bad_arguments_exit_2_after_a_successful_call(fixtures, capsys, argv, usage):
+    _, alg, mod, _ = fixtures
+    assert main(["analyze", alg, mod]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert usage in capsys.readouterr().err
+    assert main(["analyze", alg, mod]) == 0
+
+
+def test_python_dash_m_runs_the_command_line(fixtures):
+    _, alg, mod, _ = fixtures
+    src = os.path.dirname(os.path.dirname(froblab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "froblab", "analyze", alg, mod],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "torsion_exponent: 1" in done.stdout
 
 
 def test_probe_question_counts(capsys):

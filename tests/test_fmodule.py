@@ -22,6 +22,7 @@ from froblab.checks import (
     module_suite,
 )
 from froblab import fmodule as fmodule_mod
+from froblab import linalg
 from froblab.errors import AxiomError, BudgetError
 from froblab.fmodule import (
     FSubmodule,
@@ -392,6 +393,32 @@ def test_stabilization_is_permanent():
 
 
 # -- the cached powers of x against the chains they replaced ------------------------
+
+
+def test_graded_annihilator_is_one_elimination_per_entry(monkeypatch):
+    """Each entry b_n is the relations among the d products rho(e_i) X^n (or
+    X^n rho(e_i)): one elimination on d rows, also past LIST_KERNEL_CELLS."""
+    # 14 copies of the natural module over F2[t]/t^3: 3 x (42^2 + 3) entries
+    copies = np.eye(14, dtype=np.int64)
+    nat = natural_frobenius_module(F2T3)
+    big = LeftFModule(
+        F2T3,
+        [FpMatrix(2, np.kron(copies, a.data)) for a in nat.action],
+        FpMatrix(2, np.kron(copies, nat.x_action.data)),
+    )
+    catalog = [M for _, M in default_catalog().modules.values()]
+    for M in catalog + [big]:
+        for N in (M, dual_module(M, build_duality_context(M.algebra))):
+            entries = N.fitting_index() + 1
+            for n in range(entries):
+                N.x_power(n)  # the powers of x and the Fitting index are cached
+            counts: list[int] = []
+            real = linalg._rref
+            monkeypatch.setattr(linalg, "_rref", lambda a, p: counts.append(a.shape[0]) or real(a, p))
+            got = N.graded_annihilator()
+            monkeypatch.undo()
+            assert counts == [N.algebra.dim] * entries
+            assert got == reference.graded_annihilator(N)
 
 
 @settings(max_examples=150, deadline=None)

@@ -17,8 +17,10 @@ from froblab.linalg import (
     operator_kernel,
     operator_solve,
     is_prime,
+    mulmod,
     quotient_maps,
     quotient_representatives,
+    relations,
     restrict,
     stabilize,
 )
@@ -469,6 +471,67 @@ def test_quotient_maps_is_one_elimination(monkeypatch):
         monkeypatch.undo()
         assert len(counts) == 1
         assert got == reference_quotient_maps(sub)
+
+
+# -- relations among rows against the kernel of the transpose ---------------------
+
+
+def reference_relations(p: int, rows: np.ndarray) -> Subspace:
+    """The kernel of the N x k transpose: two eliminations on N rows."""
+    return FpMatrix(p, rows.T).kernel()
+
+
+@st.composite
+def relation_rows(draw):
+    """A k x N array whose rows are zero, repeats or combinations of earlier
+    rows, or drawn afresh."""
+    p = draw(st.sampled_from([2, 3, 1048573]))
+    k, n = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    rows = np.zeros((k, n), dtype=np.int64)
+    for i in range(k):
+        kind = draw(st.sampled_from(["zero", "repeat", "combine", "fresh"] if i else ["zero", "fresh"]))
+        if kind == "repeat":
+            rows[i] = rows[draw(st.integers(0, i - 1))]
+        elif kind == "combine":
+            coeffs = np.array(draw(st.lists(entry, min_size=i, max_size=i)), dtype=np.int64)
+            rows[i] = (coeffs @ rows[:i]) % p
+        elif kind == "fresh":
+            rows[i] = draw(st.lists(entry, min_size=n, max_size=n))
+    return p, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation_rows())
+@example((2, np.zeros((0, 4), dtype=np.int64)))
+@example((3, np.zeros((3, 0), dtype=np.int64)))
+@example((3, np.zeros((0, 0), dtype=np.int64)))
+@example((2, np.zeros((3, 4), dtype=np.int64)))
+@example((3, np.array([[1, 2, 0], [1, 2, 0], [2, 1, 0]], dtype=np.int64)))
+@example((1048573, np.array([[1, 0, 0, 5], [0, 1, 0, 7], [0, 0, 1, 9]], dtype=np.int64)))
+def test_relations_match_the_kernel_of_the_transpose(case):
+    p, rows = case
+    got, want = relations(p, rows), reference_relations(p, rows)
+    assert got.ambient_dim == want.ambient_dim == rows.shape[0]
+    assert got.basis.shape == want.basis.shape
+    assert got.basis.tolist() == want.basis.tolist()
+    assert got.pivots.tolist() == want.pivots.tolist()
+    assert not mulmod(got.basis, rows, p).any()
+
+
+def test_relations_is_one_elimination_on_k_rows(monkeypatch):
+    rng = np.random.default_rng(5)
+    cases = [(2, np.zeros((0, 3), dtype=np.int64)), (3, rng.integers(0, 3, (4, 9)))]
+    # 3 x (2000 + 3) entries: past LIST_KERNEL_CELLS, on the numpy kernel
+    wide = rng.integers(0, 1048573, (3, 2000))
+    cases.append((1048573, np.vstack([wide[:2], (wide[0] + 5 * wide[1]) % 1048573])))
+    for p, rows in cases:
+        counts = _count_eliminated_rows(monkeypatch)
+        got = relations(p, rows)
+        monkeypatch.undo()
+        assert counts == [rows.shape[0]]
+        assert got == reference_relations(p, rows)
+    assert got.dim == 1
 
 
 def test_from_vectors_keeps_its_messages():
