@@ -259,13 +259,27 @@ class FpMatrix:
         return len(_rref(self.data, self.p)[1])
 
     def kernel(self) -> "Subspace":
-        """The solution space of self @ v == 0, inside F_p^cols."""
-        reduced, pivots = _rref(self.data, self.p)
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = np.zeros((len(free), self.cols), dtype=np.int64)
+        """The solution space of self @ v == 0, inside F_p^cols, in one elimination.
+
+        Eliminate the column-reversed matrix, with echelon basis R and pivots
+        P, and take its free-variable basis: the vector w_f for a free
+        column f has w_f[f] = 1, w_f[P_r] = -R[r, f] and zeros elsewhere.
+        Row r of R is zero left of P_r, so R[r, f] != 0 only for P_r < f:
+        every entry of w_f other than the 1 lies left of f, and w_f is zero
+        at the other free columns.  Flipped back, each vector has its
+        leading 1 at its free column and zeros at the other free columns,
+        so the flipped vectors, ordered by free column, are already the
+        reduced echelon basis of the kernel.
+        """
+        p, n = self.p, self.cols
+        flipped = Subspace.from_vectors(p, n, self.data[:, ::-1])
+        pivots = flipped.pivots.tolist()
+        pivot_set = set(pivots)
+        free = [c for c in range(n - 1, -1, -1) if c not in pivot_set]
+        basis = np.zeros((len(free), n), dtype=np.int64)
         basis[range(len(free)), free] = 1
-        basis[:, pivots] = (-reduced[: len(pivots), free].T) % self.p
-        return Subspace.from_vectors(self.p, self.cols, basis)
+        basis[:, pivots] = (-flipped.basis[:, free].T) % p
+        return Subspace(p, n, basis[:, ::-1].copy(), [n - 1 - c for c in free])
 
     def image(self) -> "Subspace":
         """The column span of the matrix, inside F_p^rows."""
@@ -558,39 +572,118 @@ def combine(p: int, shape: tuple[int, int], coeffs, matrices) -> FpMatrix:
     return FpMatrix(p, total)
 
 
-def _intertwiner_system(p: int, shape: tuple[int, int], pairs) -> np.ndarray:
-    """Matrix of X -> [X A_i - B_i X]_i on row-major vec(X), X of the given shape.
+def _stacks(shape: tuple[int, int], pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The A_i as one d x cols x cols array and the B_i as one d x rows x rows."""
+    rows, cols = shape
+    pairs = list(pairs)
+    a = np.array([a.data for a, _ in pairs], dtype=np.int64).reshape(len(pairs), cols, cols)
+    b = np.array([b.data for _, b in pairs], dtype=np.int64).reshape(len(pairs), rows, rows)
+    return a, b
+
+
+def _intertwiner_system(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix of X -> [X A_i - B_i X]_i on row-major vec(X), for stacks of the
+    A_i (d x cols x cols) and the B_i (d x rows x rows).
 
     Row-major vec turns X A into (I_rows kron A^T) vec X and B X into
-    (B kron I_cols) vec X.
+    (B kron I_cols) vec X; all d blocks come from one broadcast, indexed
+    [i, r, c, r', c'] before the reshape.
     """
-    rows, cols = shape
-    eye_r = np.eye(rows, dtype=np.int64)
-    eye_c = np.eye(cols, dtype=np.int64)
-    blocks = [np.kron(eye_r, a.data.T) - np.kron(b.data, eye_c) for a, b in pairs]
-    return np.vstack(blocks) % p
+    d, rows, cols = a.shape[0], b.shape[1], a.shape[1]
+    eye_r = np.eye(rows, dtype=np.int64)[None, :, None, :, None]
+    eye_c = np.eye(cols, dtype=np.int64)[None, None, :, None, :]
+    system = eye_r * a.transpose(0, 2, 1)[:, None, :, None, :] - b[:, :, None, :, None] * eye_c
+    return system.reshape(d * rows * cols, rows * cols) % p
+
+
+def _blocks(n: int, stack: np.ndarray) -> list[np.ndarray]:
+    """The finest partition of range(n) on which every matrix of the stack is
+    block diagonal, as ascending index arrays ordered by their least index.
+
+    A union-find over the union of the nonzero patterns; each root is the
+    least index of its block.
+    """
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in zip(*np.nonzero(stack.any(axis=0))):
+        ri, rj = find(int(i)), find(int(j))
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    blocks: dict[int, list[int]] = {}
+    for i in range(n):
+        blocks.setdefault(find(i), []).append(i)
+    return [np.array(block, dtype=np.intp) for block in blocks.values()]
 
 
 def operator_kernel(p: int, shape: tuple[int, int], pairs) -> list[FpMatrix]:
     """Basis of {X : X A_i == B_i X for every pair (A_i, B_i)}, in canonical order.
 
     X has the given (rows, cols) shape, so A_i is cols x cols and B_i is
-    rows x rows.
+    rows x rows.  With no pairs every X is a solution.
+
+    A system past LIST_KERNEL_CELLS splits by blocks.  Let the row blocks I
+    and column blocks J be the finest partitions on which every B_i and
+    every A_i is block diagonal.  Then (X A_i)[I, J] = X[I, J] A_i[J, J] and
+    (B_i X)[I, J] = B_i[I, I] X[I, J], so X[I, J] is an independent
+    |I| x |J| system per block pair, solved once per distinct sub-block
+    data (block modules repeat the same cyclic quotient).  The embedding
+    (a, b) -> (I[a], J[b]) of each pair's canonical kernel basis preserves
+    row-major order, as I and J ascend, so each embedded vector keeps its
+    leading 1 and is zero at the other pivots of its pair.  Different pairs
+    have disjoint supports, so no vector is nonzero at another pair's
+    pivot.  The union, ordered by pivot, is therefore the reduced echelon
+    basis of the whole kernel: the same list the whole system gives.
     """
     rows, cols = shape
     if rows * cols == 0:
         return []
-    kernel = FpMatrix(p, _intertwiner_system(p, shape, pairs)).kernel()
-    return [FpMatrix(p, vec.reshape(rows, cols)) for vec in kernel.basis]
+    a, b = _stacks(shape, pairs)
+    if a.shape[0] * (rows * cols) ** 2 > LIST_KERNEL_CELLS:
+        row_blocks, col_blocks = _blocks(rows, b), _blocks(cols, a)
+        if len(row_blocks) * len(col_blocks) > 1:
+            return _block_pair_kernel(p, shape, a, b, row_blocks, col_blocks)
+    kernel = FpMatrix(p, _intertwiner_system(p, a, b)).kernel()
+    return [FpMatrix(p, vec.reshape(shape)) for vec in kernel.basis]
+
+
+def _block_pair_kernel(p: int, shape: tuple[int, int], a, b, row_blocks, col_blocks) -> list[FpMatrix]:
+    """operator_kernel solved per block pair (I, J) and embedded, in pivot order."""
+    rows, cols = shape
+    solved: dict[bytes, Subspace] = {}
+    found = []  # (pivot in vec X, I, J, vector of the pair's kernel)
+    for I in row_blocks:
+        b_sub = b[:, I[:, None], I]
+        for J in col_blocks:
+            a_sub = a[:, J[:, None], J]
+            key = b"%d,%d;" % (len(I), len(J)) + a_sub.tobytes() + b_sub.tobytes()
+            if key not in solved:
+                solved[key] = FpMatrix(p, _intertwiner_system(p, a_sub, b_sub)).kernel()
+            kernel = solved[key]
+            for vec, q in zip(kernel.basis, kernel.pivots.tolist()):
+                found.append((int(I[q // len(J)]) * cols + int(J[q % len(J)]), I, J, vec))
+    found.sort(key=lambda item: item[0])
+    out = []
+    for _, I, J, vec in found:
+        x = np.zeros((rows, cols), dtype=np.int64)
+        x[I[:, None], J] = vec.reshape(len(I), len(J))
+        out.append(FpMatrix(p, x))
+    return out
 
 
 def operator_solve(p: int, shape: tuple[int, int], pairs, rhs) -> FpMatrix | None:
     """One X with X A_i - B_i X == rhs_i for every pair, or None.
 
-    rhs holds one matrix of the given shape per pair.
+    rhs holds one matrix of the given shape per pair; with no pairs every X
+    is a solution, and the zero matrix is returned.
     """
     rhs = np.asarray(rhs, dtype=np.int64).ravel() % p
-    sol = FpMatrix(p, _intertwiner_system(p, shape, pairs)).solve(rhs)
+    sol = FpMatrix(p, _intertwiner_system(p, *_stacks(shape, pairs))).solve(rhs)
     if sol is None:
         return None
     return FpMatrix(p, sol.reshape(shape))

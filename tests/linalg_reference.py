@@ -1,0 +1,40 @@
+"""The routes the one-elimination kernel and the block-split intertwiner
+solver replaced, kept as the references they are checked against.
+
+- `two_elimination_kernel`: eliminate the matrix, build the free-variable
+  basis, then bring that basis to canonical form with a second elimination.
+- `kron_intertwiner_system`: the system of X -> [X A_i - B_i X]_i built from
+  2 d `np.kron` calls.
+- `whole_operator_kernel`: one kernel of the whole stacked system, with both
+  of the above, never split by blocks.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from froblab.linalg import FpMatrix, Subspace, _rref
+
+
+def two_elimination_kernel(m: FpMatrix) -> Subspace:
+    reduced, pivots = _rref(m.data, m.p)
+    free = [c for c in range(m.cols) if c not in pivots]
+    basis = np.zeros((len(free), m.cols), dtype=np.int64)
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = (-reduced[: len(pivots), free].T) % m.p
+    return Subspace.from_vectors(m.p, m.cols, basis)
+
+
+def kron_intertwiner_system(p: int, shape: tuple[int, int], pairs) -> np.ndarray:
+    rows, cols = shape
+    eye_r = np.eye(rows, dtype=np.int64)
+    eye_c = np.eye(cols, dtype=np.int64)
+    blocks = [np.kron(eye_r, a.data.T) - np.kron(b.data, eye_c) for a, b in pairs]
+    return np.vstack([np.zeros((0, rows * cols), dtype=np.int64), *blocks]) % p
+
+
+def whole_operator_kernel(p: int, shape: tuple[int, int], pairs) -> list[FpMatrix]:
+    rows, cols = shape
+    if rows * cols == 0:
+        return []
+    kernel = two_elimination_kernel(FpMatrix(p, kron_intertwiner_system(p, shape, pairs)))
+    return [FpMatrix(p, vec.reshape(rows, cols)) for vec in kernel.basis]

@@ -39,7 +39,14 @@ from froblab.fmodule import (
     twisted_modules_isomorphic,
 )
 from froblab.duality import build_duality_context, dual_left, dual_module
-from froblab.generators import default_catalog, random_module, sampled_modules, standard_algebras
+from froblab import generators as generators_mod
+from froblab.generators import (
+    default_catalog,
+    random_module,
+    sampled_modules,
+    semilinear_solution_space,
+    standard_algebras,
+)
 from froblab.linalg import FpMatrix, Subspace, as_vector, mulmod, quotient_representatives, stabilize
 from froblab.report import Report
 from froblab.skew import (
@@ -53,6 +60,7 @@ from froblab.skew import (
 import fmodule_reference as reference
 from frobenius_reference import cartier_by_splitting_solve, frobenius_pool, nilradical_by_squaring
 from fmodule_reference import act, apply_x_power
+from linalg_reference import whole_operator_kernel
 from module_strategies import (
     ALL_ALGEBRAS,
     LARGE_PRIME,
@@ -1231,6 +1239,67 @@ def test_random_modules_satisfy_semilinearity():
                     assert M.x_action @ M.action[i] == frob @ M.x_action
                 else:
                     assert M.x_action @ frob == M.action[i] @ M.x_action
+
+
+# -- the whole-system intertwiner solver the block split replaced ----------------
+
+
+def _bases(mats) -> list:
+    return [m.data.tolist() for m in mats]
+
+
+def test_solution_spaces_and_random_modules_match_the_whole_system(monkeypatch):
+    # past LIST_KERNEL_CELLS operator_kernel splits the semilinearity system
+    # by blocks; the basis, and with it every random draw, is the whole
+    # system's
+    split = 0
+    for name in ["F2[t]/t3", "F3[t]/t2", "F2xF2", "F4", "F5", "Fl[t]/t2"]:
+        A = ALL_ALGEBRAS[name]
+        for side in ("left", "right"):
+            for seed in range(5):
+                M = random_module(A, side, 10, random.Random(seed))
+                with monkeypatch.context() as patch:
+                    patch.setattr(generators_mod, "operator_kernel", whole_operator_kernel)
+                    whole = random_module(A, side, 10, random.Random(seed))
+                assert M.action == whole.action and M.x_action == whole.x_action
+                pairs = semilinear_pairs(A, M.action, side)
+                got = semilinear_solution_space(M.action, A, side)
+                assert _bases(got) == _bases(whole_operator_kernel(A.p, (M.dim, M.dim), pairs))
+                split += A.dim * M.dim**4 > linalg.LIST_KERNEL_CELLS
+    assert split >= 20
+
+
+def _direct_sum(M: _FModule, N: _FModule) -> _FModule:
+    def block(a: FpMatrix, b: FpMatrix) -> FpMatrix:
+        out = np.zeros((M.dim + N.dim, M.dim + N.dim), dtype=np.int64)
+        out[: M.dim, : M.dim], out[M.dim :, M.dim :] = a.data, b.data
+        return FpMatrix(M.algebra.p, out)
+
+    actions = [block(a, b) for a, b in zip(M.action, N.action)]
+    return type(M)(M.algebra, actions, block(M.x_action, N.x_action))
+
+
+def test_hom_space_with_linking_x_matches_the_whole_system():
+    # in a direct sum of two random modules x links the ring action's blocks
+    # within each summand, so the Hom system splits into summand pairs
+    split = 0
+    for name in ["F2[t]/t2", "F3[t]/t2", "Fl[t]/t2"]:
+        A = ALL_ALGEBRAS[name]
+        for side in ("left", "right"):
+            rng = random.Random(7)
+            for _ in range(3):
+                M = _direct_sum(random_module(A, side, 6, rng), random_module(A, side, 6, rng))
+                N = _direct_sum(random_module(A, side, 6, rng), random_module(A, side, 6, rng))
+                pairs = list(zip(M.action, N.action)) + [(M.x_action, N.x_action)]
+                action = np.array([m.data for m in M.action])
+                with_x = np.vstack([action, M.x_action.data[None]])
+                blocks = len(linalg._blocks(M.dim, with_x))
+                big = len(pairs) * (M.dim * N.dim) ** 2 > linalg.LIST_KERNEL_CELLS
+                split += big and 1 < blocks < len(linalg._blocks(M.dim, action))
+                got = hom_space(M, N)
+                assert _bases(got) == _bases(whole_operator_kernel(A.p, (N.dim, M.dim), pairs))
+                assert all(h @ M.x_action == N.x_action @ h for h in got)
+    assert split >= 12
 
 
 def test_square_multiplier_property():

@@ -24,6 +24,7 @@ from froblab.linalg import (
     restrict,
     stabilize,
 )
+from linalg_reference import kron_intertwiner_system, two_elimination_kernel, whole_operator_kernel
 
 
 def brute_kernel(m: FpMatrix) -> set[tuple[int, ...]]:
@@ -335,15 +336,15 @@ def test_preimage_matches_annihilator_reference(case):
 
 
 def test_preimage_is_one_kernel(monkeypatch):
-    # the residue m - B^T m[P] needs one elimination, plus the canonical
-    # form of its kernel; the annihilator route took four
+    # the residue m - B^T m[P] needs one elimination, whose free-variable
+    # basis is already canonical; the annihilator route took four
     m = FpMatrix(3, [[1, 2, 0, 1], [0, 1, 1, 0], [2, 2, 1, 1]])
     target = Subspace.from_vectors(3, 3, [[1, 1, 0]])
     counts = _count_eliminated_rows(monkeypatch)
     got = m.preimage(target)
     monkeypatch.undo()
     assert got == _preimage_reference(m, target)
-    assert len(counts) == 2
+    assert len(counts) == 1
 
 
 def test_quotient_representatives_extend_sub():
@@ -699,6 +700,185 @@ def test_operator_kernel_and_solve_match_reference(system, data):
     assert (got is None) == (want is None)
     if want is not None:
         assert got.data.tolist() == want.tolist()
+
+
+# -- the two-elimination kernel and the whole-system intertwiner solver ---------
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Matrices with zero rows, zero columns and repeated rows, full rank
+    ones, and ones past LIST_KERNEL_CELLS (the numpy kernel)."""
+    p = draw(st.sampled_from([2, 3, 1048573]))
+    kind = draw(st.sampled_from(["small", "small", "small", "full", "big"]))
+    if kind == "big":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        cols = draw(st.integers(20, 90))
+        rows = LIST_KERNEL_CELLS // cols + draw(st.integers(1, 30))
+        a = rng.integers(0, p, (rows, cols))
+        a[rng.random((rows, cols)) < draw(st.sampled_from([0.5, 0.9, 0.99]))] = 0
+    else:
+        rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+        if kind == "full":
+            rows = cols = max(rows, 1)
+        entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+        a = np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)), dtype=np.int64)
+        a = a.reshape(rows, cols)
+        if kind == "full":
+            a = np.triu(a, 1) + np.diag(draw(st.lists(st.integers(1, p - 1), min_size=rows, max_size=rows)))
+            return FpMatrix(p, a[draw(st.permutations(range(rows)))])
+    if rows:
+        for i in draw(st.lists(st.integers(0, rows - 1), max_size=3)):
+            a[i] = 0
+        for i, j in draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, rows - 1)), max_size=3)):
+            a[j] = a[i]
+    if cols:
+        for c in draw(st.lists(st.integers(0, cols - 1), max_size=3)):
+            a[:, c] = 0
+    return FpMatrix(p, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_matrices())
+@example(FpMatrix(2, np.zeros((0, 4), dtype=np.int64)))
+@example(FpMatrix(3, np.zeros((4, 0), dtype=np.int64)))
+@example(FpMatrix(3, np.zeros((3, 5), dtype=np.int64)))
+@example(FpMatrix.identity(1048573, 5))
+@example(FpMatrix(3, [[1, 2, 0, 1], [1, 2, 0, 1], [2, 1, 0, 2]]))
+def test_kernel_matches_the_two_elimination_reference(m):
+    got, want = m.kernel(), two_elimination_kernel(m)
+    assert got.ambient_dim == want.ambient_dim == m.cols
+    assert got.basis.shape == want.basis.shape
+    assert got.basis.dtype == np.int64
+    assert got.basis.tolist() == want.basis.tolist()
+    assert got.pivots.tolist() == want.pivots.tolist()
+    assert not got.basis.flags.writeable
+
+
+def test_kernel_is_one_elimination(monkeypatch):
+    rng = np.random.default_rng(3)
+    mats = [FpMatrix(2, np.zeros((0, 3), dtype=np.int64)), FpMatrix.identity(3, 4)]
+    mats.append(FpMatrix(1048573, rng.integers(0, 1048573, (4, 9))))
+    # 70 x 70 entries: past LIST_KERNEL_CELLS, on the numpy kernel
+    mats.append(FpMatrix(5, np.vstack([rng.integers(0, 5, (60, 70)), np.zeros((10, 70), dtype=np.int64)])))
+    for m in mats:
+        counts = _count_eliminated_rows(monkeypatch)
+        got = m.kernel()
+        monkeypatch.undo()
+        assert counts == [m.rows]
+        assert got == two_elimination_kernel(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(intertwiner_systems(), st.integers(0, 3))
+def test_intertwiner_system_matches_the_kron_reference(system, keep):
+    p, shape, pairs = system
+    pairs = pairs[:keep]
+    got = linalg._intertwiner_system(p, *linalg._stacks(shape, pairs))
+    want = kron_intertwiner_system(p, shape, pairs)
+    assert got.shape == want.shape == (len(pairs) * shape[0] * shape[1], shape[0] * shape[1])
+    assert got.tolist() == want.tolist()
+
+
+def test_no_pairs_leave_every_matrix_a_solution():
+    units = operator_kernel(2, (2, 2), [])
+    assert [m.data.tolist() for m in units] == [
+        [[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]],
+    ]
+    assert operator_solve(2, (2, 2), [], []) == FpMatrix.zeros(2, 2, 2)
+    assert [m.data.ravel().tolist() for m in operator_kernel(3, (3, 1), [])] == np.eye(3).tolist()
+    assert operator_solve(3, (1, 3), [], []) == FpMatrix.zeros(3, 1, 3)
+
+
+def _block_stack(p: int, d: int, sizes: list[int], kind: str, rng) -> np.ndarray:
+    """d matrices that are block diagonal with the given block sizes.
+
+    kind "repeated" uses one set of blocks per size, "conjugated" conjugates
+    each set by an invertible matrix of its own, "permuted" shuffles the
+    indices, so the blocks are not contiguous; "contiguous" is none of these.
+    """
+    n = sum(sizes)
+    stack = np.zeros((d, n, n), dtype=np.int64)
+    shared: dict[int, np.ndarray] = {}
+    offset = 0
+    for k in sizes:
+        if kind == "repeated" and k in shared:
+            blocks = shared[k]
+        else:
+            blocks = rng.choice([0, 0, 1, p - 1, int(rng.integers(0, p))], (d, k, k))
+            shared[k] = blocks
+        if kind == "conjugated":
+            s = FpMatrix(p, np.triu(rng.integers(0, p, (k, k)), 1) + np.eye(k, dtype=np.int64))
+            s = FpMatrix(p, s.data[rng.permutation(k)])
+            blocks = np.array([(s.inverse() @ FpMatrix(p, m) @ s).data for m in blocks])
+        stack[:, offset : offset + k, offset : offset + k] = blocks
+        offset += k
+    if kind == "permuted":
+        perm = rng.permutation(n)
+        stack = stack[:, perm][:, :, perm]
+    return stack % p
+
+
+@st.composite
+def block_systems(draw):
+    """Intertwiner systems past LIST_KERNEL_CELLS whose A_i and B_i are block
+    diagonal; B is sometimes A itself, so that the kernel is a commutant."""
+    p = draw(st.sampled_from([2, 3, 1048573]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["contiguous", "permuted", "conjugated", "repeated"]))
+
+    def sizes():
+        out = []
+        while sum(out) < 9:
+            out.append(draw(st.integers(1, 4)))
+        return out
+
+    a = _block_stack(p, d, sizes(), kind, rng)
+    b = a if draw(st.booleans()) else _block_stack(p, d, sizes(), kind, rng)
+    pairs = [(FpMatrix(p, x), FpMatrix(p, y)) for x, y in zip(a, b)]
+    return p, (b.shape[1], a.shape[1]), pairs
+
+
+@settings(max_examples=25, deadline=None)
+@given(block_systems())
+def test_split_operator_kernel_matches_the_whole_system(system):
+    p, shape, pairs = system
+    assert len(pairs) * (shape[0] * shape[1]) ** 2 > LIST_KERNEL_CELLS
+    got = operator_kernel(p, shape, pairs)
+    want = whole_operator_kernel(p, shape, pairs)
+    assert [m.data.tolist() for m in got] == [m.data.tolist() for m in want]
+    assert all((x @ a == b @ x) for x in got[:5] for a, b in pairs)
+
+
+def test_split_solves_each_distinct_block_pair_once(monkeypatch):
+    # ten equal 1 x 1 blocks and one 2 x 2 block: 4 distinct block pairs
+    p = 3
+    j = np.array([[0, 1], [0, 0]])
+    a = np.zeros((12, 12), dtype=np.int64)
+    a[10:, 10:] = j
+    pairs = [(FpMatrix(p, a), FpMatrix(p, a))]
+    counts = _count_eliminated_rows(monkeypatch)
+    got = operator_kernel(p, (12, 12), pairs)
+    monkeypatch.undo()
+    assert sorted(counts) == [1, 2, 2, 4]
+    assert [m.data.tolist() for m in got] == [m.data.tolist() for m in whole_operator_kernel(p, (12, 12), pairs)]
+    # the commutant: 100 entries among the zero 1 x 1 blocks, one in each
+    # of the 20 rectangular pairs and 2 in the Jordan block
+    assert len(got) == 100 + 20 + 2
+
+
+def test_single_block_past_the_crossover_is_one_elimination(monkeypatch):
+    # a 9 x 9 shift links every index: nothing splits
+    p = 1048573
+    shift = FpMatrix(p, np.eye(9, k=1, dtype=np.int64))
+    pairs = [(shift, shift)]
+    counts = _count_eliminated_rows(monkeypatch)
+    got = operator_kernel(p, (9, 9), pairs)
+    monkeypatch.undo()
+    assert counts == [81]
+    assert [m.data.tolist() for m in got] == [m.data.tolist() for m in whole_operator_kernel(p, (9, 9), pairs)]
+    assert len(got) == 9
 
 
 def test_stabilize_period_three_cycle():
