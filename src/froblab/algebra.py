@@ -18,6 +18,7 @@ from .linalg import (
     Subspace,
     as_vector,
     check_word_size,
+    int_array,
     is_prime,
     mulmod,
     restrict,
@@ -30,7 +31,7 @@ class FiniteAlgebra:
 
     def __init__(self, p: int, table, one, labels: list[str] | None = None):
         self.p = int(p)
-        self.table = np.asarray(table, dtype=np.int64) % self.p
+        self.table = int_array(table, self.p)
         if self.table.ndim != 3 or len({self.table.shape[0], self.table.shape[1], self.table.shape[2]}) != 1:
             raise ValueError(f"structure table must be d x d x d, got {self.table.shape}")
         self.dim = self.table.shape[0]
@@ -114,7 +115,7 @@ class FiniteAlgebra:
         """The matrix of multiplication by u (column j = u * e_j)."""
         u = as_vector(u, self.p)
         m = np.tensordot(u, self.table, axes=(0, 0)).T % self.p
-        return FpMatrix(self.p, m)
+        return FpMatrix._reduced(self.p, m)
 
     def basis_matrices(self) -> tuple[FpMatrix, ...]:
         """The multiplication matrices of the basis elements, computed once."""
@@ -161,7 +162,7 @@ class FiniteAlgebra:
         if self._nilradical is None:
             frob = self.frobenius()
             space = frob.power(frob.preperiod).kernel()
-            self._nilradical = Ideal(self, [row for row in space.basis], space=space)
+            self._nilradical = Ideal.of_space(self, space)
         return self._nilradical
 
     def is_reduced(self) -> bool:
@@ -173,7 +174,7 @@ class FiniteAlgebra:
         return Ideal(self, generators)
 
     def zero_ideal(self) -> "Ideal":
-        return Ideal(self, [], space=Subspace.zero(self.p, self.dim))
+        return Ideal.of_space(self, Subspace.zero(self.p, self.dim))
 
     def unit_ideal(self) -> "Ideal":
         # the ideal of 1 is all of A, so it needs no closure
@@ -259,6 +260,17 @@ class Ideal:
             space = Subspace.from_vectors(p, d, products)
         self.space = space
 
+    @classmethod
+    def of_space(cls, algebra: FiniteAlgebra, space: Subspace) -> "Ideal":
+        """Trusted constructor: the ideal whose canonical subspace is space,
+        which the caller guarantees is an ideal of algebra.  Its generators
+        are the basis rows of space."""
+        out = cls.__new__(cls)
+        out.algebra = algebra
+        out.generators = list(space.basis)
+        out.space = space
+        return out
+
     @property
     def dim(self) -> int:
         return self.space.dim
@@ -286,8 +298,7 @@ class Ideal:
         return hash((self.algebra, self.space))
 
     def __add__(self, other: "Ideal") -> "Ideal":
-        space = self.space + other.space
-        return Ideal(self.algebra, [row for row in space.basis], space=space)
+        return Ideal.of_space(self.algebra, self.space + other.space)
 
     def frobenius_power(self, n: int) -> "Ideal":
         """The ideal generated by the p^n-th powers of the stored generators."""
@@ -340,7 +351,7 @@ def frobenius_closure_data(ideal: Ideal) -> ClosureData:
             raise AxiomError("frobenius closure chain is not ascending")
     preperiod, period = frob.preperiod, frob.period
     closure_space = chain[preperiod]
-    closure = Ideal(A, [row for row in closure_space.basis], space=closure_space)
+    closure = Ideal.of_space(A, closure_space)
     m = next((m for m, c in enumerate(chain) if c == closure_space), None)
     if m is None:
         raise RuntimeError(
@@ -376,7 +387,7 @@ class LocalDecomposition:
         A_i local, these are its radical ideals (maximal: all factors but one)."""
         A = self.algebra
         space = sum((self.component_spaces[i] for i in factors), A.nilradical().space)
-        return Ideal(A, list(space.basis), space=space)
+        return Ideal.of_space(A, space)
 
 
 def _primitive_idempotents(A: FiniteAlgebra) -> list[np.ndarray]:

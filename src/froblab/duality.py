@@ -52,7 +52,7 @@ class DualityContext:
         a -> z(e_i a^p), i.e. F^T (table z)^T."""
         A = self.algebra
         products = mulmod(A.table, as_vector(z, A.p), A.p)  # [i, j] = z(e_i e_j)
-        return A.frobenius().matrix.T @ FpMatrix(A.p, products).T
+        return A.frobenius().matrix.T @ FpMatrix._reduced(A.p, products).T
 
     @cached_property
     def standard_graded_ideals(self) -> tuple[tuple[str, GradedTwoSidedIdeal], ...]:
@@ -132,7 +132,7 @@ def eval_dual_formula_left(ctx: DualityContext, H: LeftFModule, m_dual, r, h) ->
     lam = as_vector(m_dual, A.p)
     r = as_vector(r, A.p)
     w = H.apply_x(h)
-    z = np.array([int(lam @ a.apply(w) % A.p) for a in H.action], dtype=np.int64)
+    z = mulmod(mulmod(H.structure[:-1], w, A.p), lam, A.p)  # [k] = lam(rho(e_k) x h)
     return ctx.psi_matrix(z).apply(r)
 
 
@@ -144,12 +144,11 @@ def eval_dual_formula_right(ctx: DualityContext, M: RightFModule, r, h_dual, m) 
     lam = as_vector(h_dual, A.p)
     r = as_vector(r, A.p)
     m = as_vector(m, A.p)
-    inner = np.zeros((A.dim, A.dim), dtype=np.int64)
-    for j, aj in enumerate(M.action):
-        w = M.apply_x(aj.apply(m))
-        for k, ak in enumerate(M.action):
-            inner[k, j] = int(lam @ ak.apply(w) % A.p)
-    g = FpMatrix(A.p, inner)
+    acts, X = M.structure[:-1], M.structure[-1]
+    rows = mulmod(lam, acts, A.p)  # [k] = lam rho(e_k)
+    cols = mulmod(acts, m, A.p)  # [j] = rho(e_j) m, i.e. m e_j
+    # [k, j] = lam(rho(e_k) X rho(e_j) m) = h(m e_j x e_k)
+    g = FpMatrix._reduced(A.p, mulmod(mulmod(rows, X, A.p), cols.T, A.p))
     z = g.T.apply(A.one)
     if ctx.psi_matrix(z) != g:
         raise AxiomError("inner map is not right-linear over p-th powers; this is a bug")
@@ -161,7 +160,7 @@ def dual_pairing_element(module: _FModule, lam, v) -> np.ndarray:
     A = module.algebra
     lam = as_vector(lam, A.p)
     v = as_vector(v, A.p)
-    return np.array([int(lam @ a.apply(v) % A.p) for a in module.action], dtype=np.int64)
+    return mulmod(mulmod(module.structure[:-1], v, A.p), lam, A.p)
 
 
 def double_dual_map(module: _FModule, ctx: DualityContext) -> FpMatrix:

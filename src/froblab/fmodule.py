@@ -12,6 +12,7 @@ Checking these on algebra basis elements suffices, by linearity.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 
@@ -25,28 +26,37 @@ from .linalg import (
     combine,
     common_kernel,
     image_rows,
+    int_array,
     mulmod,
     operator_kernel,
+    operator_stack,
     quotient_maps,
     relations,
-    restrict,
+    restrict_stack,
 )
 from .skew import GradedTwoSidedIdeal
 
 ISOMORPHISM_SEARCH_BOUND = 1 << 14
+
+def _frobenius_twists(algebra: FiniteAlgebra, acts: np.ndarray) -> np.ndarray:
+    """The read-only d x n x n stack of the rho(e_i^p) = sum_j F[j, i] rho(e_j),
+    from the stack acts of the rho(e_j): F^T on the flat stack, one product."""
+    d, n = acts.shape[0], acts.shape[1]
+    flat = mulmod(algebra.frobenius().matrix.data.T, acts.reshape(d, n * n), algebra.p)
+    flat.setflags(write=False)
+    return flat.reshape(d, n, n)
+
 
 def semilinear_pairs(
     algebra: FiniteAlgebra, action: list[FpMatrix], side: str
 ) -> list[tuple[FpMatrix, FpMatrix]]:
     """Pairs (A_i, B_i), one per algebra basis element, such that X is a valid
     x-action for the given ring action and side exactly when X A_i == B_i X."""
-    n = action[0].rows
-    F = algebra.frobenius().matrix
-    frob = [combine(algebra.p, (n, n), F.data[:, i], action) for i in range(algebra.dim)]
+    twists = _frobenius_twists(algebra, operator_stack(action[0].rows, action))
+    frob = [FpMatrix._reduced(algebra.p, m) for m in twists]
     if side == "left":
         return list(zip(action, frob))
     return list(zip(frob, action))
-
 
 
 class _FModule:
@@ -79,12 +89,45 @@ class _FModule:
         z = FpMatrix.zeros(algebra.p, 0, 0)
         return cls(algebra, [z] * algebra.dim, z, check=False)
 
+    @classmethod
+    def _from_structure(cls, algebra: FiniteAlgebra, stack: np.ndarray):
+        """A module valid by construction, from a reduced (d+1) x n x n int64
+        stack the package built and nothing writes again: its matrices are
+        views of the stack, which becomes the module's structure."""
+        p = algebra.p
+        stack.setflags(write=False)
+        mats = [FpMatrix._reduced(p, m) for m in stack]
+        module = cls(algebra, mats[:-1], mats[-1], check=False)
+        module.structure = stack
+        return module
+
     # -- structure --------------------------------------------------------
+
+    @cached_property
+    def structure(self) -> np.ndarray:
+        """The read-only (d+1) x dim x dim stack of rho(e_0), ..., rho(e_(d-1))
+        and then X, built once.  The batched methods read it: one broadcast
+        product stands for a loop over the action matrices."""
+        n, mats = self.dim, [*self.action, self.x_action]
+        stack = np.array([m.data for m in mats], dtype=np.int64).reshape(len(mats), n, n)
+        stack.setflags(write=False)
+        return stack
+
+    def rhos(self, elements) -> np.ndarray:
+        """rho(r) for every row r of a k x d block of coefficients, as one
+        read-only k x dim x dim array: one product with the flat action stack."""
+        A, n = self.algebra, self.dim
+        coeffs = int_array(elements, A.p)
+        if coeffs.ndim != 2 or coeffs.shape[1] != A.dim:
+            raise ValueError(f"expected a k x {A.dim} block of coefficients, got {coeffs.shape}")
+        flat = mulmod(coeffs, self.structure[:-1].reshape(A.dim, n * n), A.p)
+        flat.setflags(write=False)
+        return flat.reshape(coeffs.shape[0], n, n)
 
     def rho(self, r) -> FpMatrix:
         """The action matrix of an arbitrary algebra element."""
         p = self.algebra.p
-        return combine(p, (self.dim, self.dim), as_vector(r, p), self.action)
+        return FpMatrix._reduced(p, self.rhos(as_vector(r, p)[None, :])[0])
 
     def validate(self) -> bool:
         A = self.algebra
@@ -92,7 +135,7 @@ class _FModule:
             raise AxiomError("action is not unital: rho(1) != id")
         # rho(e_i) rho(e_j) == rho(e_i e_j) == sum_k table[i, j, k] rho(e_k),
         # for all j at once: one d x n x n block per i
-        acts = np.stack([m.data for m in self.action])
+        acts, X = self.structure[:-1], self.structure[-1]
         flat = acts.reshape(A.dim, self.dim * self.dim)
         for i in range(A.dim):
             products = mulmod(acts[i], acts, A.p)
@@ -100,13 +143,15 @@ class _FModule:
             bad = (products != expected).any(axis=(1, 2))
             if bad.any():
                 raise AxiomError(f"action is not multiplicative on ({i},{int(np.argmax(bad))})")
-        pairs = semilinear_pairs(A, self.action, self.side)
-        for i, (a, b) in enumerate(pairs):
-            if self.x_action @ a != b @ self.x_action:
-                raise AxiomError(
-                    f"{self.side} semilinearity fails on basis element "
-                    f"{A.labels[i]}"
-                )
+        # X A_i == B_i X for the pairs of semilinear_pairs, all i at once
+        frob = _frobenius_twists(A, acts)
+        a, b = (acts, frob) if self.side == "left" else (frob, acts)
+        bad = (mulmod(X, a, A.p) != mulmod(b, X, A.p)).any(axis=(1, 2))
+        if bad.any():
+            raise AxiomError(
+                f"{self.side} semilinearity fails on basis element "
+                f"{A.labels[int(np.argmax(bad))]}"
+            )
         return True
 
     def is_zero(self) -> bool:
@@ -124,6 +169,19 @@ class _FModule:
         while len(powers) <= n:
             powers.append(self.x_action @ powers[-1])
         return powers[n]
+
+    def _x_powers(self, start: int, stop: int) -> np.ndarray:
+        """X^start, ..., X^(stop-1) as one (stop-start) x dim x dim array."""
+        n = self.dim
+        powers = [self.x_power(m).data for m in range(start, stop)]
+        return np.array(powers, dtype=np.int64).reshape(stop - start, n, n)
+
+    def _words(self, powers: np.ndarray) -> np.ndarray:
+        """rho(e_i) P (left) or P rho(e_i) (right) for every P of a stack of
+        powers of X and every i, as one len(powers) x d x dim x dim array."""
+        acts, powers = self.structure[None, :-1], powers[:, None]
+        p = self.algebra.p
+        return mulmod(acts, powers, p) if self.side == "left" else mulmod(powers, acts, p)
 
     def fitting_index(self) -> int:
         """The least e with rank X^e == rank X^(e+1).
@@ -146,8 +204,7 @@ class _FModule:
 
     def submodule(self, vectors) -> "FSubmodule":
         space = Subspace.from_vectors(self.algebra.p, self.dim, vectors)
-        closed = close_under(space, self.action + [self.x_action])
-        return FSubmodule(self, closed)
+        return FSubmodule(self, close_under(space, self.structure))
 
     def full_submodule(self) -> "FSubmodule":
         return FSubmodule(self, Subspace.full(self.algebra.p, self.dim))
@@ -159,23 +216,17 @@ class _FModule:
         """Quotient module and the projection matrix onto its basis."""
         if sub.parent is not self:
             raise ValueError("submodule belongs to a different module")
+        p = self.algebra.p
         proj, lift = quotient_maps(sub.space)
-        action = [proj @ a @ lift for a in self.action]
-        x_new = proj @ self.x_action @ lift
-        return type(self)(self.algebra, action, x_new, check=False), proj
+        stack = mulmod(mulmod(proj.data, self.structure, p), lift.data, p)
+        return self._from_structure(self.algebra, stack), proj
 
     def _cyclic_words(self) -> np.ndarray:
         """The d*dim words rho(e_i) X^j (left) or X^j rho(e_i) (right), j < dim,
         stacked as a (d*dim*dim) x dim matrix: the cyclic submodule of v is
         the span of the W v (see enumerate_submodules)."""
-        p, n = self.algebra.p, self.dim
-        left = self.side == "left"
-        words = [
-            mulmod(a.data, xp.data, p) if left else mulmod(xp.data, a.data, p)
-            for xp in map(self.x_power, range(n))
-            for a in self.action
-        ]
-        return np.array(words, dtype=np.int64).reshape(len(words) * n, n)
+        n = self.dim
+        return self._words(self._x_powers(0, n)).reshape(n * self.algebra.dim * n, n)
 
     def enumerate_submodules(self, budget: int) -> list["FSubmodule"]:
         """Every invariant subspace: the cyclic submodules, closed under sums.
@@ -231,18 +282,17 @@ class _FModule:
 
     # -- common plumbing -----------------------------------------------------
 
-    def _graded_annihilator(self, product) -> GradedTwoSidedIdeal:
-        """The chain b_n = {r : product(rho(r), X^n) == 0} for n up to the
-        Fitting index, where it stops for good with the kernels and images."""
-        p = self.algebra.p
+    def _graded_annihilator(self) -> GradedTwoSidedIdeal:
+        """The chain b_n = {r : rho(r) X^n == 0} (left) or {r : X^n rho(r) == 0}
+        (right) for n up to the Fitting index, where it stops for good with
+        the kernels and images."""
+        A, n = self.algebra, self.dim
         chain = []
-        for n in range(self.fitting_index() + 1):
-            power = self.x_power(n)
-            rows = np.stack([product(a, power).data.ravel() for a in self.action])
+        for m in range(self.fitting_index() + 1):
+            rows = self._words(self.x_power(m).data[None]).reshape(A.dim, n * n)
             # an ideal because rho is multiplicative: rho(sr) = rho(s) rho(r)
-            space = relations(p, rows)
-            chain.append(Ideal(self.algebra, list(space.basis), space=space))
-        return GradedTwoSidedIdeal(self.algebra, chain)
+            chain.append(Ideal.of_space(A, relations(A.p, rows)))
+        return GradedTwoSidedIdeal(A, chain)
 
     def __eq__(self, other) -> bool:
         return (
@@ -275,7 +325,7 @@ class LeftFModule(_FModule):
 
     def graded_annihilator(self) -> GradedTwoSidedIdeal:
         """Largest chain (b_n) with rho(b_n) . X^n == 0; stabilizes with im(X^n)."""
-        return self._graded_annihilator(lambda a, power: a @ power)
+        return self._graded_annihilator()
 
     def annihilator_submodule(self, ideal: GradedTwoSidedIdeal) -> "FSubmodule":
         """Elements killed by every homogeneous piece of the graded ideal.
@@ -284,15 +334,19 @@ class LeftFModule(_FModule):
         n <= N + dim and b in a basis of b_n.  Beyond N the conditions cut
         out U_m = {h : rho(b_N) X^(N+j) h = 0 for j <= m}, a descending chain
         with U_(m+1) = U_0 & X^-1(U_m), so it stops for good within dim steps.
+        Each piece below N is one product, the tail X^N, ..., X^(N+dim) one
+        broadcast product, and all conditions one kernel.
         """
         if ideal.algebra != self.algebra:
             raise ValueError("graded ideal lives over a different algebra")
-        rhos = [[self.rho(b) for b in piece.space.basis] for piece in ideal.chain]
-        N = ideal.stable_from
-        conditions = [
-            r @ self.x_power(n) for n in range(N + self.dim + 1) for r in rhos[min(n, N)]
+        p, n, N = self.algebra.p, self.dim, ideal.stable_from
+        blocks = [
+            mulmod(self.rhos(piece.space.basis), self.x_power(m).data, p)
+            for m, piece in enumerate(ideal.chain[:N])
         ]
-        return FSubmodule(self, common_kernel(self.algebra.p, self.dim, conditions))
+        tail = self._x_powers(N, N + n + 1)
+        blocks.append(mulmod(self.rhos(ideal.chain[N].space.basis)[None], tail[:, None], p))
+        return FSubmodule(self, common_kernel(p, n, blocks))
 
 
 class RightFModule(_FModule):
@@ -307,17 +361,18 @@ class RightFModule(_FModule):
 
     def graded_annihilator(self) -> GradedTwoSidedIdeal:
         """Largest chain (b_n) with X^n . rho(b_n) == 0; stabilizes with ker(X^n)."""
-        return self._graded_annihilator(lambda a, power: power @ a)
+        return self._graded_annihilator()
 
     def times_graded_ideal(self, ideal: GradedTwoSidedIdeal) -> "FSubmodule":
         """The submodule spanned by all m . (b x^n) with b in the n-th piece."""
         if ideal.algebra != self.algebra:
             raise ValueError("graded ideal lives over a different algebra")
-        pieces = [np.zeros((0, self.dim), dtype=np.int64)]
-        for n in range(ideal.stable_from + 1):
-            xp = self.x_power(n)
-            for b in ideal.component(n).space.basis:
-                pieces.append((xp @ self.rho(b)).data.T)
+        p, n = self.algebra.p, self.dim
+        pieces = [np.zeros((0, n), dtype=np.int64)]
+        for m, piece in enumerate(ideal.chain):
+            # the columns of X^m rho(b), for every b of the piece's basis
+            images = mulmod(self.x_power(m).data, self.rhos(piece.space.basis), p)
+            pieces.append(images.transpose(0, 2, 1).reshape(images.shape[0] * n, n))
         return self.submodule(np.vstack(pieces))
 
     def annihilator_chain(self) -> tuple[list[Subspace], int]:
@@ -330,8 +385,8 @@ class RightFModule(_FModule):
         """
         chain = []
         for k in itertools.count():
-            power = self.x_power(k)
-            space = common_kernel(self.algebra.p, self.dim, [power @ a for a in self.action])
+            words = self._words(self.x_power(k).data[None])
+            space = common_kernel(self.algebra.p, self.dim, [words])
             if chain and space == chain[-1]:
                 return chain, k - 1
             chain.append(space)
@@ -354,9 +409,9 @@ class RightFModule(_FModule):
         if not 0 <= index < len(decomp.components):
             raise ValueError(f"no component with index {index}")
         part = self.rho(decomp.idempotents[index]).image()
-        action = [restrict(self.rho(b), part) for b in decomp.component_spaces[index].basis]
-        x_new = restrict(self.x_action, part)
-        return RightFModule(decomp.components[index], action, x_new, check=False)
+        rhos = self.rhos(decomp.component_spaces[index].basis)
+        stack = restrict_stack(np.concatenate([rhos, self.structure[-1:]]), part)
+        return RightFModule._from_structure(decomp.components[index], stack)
 
 
 class FSubmodule:
@@ -367,7 +422,7 @@ class FSubmodule:
     def __init__(self, parent: _FModule, space: Subspace):
         if space.ambient_dim != parent.dim or space.p != parent.algebra.p:
             raise ValueError("subspace has the wrong ambient space")
-        if not space.contains(image_rows(space, parent.action + [parent.x_action])):
+        if not space.contains(image_rows(space, parent.structure)):
             raise AxiomError("subspace is not closed under the module structure")
         self.parent = parent
         self.space = space
@@ -381,9 +436,8 @@ class FSubmodule:
 
     def as_module(self) -> tuple[_FModule, FpMatrix]:
         """The submodule as a module of its own, plus the inclusion matrix."""
-        action = [restrict(a, self.space) for a in self.parent.action]
-        x_new = restrict(self.parent.x_action, self.space)
-        mod = type(self.parent)(self.parent.algebra, action, x_new, check=False)
+        stack = restrict_stack(self.parent.structure, self.space)
+        mod = type(self.parent)._from_structure(self.parent.algebra, stack)
         incl = FpMatrix(self.space.p, self.space.basis.T.reshape(self.parent.dim, self.dim))
         return mod, incl
 

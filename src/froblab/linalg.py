@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -72,8 +73,23 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
+def int_array(data, p: int) -> np.ndarray:
+    """data as an int64 array with entries in [0, p).
+
+    Non-integer entries are refused: the cast to int64 would truncate them.
+    Unsigned data is reduced before the cast, so it cannot wrap.
+    """
+    arr = np.asarray(data)
+    kind = arr.dtype.kind
+    if kind not in "iub" and arr.size:
+        raise ValueError(f"expected integer entries, got dtype {arr.dtype}")
+    if kind == "u":
+        arr = arr % p
+    return arr.astype(np.int64, copy=False) % p
+
+
 def as_vector(v, p: int) -> np.ndarray:
-    out = np.asarray(v, dtype=np.int64) % p
+    out = int_array(v, p)
     if out.ndim != 1:
         raise ValueError(f"expected a vector, got shape {out.shape}")
     return out
@@ -163,13 +179,31 @@ class FpMatrix:
 
     def __init__(self, p: int, data):
         _check_prime(p)
-        arr = np.asarray(data, dtype=np.int64)
+        arr = int_array(data, p)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d array, got shape {arr.shape}")
-        arr = arr % p
         arr.setflags(write=False)
         self.p = int(p)
         self.data = arr
+
+    @classmethod
+    def _reduced(cls, p: int, arr: np.ndarray) -> "FpMatrix":
+        """Trusted constructor for data the package built itself.
+
+        The caller guarantees that p has already been checked, and that arr
+        is a 2-d int64 array already reduced mod p which is either fresh or
+        a view of an array that nothing writes again.  Nothing is checked,
+        converted or reduced; arr, and the array it views, are marked
+        read-only, so the data is frozen for good.  (Fancy indexing can
+        return a view of a fresh hidden array, so the base is frozen too.)
+        """
+        out = cls.__new__(cls)
+        arr.setflags(write=False)
+        if isinstance(arr.base, np.ndarray):
+            arr.base.setflags(write=False)
+        out.p = p
+        out.data = arr
+        return out
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMatrix":
@@ -189,7 +223,7 @@ class FpMatrix:
 
     @property
     def T(self) -> "FpMatrix":
-        return FpMatrix(self.p, self.data.T)
+        return FpMatrix._reduced(self.p, self.data.T)
 
     def _compat(self, other: "FpMatrix") -> None:
         if not isinstance(other, FpMatrix) or other.p != self.p:
@@ -197,11 +231,11 @@ class FpMatrix:
 
     def __add__(self, other: "FpMatrix") -> "FpMatrix":
         self._compat(other)
-        return FpMatrix(self.p, self.data + other.data)
+        return FpMatrix._reduced(self.p, (self.data + other.data) % self.p)
 
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
         self._compat(other)
-        return FpMatrix(self.p, self.data - other.data)
+        return FpMatrix._reduced(self.p, (self.data - other.data) % self.p)
 
     def __mul__(self, scalar: int) -> "FpMatrix":
         return FpMatrix(self.p, self.data * (int(scalar) % self.p))
@@ -212,7 +246,7 @@ class FpMatrix:
         self._compat(other)
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.cols} vs {other.rows}")
-        return FpMatrix(self.p, mulmod(self.data, other.data, self.p))
+        return FpMatrix._reduced(self.p, mulmod(self.data, other.data, self.p))
 
     def __pow__(self, k: int) -> "FpMatrix":
         if self.rows != self.cols:
@@ -253,7 +287,7 @@ class FpMatrix:
 
     def rref(self) -> tuple["FpMatrix", int]:
         reduced, pivots = _rref(self.data, self.p)
-        return FpMatrix(self.p, reduced), len(pivots)
+        return FpMatrix._reduced(self.p, reduced), len(pivots)
 
     def rank(self) -> int:
         return len(_rref(self.data, self.p)[1])
@@ -323,7 +357,7 @@ class FpMatrix:
         if target.ambient_dim != self.rows:
             raise ValueError("target lives in the wrong ambient space")
         in_target = mulmod(target.basis.T, self.data[target.pivots], self.p)
-        return FpMatrix(self.p, self.data - in_target).kernel()
+        return FpMatrix._reduced(self.p, (self.data - in_target) % self.p).kernel()
 
 
 class Subspace:
@@ -356,7 +390,9 @@ class Subspace:
             vectors = np.array(rows, dtype=np.int64).reshape(len(rows), ambient_dim)
         elif vectors.shape[1] != ambient_dim:
             raise ValueError(f"vector length {vectors.shape[1]} != ambient {ambient_dim}")
-        reduced, pivots = _rref(vectors.astype(np.int64, copy=False), p)
+        elif vectors.dtype != np.int64:
+            vectors = int_array(vectors, p)
+        reduced, pivots = _rref(vectors, p)
         return cls(p, ambient_dim, reduced[: len(pivots)], pivots)
 
     @classmethod
@@ -385,7 +421,7 @@ class Subspace:
         its pivot column, so v lies in the space exactly when v equals that
         combination.
         """
-        v = np.asarray(v, dtype=np.int64) % self.p
+        v = int_array(v, self.p)
         if v.ndim not in (1, 2) or v.shape[-1] != self.ambient_dim:
             raise ValueError("vector has wrong length")
         coords = v[..., self.pivots]
@@ -474,7 +510,8 @@ def quotient_maps(sub: Subspace) -> tuple[FpMatrix, FpMatrix]:
     p, n, k = sub.p, sub.ambient_dim, sub.dim
     eye = np.eye(n, dtype=np.int64)
     reduced, pivots = _rref(np.hstack([sub.basis.T, eye]), p)
-    return FpMatrix(p, reduced[k:, k:]), FpMatrix(p, eye[:, [c - k for c in pivots[k:]]])
+    lift = eye[:, [c - k for c in pivots[k:]]]
+    return FpMatrix._reduced(p, reduced[k:, k:]), FpMatrix._reduced(p, lift)
 
 
 def relations(p: int, rows: np.ndarray) -> Subspace:
@@ -493,24 +530,53 @@ def relations(p: int, rows: np.ndarray) -> Subspace:
     return Subspace(p, k, np.ascontiguousarray(space.basis[r:, n:]), space.pivots[r:] - n)
 
 
+def operator_stack(n: int, operators) -> np.ndarray:
+    """n x n operators as one k x n x n array: a list of FpMatrix is stacked,
+    an array of that shape is taken as it is."""
+    if isinstance(operators, np.ndarray):
+        return operators
+    return np.array([op.data for op in operators], dtype=np.int64).reshape(len(operators), n, n)
+
+
 def image_rows(space: Subspace, operators) -> np.ndarray:
-    """The rows op @ b for every operator and every basis row b of space."""
-    images = [mulmod(space.basis, op.data.T, space.p) for op in operators]
-    return np.vstack([np.zeros((0, space.ambient_dim), dtype=np.int64), *images])
+    """The rows op @ b for every n x n operator and every basis row b of
+    space, operator by operator: one broadcast product.  operators is a list
+    of FpMatrix or a k x n x n array."""
+    n = space.ambient_dim
+    stack = operator_stack(n, operators)
+    images = mulmod(space.basis, stack.transpose(0, 2, 1), space.p)
+    return images.reshape(stack.shape[0] * space.dim, n)
 
 
 def common_kernel(p: int, n: int, matrices) -> Subspace:
-    """The vectors of F_p^n that every matrix sends to zero (all of them for none)."""
-    rows = [m.data for m in matrices]
-    return FpMatrix(p, np.vstack([np.zeros((0, n), dtype=np.int64), *rows])).kernel()
+    """The vectors of F_p^n that every matrix sends to zero (all of them for none).
+
+    Each entry is an FpMatrix or a reduced int64 array of matrices stacked
+    along its leading axes, whose last axis has length n.
+    """
+    rows = [
+        m.data if isinstance(m, FpMatrix) else m.reshape(math.prod(m.shape[:-1]), n)
+        for m in matrices
+    ]
+    return FpMatrix._reduced(p, np.vstack([np.zeros((0, n), dtype=np.int64), *rows])).kernel()
+
+
+def restrict_stack(operators, space: Subspace) -> np.ndarray:
+    """Matrices of n x n operators on an invariant subspace, in its canonical
+    basis, as one k x dim x dim array: one coordinates call for the images of
+    every operator.  operators is a list of FpMatrix or a k x n x n array."""
+    stack = operator_stack(space.ambient_dim, operators)
+    coords = space.coordinates(image_rows(space, stack))
+    if coords is None:
+        raise AxiomError("operator does not preserve the subspace")
+    # row j of operator i's block holds the coordinates of op_i b_j: column j
+    blocks = coords.reshape(stack.shape[0], space.dim, space.dim)
+    return np.ascontiguousarray(blocks.transpose(0, 2, 1))
 
 
 def restrict(op: FpMatrix, space: Subspace) -> FpMatrix:
     """Matrix of op on an invariant subspace, in the subspace's canonical basis."""
-    coords = space.coordinates(image_rows(space, [op]))
-    if coords is None:
-        raise AxiomError("operator does not preserve the subspace")
-    return FpMatrix(op.p, coords.T)
+    return FpMatrix._reduced(op.p, restrict_stack([op], space)[0])
 
 
 def stabilize(start, step, key=None) -> tuple[list, int, int]:
@@ -545,6 +611,7 @@ def close_under(space: Subspace, operators: list[FpMatrix]) -> Subspace:
     Each basis vector's images thus meet elimination once.
     """
     p, n = space.p, space.ambient_dim
+    operators = operator_stack(n, operators)
     basis, pivots = space.basis, space.pivots.tolist()
     frontier = space  # the span of the rows the last step added
     while True:
@@ -569,7 +636,7 @@ def combine(p: int, shape: tuple[int, int], coeffs, matrices) -> FpMatrix:
     for c, m in zip(coeffs, matrices):
         if c:
             total = (total + (int(c) % p) * m.data) % p
-    return FpMatrix(p, total)
+    return FpMatrix._reduced(p, total)
 
 
 def _stacks(shape: tuple[int, int], pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -648,8 +715,8 @@ def operator_kernel(p: int, shape: tuple[int, int], pairs) -> list[FpMatrix]:
         row_blocks, col_blocks = _blocks(rows, b), _blocks(cols, a)
         if len(row_blocks) * len(col_blocks) > 1:
             return _block_pair_kernel(p, shape, a, b, row_blocks, col_blocks)
-    kernel = FpMatrix(p, _intertwiner_system(p, a, b)).kernel()
-    return [FpMatrix(p, vec.reshape(shape)) for vec in kernel.basis]
+    kernel = FpMatrix._reduced(p, _intertwiner_system(p, a, b)).kernel()
+    return [FpMatrix._reduced(p, vec.reshape(shape)) for vec in kernel.basis]
 
 
 def _block_pair_kernel(p: int, shape: tuple[int, int], a, b, row_blocks, col_blocks) -> list[FpMatrix]:
@@ -663,7 +730,7 @@ def _block_pair_kernel(p: int, shape: tuple[int, int], a, b, row_blocks, col_blo
             a_sub = a[:, J[:, None], J]
             key = b"%d,%d;" % (len(I), len(J)) + a_sub.tobytes() + b_sub.tobytes()
             if key not in solved:
-                solved[key] = FpMatrix(p, _intertwiner_system(p, a_sub, b_sub)).kernel()
+                solved[key] = FpMatrix._reduced(p, _intertwiner_system(p, a_sub, b_sub)).kernel()
             kernel = solved[key]
             for vec, q in zip(kernel.basis, kernel.pivots.tolist()):
                 found.append((int(I[q // len(J)]) * cols + int(J[q % len(J)]), I, J, vec))
@@ -672,7 +739,7 @@ def _block_pair_kernel(p: int, shape: tuple[int, int], a, b, row_blocks, col_blo
     for _, I, J, vec in found:
         x = np.zeros((rows, cols), dtype=np.int64)
         x[I[:, None], J] = vec.reshape(len(I), len(J))
-        out.append(FpMatrix(p, x))
+        out.append(FpMatrix._reduced(p, x))
     return out
 
 

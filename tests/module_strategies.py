@@ -7,10 +7,12 @@ module rests on tests/test_trusted_modules.py, which validates them.
 """
 import random
 
+import numpy as np
 from hypothesis import strategies as st
 
 from froblab.algebra import prime_field, product_algebra, truncated_polynomial_algebra
 from froblab.generators import random_module, standard_algebras
+from froblab.linalg import FpMatrix
 
 STANDARD_ALGEBRAS = standard_algebras()
 
@@ -55,3 +57,35 @@ def divisible_right_modules(draw, max_dim=4, pool=SMALL_PRIME_ALGEBRAS):
     M x^(e+1) = M x^e it is x-divisible."""
     M = draw(modules(sides=("right",), max_dim=max_dim, pool=pool))
     return M.stable_image()[0].as_module()[0]
+
+
+def direct_sum(parts):
+    """The direct sum of modules over one algebra and side: block-diagonal
+    action and x-action, valid because each block is."""
+    first = parts[0]
+    A, n = first.algebra, sum(M.dim for M in parts)
+
+    def blocks(mats):
+        out, offset = np.zeros((n, n), dtype=np.int64), 0
+        for m in mats:
+            out[offset : offset + m.rows, offset : offset + m.rows] = m.data
+            offset += m.rows
+        return FpMatrix(A.p, out)
+
+    action = [blocks([M.action[i] for M in parts]) for i in range(A.dim)]
+    return type(first)(A, action, blocks([M.x_action for M in parts]), check=False)
+
+
+@st.composite
+def large_modules(draw, min_dim=16, pool=STANDARD_ALGEBRAS):
+    """A direct sum of random modules over an algebra of the pool, of dim at
+    least min_dim: its annihilator conditions pass LIST_KERNEL_CELLS."""
+    A = draw(algebras(pool))
+    side = draw(st.sampled_from(("left", "right")))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    parts, dim = [], 0
+    while dim < min_dim:
+        part = random_module(A, side, 6, rng)
+        parts.append(part)
+        dim += part.dim
+    return direct_sum(parts)

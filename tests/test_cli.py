@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,7 +66,7 @@ def test_analyze_right_module(fixtures, capsys, tmp_path):
 
 def test_analyze_rejects_invalid_module(fixtures, capsys, tmp_path):
     _, alg, mod, _ = fixtures
-    doc = json.loads(open(mod).read())
+    doc = json.loads(Path(mod).read_text())
     doc["X"] = [[0, 1], [1, 0]]  # breaks semilinearity for a left module
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -82,7 +83,7 @@ def test_analyze_rejects_malformed_json(fixtures, tmp_path, capsys):
 
 def test_analyze_rejects_non_list_action(fixtures, capsys, tmp_path):
     _, alg, mod, _ = fixtures
-    doc = json.loads(open(mod).read())
+    doc = json.loads(Path(mod).read_text())
     doc["action"] = 5
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -92,7 +93,7 @@ def test_analyze_rejects_non_list_action(fixtures, capsys, tmp_path):
 
 def test_analyze_rejects_non_integer_prime(fixtures, capsys, tmp_path):
     _, alg, mod, _ = fixtures
-    doc = json.loads(open(alg).read())
+    doc = json.loads(Path(alg).read_text())
     doc["p"] = [2]
     bad = tmp_path / "bad_alg.json"
     bad.write_text(json.dumps(doc))
@@ -202,7 +203,7 @@ def test_fclosure_generator_beyond_int64_exits_2(fixtures, capsys):
 
 def test_algebra_entry_beyond_int64_exits_2(fixtures, tmp_path, capsys):
     _, alg, _, _ = fixtures
-    doc = json.loads(open(alg).read())
+    doc = json.loads(Path(alg).read_text())
     doc["one"] = [10**23, 0]
     big = tmp_path / "big.json"
     big.write_text(json.dumps(doc))
@@ -212,7 +213,7 @@ def test_algebra_entry_beyond_int64_exits_2(fixtures, tmp_path, capsys):
 
 def test_module_entry_beyond_int64_exits_2(fixtures, tmp_path, capsys):
     _, alg, mod, _ = fixtures
-    doc = json.loads(open(mod).read())
+    doc = json.loads(Path(mod).read_text())
     doc["X"][0][0] = 10**30
     big = tmp_path / "big.json"
     big.write_text(json.dumps(doc))
