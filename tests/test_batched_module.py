@@ -49,6 +49,7 @@ import fmodule_reference as reference
 from module_strategies import (
     LARGE_PRIME_ALGEBRAS,
     SMALL_PRIME_ALGEBRAS,
+    direct_sum,
     large_modules,
     modules,
 )
@@ -235,14 +236,17 @@ def test_batched_products_at_the_top_prime_match_python_integers(side):
                 power = py_mul(XL, power, p)
             want = FpMatrix(p, np.array(rows, dtype=np.int64).reshape(len(rows), left.dim)).kernel()
             assert left.annihilator_submodule(B).space == want
-        # the quotient action proj @ a @ lift
-        sub = M.submodule([[rng.randrange(p) for _ in range(n)]]) if n else M.zero_submodule()
-        if sub.dim == n:
-            sub = M.zero_submodule()
-        quotient, proj = M.quotient(sub)
+        # the quotient action proj @ a @ lift, by a proper submodule: one
+        # generated inside the first summand of M + M
+        double = direct_sum([M, M])
+        sub = double.submodule([[rng.randrange(1, p) for _ in range(n)] + [0] * n])
+        assert 0 < sub.dim <= n
+        quotient, proj = double.quotient(sub)
         P, L = quotient_maps(sub.space)
         P, L = P.data.tolist(), L.data.tolist()
-        for got, a in zip([*quotient.action, quotient.x_action], [*M.action, M.x_action]):
+        for got, a in zip(
+            [*quotient.action, quotient.x_action], [*double.action, double.x_action]
+        ):
             assert got.data.tolist() == py_mul(py_mul(P, a.data.tolist(), p), L, p)
         assert proj.data.tolist() == P
 
