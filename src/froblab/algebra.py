@@ -278,9 +278,6 @@ class Ideal:
     def is_zero(self) -> bool:
         return self.space.is_zero()
 
-    def is_unit_ideal(self) -> bool:
-        return self.space.contains(self.algebra.one)
-
     def contains(self, v) -> bool:
         return self.space.contains(v)
 

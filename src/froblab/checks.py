@@ -9,12 +9,10 @@ from __future__ import annotations
 import itertools
 import random
 
-import numpy as np
-
 from .duality import build_duality_context, check_duality_identities
-from .fmodule import LeftFModule, RightFModule, _FModule, semilinear_pairs
+from .fmodule import LeftFModule, RightFModule, _FModule, semilinear_defects
 from .generators import InstanceCatalog, sampled_modules
-from .linalg import FpMatrix, Subspace, mulmod, relations
+from .linalg import Subspace, mulmod, relations
 from .report import Report
 
 
@@ -91,8 +89,8 @@ def check_square_multiplier(name: str, M: RightFModule, report: Report) -> None:
     if M.is_zero():
         return
     power_images = [M.x_power(k).image() for k in range(1, M.dim + 2)]
-    C = FpMatrix(A.p, power_images[0].annihilator().basis)
-    S = relations(A.p, np.stack([(C @ a).data.ravel() for a in M.action]))
+    C = power_images[0].annihilator().basis
+    S = relations(A.p, mulmod(C, M.structure[:-1], A.p).reshape(A.dim, C.shape[0] * M.dim))
     if A.p == 2:
         pairs = [(i, i) for i in range(S.dim)]
     else:
@@ -134,8 +132,7 @@ def check_localization(name: str, M: RightFModule, report: Report) -> None:
         # rho(s) this is X rho(s^p) == rho(s) X, linear in s, and the units of
         # a local algebra span it, so a basis of the factor suffices.
         if ok:
-            pairs = semilinear_pairs(decomp.components[idx], local.action, "right")
-            ok = all(local.x_action @ a == b @ local.x_action for a, b in pairs)
+            ok = not semilinear_defects(local.algebra, local.structure, "right").any()
         report.add(
             "localization_commutes",
             "inverting everything outside a maximal ideal commutes with the x-action",

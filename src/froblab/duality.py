@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import FiniteAlgebra
 from .errors import AxiomError
 from .fmodule import LeftFModule, RightFModule, _FModule, graded_annihilator_set
-from .linalg import FpMatrix, as_vector, mulmod
+from .linalg import FpMatrix, as_vector, mulmod, operator_stack
 from .report import Report
 from .skew import GradedTwoSidedIdeal, unit_graded_ideal, x_power_graded_ideal, zero_graded_ideal
 
@@ -45,7 +45,8 @@ class DualityContext:
     x_on_dual: FpMatrix
 
     def as_right_module(self) -> RightFModule:
-        return RightFModule(self.algebra, self.dual_action, self.x_on_dual, check=False)
+        stack = operator_stack(self.algebra.dim, [*self.dual_action, self.x_on_dual])
+        return RightFModule._from_structure(self.algebra, stack)
 
     def psi_matrix(self, z) -> FpMatrix:
         """psi(z) as a map R -> E, by its definition: column i is
@@ -105,14 +106,20 @@ def dual_left(H: LeftFModule, ctx: DualityContext) -> RightFModule:
     """Right module structure on the linear dual of a left module: X^T."""
     if H.algebra != ctx.algebra:
         raise ValueError("module and context live over different algebras")
-    return RightFModule(H.algebra, [a.T for a in H.action], H.x_action.T, check=False)
+    return RightFModule._from_structure(H.algebra, _transposed(H))
 
 
 def dual_right(M: RightFModule, ctx: DualityContext) -> LeftFModule:
     """Left module structure on the linear dual of a right module: X^T."""
     if M.algebra != ctx.algebra:
         raise ValueError("module and context live over different algebras")
-    return LeftFModule(M.algebra, [a.T for a in M.action], M.x_action.T, check=False)
+    return LeftFModule._from_structure(M.algebra, _transposed(M))
+
+
+def _transposed(module: _FModule) -> np.ndarray:
+    """Every matrix of the structure transposed, as a fresh C-contiguous stack
+    (the batched methods reshape it, which would copy a strided view)."""
+    return np.ascontiguousarray(module.structure.transpose(0, 2, 1))
 
 
 def dual_module(module: _FModule, ctx: DualityContext) -> _FModule:
@@ -181,8 +188,8 @@ def double_dual_map(module: _FModule, ctx: DualityContext) -> FpMatrix:
 
 def _dump_module(module: _FModule) -> str:
     """Counterexample payload: enough matrix data to rebuild the instance."""
-    action = [a.data.tolist() for a in module.action]
-    return f"side={module.side} action={action} X={module.x_action.data.tolist()}"
+    action, X = module.structure[:-1].tolist(), module.structure[-1].tolist()
+    return f"side={module.side} action={action} X={X}"
 
 
 def check_duality_identities(
@@ -385,9 +392,9 @@ def _check_right_kernel_identity(
     dual_proj = dual_map(proj)
     image = dual_proj.image()
     dual_q = dual_right(quotient, ctx)
-    intertwines = dual_proj @ dual_q.x_action == dual.x_action @ dual_proj and all(
-        dual_proj @ aq == am @ dual_proj
-        for aq, am in zip(dual_q.action, dual.action)
+    p = module.algebra.p
+    intertwines = np.array_equal(
+        mulmod(dual_proj.data, dual_q.structure, p), mulmod(dual.structure, dual_proj.data, p)
     )
     report.add(
         "quotient_dual_isomorphism",

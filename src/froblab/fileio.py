@@ -100,8 +100,8 @@ def module_to_doc(module: _FModule) -> dict:
     return {
         "side": module.side,
         "dim": module.dim,
-        "action": [a.data.tolist() for a in module.action],
-        "X": module.x_action.data.tolist(),
+        "action": module.structure[:-1].tolist(),
+        "X": module.structure[-1].tolist(),
     }
 
 
@@ -133,29 +133,11 @@ def module_from_doc(doc: dict, algebra: FiniteAlgebra) -> _FModule:
     return cls(algebra, action, x)
 
 
-def ideal_to_doc(ideal: Ideal) -> dict:
-    return {"generators": [g.tolist() for g in ideal.generators]}
-
-
 def ideal_from_doc(doc: dict, algebra: FiniteAlgebra) -> Ideal:
     gens = doc.get("generators", [])
     if not isinstance(gens, list):
         raise ValueError("generators must be a list")
     return algebra.ideal([_int_grid(g, 1, "generator") for g in gens])
-
-
-def catalog_to_doc(catalog: InstanceCatalog) -> dict:
-    return {
-        "algebras": {k: algebra_to_doc(v) for k, v in catalog.algebras.items()},
-        "modules": {
-            k: {"algebra": alg, **module_to_doc(m)}
-            for k, (alg, m) in catalog.modules.items()
-        },
-        "ideals": {
-            k: {"algebra": alg, **ideal_to_doc(i)}
-            for k, (alg, i) in catalog.ideals.items()
-        },
-    }
 
 
 def _algebra_name(entry, what: str, cat: InstanceCatalog) -> str:

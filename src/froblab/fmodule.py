@@ -47,71 +47,89 @@ def _frobenius_twists(algebra: FiniteAlgebra, acts: np.ndarray) -> np.ndarray:
     return flat.reshape(d, n, n)
 
 
-def semilinear_pairs(
-    algebra: FiniteAlgebra, action: list[FpMatrix], side: str
-) -> list[tuple[FpMatrix, FpMatrix]]:
-    """Pairs (A_i, B_i), one per algebra basis element, such that X is a valid
-    x-action for the given ring action and side exactly when X A_i == B_i X."""
-    twists = _frobenius_twists(algebra, operator_stack(action[0].rows, action))
-    frob = [FpMatrix._reduced(algebra.p, m) for m in twists]
-    if side == "left":
-        return list(zip(action, frob))
-    return list(zip(frob, action))
+def _semilinear_stacks(
+    algebra: FiniteAlgebra, acts: np.ndarray, side: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stacks of the A_i and the B_i, one per algebra basis element, such
+    that X is a valid x-action for the ring action acts exactly when
+    X A_i == B_i X for every i: (rho(e_i), rho(e_i^p)) on the left and
+    (rho(e_i^p), rho(e_i)) on the right."""
+    frob = _frobenius_twists(algebra, acts)
+    return (acts, frob) if side == "left" else (frob, acts)
+
+
+def semilinear_pairs(algebra: FiniteAlgebra, action, side: str) -> list[tuple[FpMatrix, FpMatrix]]:
+    """The pairs (A_i, B_i) of the side's semilinearity rule, for a ring action
+    given as a list of FpMatrix or as a d x n x n stack."""
+    acts = action if isinstance(action, np.ndarray) else operator_stack(action[0].rows, action)
+    a, b = _semilinear_stacks(algebra, acts, side)
+    p = algebra.p
+    return [(FpMatrix._reduced(p, ai), FpMatrix._reduced(p, bi)) for ai, bi in zip(a, b)]
+
+
+def semilinear_defects(algebra: FiniteAlgebra, structure: np.ndarray, side: str) -> np.ndarray:
+    """One flag per algebra basis element: whether X A_i != B_i X for the X and
+    the ring action of a (d+1) x n x n structure stack, all i at once."""
+    a, b = _semilinear_stacks(algebra, structure[:-1], side)
+    X, p = structure[-1], algebra.p
+    return (mulmod(X, a, p) != mulmod(b, X, p)).any(axis=(1, 2))
 
 
 class _FModule:
     side = "?"
 
-    def __init__(self, algebra: FiniteAlgebra, action, x_action: FpMatrix, check: bool = True):
-        """Shapes are always checked; check=True (the default, for data from
-        outside) also validates the axioms.  check=False trusts the caller:
-        the package passes it only for modules valid by construction, such as
-        duals, quotients, submodules, localizations and generated modules."""
-        self.algebra = algebra
-        self.action = list(action)
-        self.x_action = x_action
-        if len(self.action) != algebra.dim:
+    def __init__(self, algebra: FiniteAlgebra, action, x_action: FpMatrix):
+        """The checked constructor, for data from outside: one matrix per
+        algebra basis element and X, all square of one size over the
+        algebra's field.  They are stacked once and the axioms validated."""
+        mats = [*action, x_action]
+        if len(mats) != algebra.dim + 1:
             raise ValueError("need one action matrix per algebra basis element")
-        dims = {m.rows for m in self.action} | {m.cols for m in self.action}
-        dims |= {x_action.rows, x_action.cols}
-        if len(dims) != 1:
+        if any(m.p != algebra.p for m in mats):
+            raise ValueError(f"action and x matrices must live over F_{algebra.p}")
+        if len({m.rows for m in mats} | {m.cols for m in mats}) != 1:
             raise ValueError("action and x matrices must be square of one size")
-        self.dim = x_action.rows
-        self._powers: list[FpMatrix] = []
-        self._fitting: int | None = None
-        if check:
-            self.validate()
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls, algebra: FiniteAlgebra):
-        z = FpMatrix.zeros(algebra.p, 0, 0)
-        return cls(algebra, [z] * algebra.dim, z, check=False)
+        self._init(algebra, operator_stack(x_action.rows, mats))
+        self.validate()
 
     @classmethod
     def _from_structure(cls, algebra: FiniteAlgebra, stack: np.ndarray):
-        """A module valid by construction, from a reduced (d+1) x n x n int64
-        stack the package built and nothing writes again: its matrices are
-        views of the stack, which becomes the module's structure."""
-        p = algebra.p
-        stack.setflags(write=False)
-        mats = [FpMatrix._reduced(p, m) for m in stack]
-        module = cls(algebra, mats[:-1], mats[-1], check=False)
-        module.structure = stack
+        """The trusted constructor, for a module valid by construction: a
+        reduced, C-contiguous (d+1) x n x n int64 stack the package built and
+        nothing writes again.  Nothing is checked; the stack becomes the
+        module's structure.  Quotients, submodules as modules, localizations,
+        duals and the generated modules are built this way."""
+        module = cls.__new__(cls)
+        module._init(algebra, stack)
         return module
 
+    def _init(self, algebra: FiniteAlgebra, stack: np.ndarray) -> None:
+        stack.setflags(write=False)
+        self.algebra = algebra
+        self.structure = stack
+        self.dim = stack.shape[1]
+        self._powers: list[FpMatrix] = []
+        self._fitting: int | None = None
+
+    @classmethod
+    def zero(cls, algebra: FiniteAlgebra):
+        return cls._from_structure(algebra, np.zeros((algebra.dim + 1, 0, 0), dtype=np.int64))
+
     # -- structure --------------------------------------------------------
+    #
+    # The (d+1) x dim x dim stack `structure` of rho(e_0), ..., rho(e_(d-1))
+    # and then X is all a module stores.  The batched methods read it: one
+    # broadcast product stands for a loop over the action matrices.
 
     @cached_property
-    def structure(self) -> np.ndarray:
-        """The read-only (d+1) x dim x dim stack of rho(e_0), ..., rho(e_(d-1))
-        and then X, built once.  The batched methods read it: one broadcast
-        product stands for a loop over the action matrices."""
-        n, mats = self.dim, [*self.action, self.x_action]
-        stack = np.array([m.data for m in mats], dtype=np.int64).reshape(len(mats), n, n)
-        stack.setflags(write=False)
-        return stack
+    def action(self) -> list[FpMatrix]:
+        """rho(e_0), ..., rho(e_(d-1)), as read-only views of the structure."""
+        return [FpMatrix._reduced(self.algebra.p, m) for m in self.structure[:-1]]
+
+    @cached_property
+    def x_action(self) -> FpMatrix:
+        """X, as a read-only view of the structure."""
+        return FpMatrix._reduced(self.algebra.p, self.structure[-1])
 
     def rhos(self, elements) -> np.ndarray:
         """rho(r) for every row r of a k x d block of coefficients, as one
@@ -135,7 +153,7 @@ class _FModule:
             raise AxiomError("action is not unital: rho(1) != id")
         # rho(e_i) rho(e_j) == rho(e_i e_j) == sum_k table[i, j, k] rho(e_k),
         # for all j at once: one d x n x n block per i
-        acts, X = self.structure[:-1], self.structure[-1]
+        acts = self.structure[:-1]
         flat = acts.reshape(A.dim, self.dim * self.dim)
         for i in range(A.dim):
             products = mulmod(acts[i], acts, A.p)
@@ -143,10 +161,7 @@ class _FModule:
             bad = (products != expected).any(axis=(1, 2))
             if bad.any():
                 raise AxiomError(f"action is not multiplicative on ({i},{int(np.argmax(bad))})")
-        # X A_i == B_i X for the pairs of semilinear_pairs, all i at once
-        frob = _frobenius_twists(A, acts)
-        a, b = (acts, frob) if self.side == "left" else (frob, acts)
-        bad = (mulmod(X, a, A.p) != mulmod(b, X, A.p)).any(axis=(1, 2))
+        bad = semilinear_defects(A, self.structure, self.side)
         if bad.any():
             raise AxiomError(
                 f"{self.side} semilinearity fails on basis element "
@@ -205,9 +220,6 @@ class _FModule:
     def submodule(self, vectors) -> "FSubmodule":
         space = Subspace.from_vectors(self.algebra.p, self.dim, vectors)
         return FSubmodule(self, close_under(space, self.structure))
-
-    def full_submodule(self) -> "FSubmodule":
-        return FSubmodule(self, Subspace.full(self.algebra.p, self.dim))
 
     def zero_submodule(self) -> "FSubmodule":
         return FSubmodule(self, Subspace.zero(self.algebra.p, self.dim))
@@ -299,12 +311,11 @@ class _FModule:
             isinstance(other, _FModule)
             and self.side == other.side
             and self.algebra == other.algebra
-            and self.x_action == other.x_action
-            and all(a == b for a, b in zip(self.action, other.action))
+            and np.array_equal(self.structure, other.structure)
         )
 
     def __hash__(self) -> int:
-        return hash((self.side, self.algebra, self.x_action, tuple(self.action)))
+        return hash((self.side, self.algebra, self.structure.shape, self.structure.tobytes()))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(p={self.algebra.p}, dim={self.dim})"
@@ -500,9 +511,14 @@ def natural_frobenius_module(algebra: FiniteAlgebra) -> LeftFModule:
 
 def twisted_frobenius_module(algebra: FiniteAlgebra, c) -> LeftFModule:
     """The regular module with x acting by r -> c * r^p."""
-    F = algebra.frobenius().matrix
-    x_action = algebra.mult_matrix(c) @ F
-    return LeftFModule(algebra, algebra.basis_matrices(), x_action, check=False)
+    x_action = algebra.mult_matrix(c) @ algebra.frobenius().matrix
+    return _regular_module(LeftFModule, algebra, x_action)
+
+
+def _regular_module(cls, algebra: FiniteAlgebra, x_action: FpMatrix) -> _FModule:
+    """The algebra acting on itself by multiplication, with the given X."""
+    stack = operator_stack(algebra.dim, [*algebra.basis_matrices(), x_action])
+    return cls._from_structure(algebra, stack)
 
 
 def twisted_modules_isomorphic(algebra: FiniteAlgebra, c1, c2) -> tuple[bool, np.ndarray | None]:
@@ -543,8 +559,7 @@ def cartier_from_splitting(
     if not algebra.is_reduced():
         return None, "not reduced"
     frob = algebra.frobenius()
-    x_action = frob.power(frob.period - 1)
-    return RightFModule(algebra, algebra.basis_matrices(), x_action, check=False), None
+    return _regular_module(RightFModule, algebra, frob.power(frob.period - 1)), None
 
 
 # -- homomorphisms -------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Instance generation: standard algebras, enumerated small algebras, and
 seeded random ideals, modules, and homomorphisms.
 
-Random modules are valid by construction, so they are built without
-validation (check=False): the ring action is a block sum of regular actions
-on quotients by random ideals, and the x-action is sampled from the solution
-space of the side's semilinearity constraint.  Only the quotient ideals are
-rejection-sampled: random_proper_ideal draws up to 30 random ideals before it
-falls back to a maximal ideal.  tests/test_trusted_modules.py validates the
+Random modules are valid by construction, so they are built from their
+structure stack without validation (_FModule._from_structure): the ring
+action is a block sum of regular actions on quotients by random ideals,
+written straight into a stack, and the x-action is sampled from the
+solution space of the side's semilinearity constraint.  Only the quotient
+ideals are rejection-sampled: random_proper_ideal draws up to 30 random
+ideals before it falls back to a maximal ideal.  tests/test_trusted_modules.py validates the
 modules built here.
 """
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .algebra import (
 )
 from .errors import AxiomError
 from .fmodule import LeftFModule, RightFModule, _FModule, hom_space, semilinear_pairs
-from .linalg import FpMatrix, combine, operator_kernel, quotient_maps
+from .linalg import FpMatrix, combine, mulmod, operator_kernel, operator_stack, quotient_maps
 
 
 # -- named algebras -----------------------------------------------------------
@@ -129,16 +130,19 @@ def random_proper_ideal(A: FiniteAlgebra, rng: random.Random, max_codim: int) ->
     return fitting[rng.randrange(len(fitting))]
 
 
-def _quotient_action(A: FiniteAlgebra, a: Ideal) -> list[np.ndarray]:
-    """Matrices of the regular action on the quotient by an ideal."""
+def _quotient_action(A: FiniteAlgebra, a: Ideal) -> np.ndarray:
+    """The regular action on the quotient by an ideal, as a d x k x k stack."""
     proj, lift = quotient_maps(a.space)
-    return [(proj @ m @ lift).data for m in A.basis_matrices()]
+    regular = operator_stack(A.dim, A.basis_matrices())
+    return mulmod(mulmod(proj.data, regular, A.p), lift.data, A.p)
 
 
-def semilinear_solution_space(action: list[FpMatrix], A: FiniteAlgebra, side: str) -> list[FpMatrix]:
-    """Basis of all x-action matrices compatible with the given ring action."""
-    n = action[0].rows
-    return operator_kernel(A.p, (n, n), semilinear_pairs(A, action, side))
+def semilinear_solution_space(action, A: FiniteAlgebra, side: str) -> list[FpMatrix]:
+    """Basis of all x-action matrices compatible with the given ring action,
+    a list of FpMatrix or a d x n x n stack."""
+    pairs = semilinear_pairs(A, action, side)
+    n = pairs[0][0].rows
+    return operator_kernel(A.p, (n, n), pairs)
 
 
 def random_module(A: FiniteAlgebra, side: str, max_dim: int, rng: random.Random) -> _FModule:
@@ -149,7 +153,7 @@ def random_module(A: FiniteAlgebra, side: str, max_dim: int, rng: random.Random)
     prescribed in general (over a field extension it is always a multiple of
     the degree).
     """
-    blocks: list[list[np.ndarray]] = []
+    blocks: list[np.ndarray] = []
     total = 0
     while True:
         a = random_proper_ideal(A, rng, max_dim - total)
@@ -160,19 +164,16 @@ def random_module(A: FiniteAlgebra, side: str, max_dim: int, rng: random.Random)
         if rng.random() < 0.25:
             break
     n = total
-    action = []
-    for i in range(A.dim):
-        mat = np.zeros((n, n), dtype=np.int64)
-        offset = 0
-        for block in blocks:
-            k = block[i].shape[0]
-            mat[offset : offset + k, offset : offset + k] = block[i]
-            offset += k
-        action.append(FpMatrix(A.p, mat))
-    basis = semilinear_solution_space(action, A, side)
+    acts = np.zeros((A.dim, n, n), dtype=np.int64)
+    offset = 0
+    for block in blocks:
+        k = block.shape[1]
+        acts[:, offset : offset + k, offset : offset + k] = block
+        offset += k
+    basis = semilinear_solution_space(acts, A, side)
     x = combine(A.p, (n, n), [rng.randrange(A.p) for _ in basis], basis)
     cls = LeftFModule if side == "left" else RightFModule
-    return cls(A, action, x, check=False)
+    return cls._from_structure(A, np.concatenate([acts, x.data[None]]))
 
 
 def random_hom(source: _FModule, target: _FModule, rng: random.Random) -> FpMatrix:

@@ -14,7 +14,7 @@ import numpy as np
 
 from froblab.algebra import FiniteAlgebra
 from froblab.fmodule import LeftFModule, RightFModule
-from froblab.linalg import FpMatrix, Subspace, combine, operator_kernel
+from froblab.linalg import FpMatrix, Subspace, combine, operator_kernel, operator_stack
 
 
 def hom_space(A: FiniteAlgebra) -> Subspace:
@@ -43,7 +43,8 @@ class ReferenceContext:
 
     def as_right_module(self) -> RightFModule:
         A = self.algebra
-        return RightFModule(A, [m.T for m in A.basis_matrices()], self.x_on_dual, check=False)
+        stack = operator_stack(A.dim, [*(m.T for m in A.basis_matrices()), self.x_on_dual])
+        return RightFModule._from_structure(A, stack)
 
 
 def canonical_psi(A: FiniteAlgebra, hom: Subspace) -> FpMatrix:
@@ -83,8 +84,10 @@ def reference_dual(module, ref: ReferenceContext):
     action = [a.T for a in module.action]
     if module.side == "left":
         x_new = (module.rho(ref.twist) @ module.x_action).T
-        return RightFModule(module.algebra, action, x_new, check=False)
+        stack = operator_stack(module.dim, [*action, x_new])
+        return RightFModule._from_structure(module.algebra, stack)
     total = FpMatrix.zeros(p, module.dim, module.dim)
     for j in range(ref.algebra.dim):
         total = total + module.rho(ref.phi[:, j]) @ module.x_action @ module.action[j]
-    return LeftFModule(module.algebra, action, total.T, check=False)
+    stack = operator_stack(module.dim, [*action, total.T])
+    return LeftFModule._from_structure(module.algebra, stack)

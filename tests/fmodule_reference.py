@@ -28,6 +28,7 @@ from froblab.linalg import (
     combine,
     common_kernel,
     mulmod,
+    operator_stack,
     quotient_maps,
     stabilize,
 )
@@ -142,7 +143,8 @@ def quotient(M: _FModule, sub: FSubmodule) -> tuple[_FModule, FpMatrix]:
     """The quotient action proj @ a @ lift, one matrix at a time."""
     proj, lift = quotient_maps(sub.space)
     action = [proj @ a @ lift for a in M.action]
-    return type(M)(M.algebra, action, proj @ M.x_action @ lift, check=False), proj
+    stack = operator_stack(proj.rows, [*action, proj @ M.x_action @ lift])
+    return type(M)._from_structure(M.algebra, stack), proj
 
 
 def image_rows(space: Subspace, operators) -> np.ndarray:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from froblab.algebra import prime_field, product_algebra, truncated_polynomial_algebra
 from froblab.generators import random_module, standard_algebras
-from froblab.linalg import FpMatrix
+from froblab.linalg import FpMatrix, operator_stack
 
 STANDARD_ALGEBRAS = standard_algebras()
 
@@ -73,7 +73,8 @@ def direct_sum(parts):
         return FpMatrix(A.p, out)
 
     action = [blocks([M.action[i] for M in parts]) for i in range(A.dim)]
-    return type(first)(A, action, blocks([M.x_action for M in parts]), check=False)
+    stack = operator_stack(n, [*action, blocks([M.x_action for M in parts])])
+    return type(first)._from_structure(A, stack)
 
 
 @st.composite

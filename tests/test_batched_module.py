@@ -305,7 +305,11 @@ def test_every_matrix_the_package_builds_is_frozen_and_reduced():
         for N in derived:
             for m in module_matrices(N):
                 assert_frozen(m)
-            assert not N.structure.flags.writeable
+            # the structure is all a module stores: its matrices are views of it
+            assert not N.structure.flags.writeable and N.structure.flags.c_contiguous
+            if N.dim:
+                for m in [*N.action, N.x_action]:
+                    assert np.shares_memory(m.data, N.structure)
 
 
 # -- public constructors refuse non-integer data ---------------------------------

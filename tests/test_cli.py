@@ -13,9 +13,24 @@ import froblab
 from froblab import cli, fileio
 from froblab.algebra import prime_field, truncated_polynomial_algebra
 from froblab.cli import main
-from froblab.fmodule import RightFModule, natural_frobenius_module
+from froblab.fmodule import RightFModule, _FModule, natural_frobenius_module
 from froblab.generators import InstanceCatalog, default_catalog
 from froblab.linalg import FpMatrix
+
+
+def catalog_to_doc(catalog: InstanceCatalog) -> dict:
+    """A catalog as the document catalog_from_doc reads; no CLI path writes one."""
+    return {
+        "algebras": {k: fileio.algebra_to_doc(v) for k, v in catalog.algebras.items()},
+        "modules": {
+            k: {"algebra": alg, **fileio.module_to_doc(m)}
+            for k, (alg, m) in catalog.modules.items()
+        },
+        "ideals": {
+            k: {"algebra": alg, "generators": [g.tolist() for g in i.generators]}
+            for k, (alg, i) in catalog.ideals.items()
+        },
+    }
 
 
 @pytest.fixture
@@ -159,6 +174,26 @@ def test_dualize_round_trip(fixtures, capsys, tmp_path):
     assert json.loads(out2.read_text())["side"] == "left"
 
 
+def test_only_data_from_outside_is_validated(fixtures, monkeypatch, tmp_path):
+    # every module the package derives is built trusted: check validates only
+    # its hand-built catalog module residue_F2t2, and dualize only the module
+    # it loads
+    _, alg, mod, _ = fixtures
+    calls = []
+    validate = _FModule.validate
+
+    def counting(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(_FModule, "validate", counting)
+    assert main(["check", "--seed", "0", "--out", str(tmp_path / "report.txt")]) == 0
+    assert [M.dim for M in calls] == [1]
+    calls.clear()
+    assert main(["dualize", alg, mod, "--out", str(tmp_path / "dual.json")]) == 0
+    assert len(calls) == 1
+
+
 def test_fclosure_regression(fixtures, capsys):
     _, _, _, alg3 = fixtures
     assert main(["fclosure", alg3, "0,0,1"]) == 0
@@ -241,7 +276,7 @@ def test_dim_zero_module_with_matrix_data_exits_2(tmp_path, capsys):
 
 def _renamed_section(old: str, new: str) -> dict:
     """The default catalog's document with one section under a misspelt key."""
-    doc = fileio.catalog_to_doc(default_catalog())
+    doc = catalog_to_doc(default_catalog())
     doc[new] = doc.pop(old)
     return doc
 
@@ -298,7 +333,7 @@ def test_check_empty_catalog(tmp_path, capsys):
 
 def test_check_corrupted_module_exits_2(tmp_path, capsys):
     cat = default_catalog()
-    doc = fileio.catalog_to_doc(cat)
+    doc = catalog_to_doc(cat)
     doc["modules"]["natural_F2t2"]["X"] = [[0, 1], [1, 0]]
     path = tmp_path / "corrupt.json"
     path.write_text(json.dumps(doc))
@@ -424,7 +459,7 @@ def test_probe_question_counts(capsys):
 
 def test_probe_question_zero_module(tmp_path, capsys):
     cat = default_catalog()
-    doc = fileio.catalog_to_doc(cat)
+    doc = catalog_to_doc(cat)
     doc["modules"] = {
         "zero_right": {
             "algebra": "F2",
@@ -453,7 +488,7 @@ def test_large_divisible_module_is_checked_and_counted(tmp_path, capsys):
     cat = InstanceCatalog(algebras={"F3": F3})
     cat.add_module("big_F3", "F3", RightFModule(F3, [FpMatrix.identity(3, 12)], X))
     path = tmp_path / "cat.json"
-    path.write_text(fileio.dump_json(fileio.catalog_to_doc(cat)))
+    path.write_text(fileio.dump_json(catalog_to_doc(cat)))
     out = tmp_path / "report.json"
     assert main(["check", str(path), "--budget", "0", "--format", "structured", "--out", str(out)]) == 0
     laws = {(r["check"], r["instance"]): r["ok"] for r in json.loads(out.read_text())["results"]}
@@ -480,7 +515,7 @@ def test_atomic_write_replaces_existing(tmp_path):
 
 def test_catalog_round_trip(tmp_path):
     cat = default_catalog()
-    doc = fileio.catalog_to_doc(cat)
+    doc = catalog_to_doc(cat)
     path = tmp_path / "cat.json"
     path.write_text(fileio.dump_json(doc))
     loaded = fileio.catalog_from_doc(json.loads(path.read_text()))

@@ -30,7 +30,7 @@ from froblab.fmodule import (
     natural_frobenius_module,
 )
 from froblab.generators import random_hom, random_module, standard_algebras
-from froblab.linalg import FpMatrix, Subspace
+from froblab.linalg import FpMatrix, Subspace, operator_stack
 from froblab.skew import x_power_graded_ideal
 
 from duality_reference import reference_context, reference_dual
@@ -254,7 +254,7 @@ def test_failed_round_trip_is_reported_not_raised(monkeypatch):
     def dropping_x(M, ctx):
         D = real(M, ctx)
         zero = FpMatrix.zeros(D.algebra.p, D.dim, D.dim)
-        return LeftFModule(D.algebra, D.action, zero, check=False)
+        return LeftFModule._from_structure(D.algebra, operator_stack(D.dim, [*D.action, zero]))
 
     monkeypatch.setattr(duality, "dual_right", dropping_x)
     ctx = build_duality_context(F2T2)

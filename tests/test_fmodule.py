@@ -47,7 +47,15 @@ from froblab.generators import (
     semilinear_solution_space,
     standard_algebras,
 )
-from froblab.linalg import FpMatrix, Subspace, as_vector, mulmod, quotient_representatives, stabilize
+from froblab.linalg import (
+    FpMatrix,
+    Subspace,
+    as_vector,
+    mulmod,
+    operator_stack,
+    quotient_representatives,
+    stabilize,
+)
 from froblab.report import Report
 from froblab.skew import (
     GradedTwoSidedIdeal,
@@ -126,6 +134,14 @@ def test_non_multiplicative_action_is_rejected():
         LeftFModule(F2T2, bad, FpMatrix.zeros(2, 2, 2))
 
 
+@pytest.mark.parametrize("rho_p", [2, 3])
+def test_matrices_over_another_field_are_refused(rho_p):
+    # over F_2, X = 2 is 0 and the module is not x-divisible; answers read
+    # off the F_3 data would say it is
+    with pytest.raises(ValueError, match="F_2"):
+        RightFModule(prime_field(2), [FpMatrix(rho_p, [[1]])], FpMatrix(3, [[2]]))
+
+
 # -- the pairwise multiplicativity loop the batched check replaced ---------------
 
 
@@ -167,7 +183,7 @@ def test_validate_matches_pairwise_reference(M, data):
     moved = M.action[i].data.copy()
     moved[r, c] += data.draw(st.integers(1, A.p - 1))
     action = [FpMatrix(A.p, moved) if k == i else a for k, a in enumerate(M.action)]
-    bad = type(M)(A, action, M.x_action, check=False)
+    bad = type(M)._from_structure(A, operator_stack(M.dim, [*action, M.x_action]))
     assert validate_message(bad) == reference_validate(bad)
 
 
@@ -175,7 +191,8 @@ def test_validate_names_the_first_failing_pair():
     # F2[t]/t3 with rho(1) = rho(t) = rho(t^2) = id: the pairs (0, *), (1, 0)
     # and (1, 1) hold, and t * t^2 == t^3 == 0 fails first, at (1, 2)
     eye = FpMatrix.identity(2, 2)
-    bad = LeftFModule(F2T3, [eye, eye, eye], FpMatrix.zeros(2, 2, 2), check=False)
+    stack = operator_stack(2, [eye, eye, eye, FpMatrix.zeros(2, 2, 2)])
+    bad = LeftFModule._from_structure(F2T3, stack)
     assert reference_validate(bad) == "action is not multiplicative on (1,2)"
     assert validate_message(bad) == reference_validate(bad)
 
@@ -675,7 +692,7 @@ def test_isomorphism_search_refuses_above_its_bound():
 
 def test_quotient_by_everything_is_zero():
     M = natural_frobenius_module(F2T3)
-    quotient, _ = M.quotient(M.full_submodule())
+    quotient, _ = M.quotient(FSubmodule(M, Subspace.full(2, M.dim)))
     assert quotient.is_zero()
 
 
@@ -917,7 +934,7 @@ def test_quotient_as_module_and_localize_match_reference(M, data):
     vectors = data.draw(
         st.lists(st.lists(st.integers(0, p - 1), min_size=M.dim, max_size=M.dim), max_size=2)
     )
-    for sub in (M.zero_submodule(), M.full_submodule(), M.submodule(vectors)):
+    for sub in (M.zero_submodule(), FSubmodule(M, Subspace.full(p, M.dim)), M.submodule(vectors)):
         quotient, proj = M.quotient(sub)
         assert (quotient.action, quotient.x_action, proj) == reference_quotient(M, sub)
         smod, _ = sub.as_module()
@@ -1088,7 +1105,7 @@ def test_square_multiplier_matches_element_scan_for_any_x(M, seed):
     rank = rng.randrange(n + 1)
     u = np.array([rng.randrange(A.p) for _ in range(n * rank)], dtype=np.int64).reshape(n, rank)
     v = np.array([rng.randrange(A.p) for _ in range(rank * n)], dtype=np.int64).reshape(rank, n)
-    N = RightFModule(A, M.action, FpMatrix(A.p, u @ v), check=False)
+    N = RightFModule._from_structure(A, operator_stack(n, [*M.action, FpMatrix(A.p, u @ v)]))
     report = Report()
     check_square_multiplier("m", N, report)
     if N.is_zero():
@@ -1112,7 +1129,7 @@ def test_square_multiplier_checks_cross_products_for_odd_p():
                 table[i, j, monomials.index((a + c, b + d))] = 1
     A = FiniteAlgebra(3, table, [1, 0, 0, 0])
     shift = FpMatrix(3, np.eye(4, k=-1, dtype=np.int64))
-    N = RightFModule(A, A.basis_matrices(), shift, check=False)
+    N = RightFModule._from_structure(A, operator_stack(4, [*A.basis_matrices(), shift]))
     report = Report()
     check_square_multiplier("shift", N, report)
     assert not reference_square_multiplier(N)[0]
@@ -1135,7 +1152,7 @@ def test_fraction_rule_is_the_semilinearity_on_a_basis(name, seed, data):
     if data.draw(st.booleans()):
         noise = [rng.randrange(A.p) for _ in range(M.dim**2)]
         x = x + FpMatrix(A.p, np.array(noise, dtype=np.int64).reshape(M.dim, M.dim))
-    local = RightFModule(A, M.action, x, check=False)
+    local = RightFModule._from_structure(A, operator_stack(M.dim, [*M.action, x]))
     linear = all(x @ a == b @ x for a, b in semilinear_pairs(A, M.action, "right"))
     assert linear == reference_fraction_rule(local)
 

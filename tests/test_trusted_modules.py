@@ -1,9 +1,10 @@
 """Every module the package derives from a valid module is itself valid.
 
 Quotients, submodules, localizations, duals and the generators' modules are
-built with check=False: they are modules by construction, so the package
-does not validate them again.  These tests are what that trust rests on:
-each construction's output must pass the full validate().
+built from their structure stacks by _from_structure: they are modules by
+construction, so the package does not validate them again.  These tests are
+what that trust rests on: each construction's output must pass the full
+validate().
 """
 import random
 
