@@ -103,14 +103,20 @@ def build_duality_context(A: FiniteAlgebra) -> DualityContext:
 
 
 def dual_left(H: LeftFModule, ctx: DualityContext) -> RightFModule:
-    """Right module structure on the linear dual of a left module: X^T."""
+    """Right module structure on the linear dual of a left module: X^T.
+    A right module is refused: its transpose is no right module."""
+    if H.side != "left":
+        raise ValueError(f"expected a left module, got a {H.side} module")
     if H.algebra != ctx.algebra:
         raise ValueError("module and context live over different algebras")
     return RightFModule._from_structure(H.algebra, _transposed(H))
 
 
 def dual_right(M: RightFModule, ctx: DualityContext) -> LeftFModule:
-    """Left module structure on the linear dual of a right module: X^T."""
+    """Left module structure on the linear dual of a right module: X^T.
+    A left module is refused: its transpose is no left module."""
+    if M.side != "right":
+        raise ValueError(f"expected a right module, got a {M.side} module")
     if M.algebra != ctx.algebra:
         raise ValueError("module and context live over different algebras")
     return LeftFModule._from_structure(M.algebra, _transposed(M))

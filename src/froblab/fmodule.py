@@ -47,30 +47,21 @@ def _frobenius_twists(algebra: FiniteAlgebra, acts: np.ndarray) -> np.ndarray:
     return flat.reshape(d, n, n)
 
 
-def _semilinear_stacks(
+def semilinear_stacks(
     algebra: FiniteAlgebra, acts: np.ndarray, side: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """The stacks of the A_i and the B_i, one per algebra basis element, such
-    that X is a valid x-action for the ring action acts exactly when
-    X A_i == B_i X for every i: (rho(e_i), rho(e_i^p)) on the left and
-    (rho(e_i^p), rho(e_i)) on the right."""
+    that X is a valid x-action for the d x n x n ring action acts exactly
+    when X A_i == B_i X for every i: (rho(e_i), rho(e_i^p)) on the left and
+    (rho(e_i^p), rho(e_i)) on the right.  They are operator_kernel's system."""
     frob = _frobenius_twists(algebra, acts)
     return (acts, frob) if side == "left" else (frob, acts)
-
-
-def semilinear_pairs(algebra: FiniteAlgebra, action, side: str) -> list[tuple[FpMatrix, FpMatrix]]:
-    """The pairs (A_i, B_i) of the side's semilinearity rule, for a ring action
-    given as a list of FpMatrix or as a d x n x n stack."""
-    acts = action if isinstance(action, np.ndarray) else operator_stack(action[0].rows, action)
-    a, b = _semilinear_stacks(algebra, acts, side)
-    p = algebra.p
-    return [(FpMatrix._reduced(p, ai), FpMatrix._reduced(p, bi)) for ai, bi in zip(a, b)]
 
 
 def semilinear_defects(algebra: FiniteAlgebra, structure: np.ndarray, side: str) -> np.ndarray:
     """One flag per algebra basis element: whether X A_i != B_i X for the X and
     the ring action of a (d+1) x n x n structure stack, all i at once."""
-    a, b = _semilinear_stacks(algebra, structure[:-1], side)
+    a, b = semilinear_stacks(algebra, structure[:-1], side)
     X, p = structure[-1], algebra.p
     return (mulmod(X, a, p) != mulmod(b, X, p)).any(axis=(1, 2))
 
@@ -122,9 +113,9 @@ class _FModule:
     # broadcast product stands for a loop over the action matrices.
 
     @cached_property
-    def action(self) -> list[FpMatrix]:
+    def action(self) -> tuple[FpMatrix, ...]:
         """rho(e_0), ..., rho(e_(d-1)), as read-only views of the structure."""
-        return [FpMatrix._reduced(self.algebra.p, m) for m in self.structure[:-1]]
+        return tuple(FpMatrix._reduced(self.algebra.p, m) for m in self.structure[:-1])
 
     @cached_property
     def x_action(self) -> FpMatrix:
@@ -566,12 +557,12 @@ def cartier_from_splitting(
 
 
 def hom_space(source: _FModule, target: _FModule) -> list[FpMatrix]:
-    """Basis of the space of structure-preserving maps source -> target."""
+    """Basis of the space of structure-preserving maps source -> target: the
+    h with h S_i == T_i h for every matrix S_i of the source's structure and
+    T_i of the target's, the d action matrices and X alike."""
     if source.side != target.side or source.algebra != target.algebra:
         raise ValueError("modules are not comparable")
-    pairs = list(zip(source.action, target.action))
-    pairs.append((source.x_action, target.x_action))
-    return operator_kernel(source.algebra.p, (target.dim, source.dim), pairs)
+    return operator_kernel(source.algebra.p, source.structure, target.structure)
 
 
 def find_module_isomorphism(source: _FModule, target: _FModule) -> FpMatrix | None:

@@ -27,7 +27,7 @@ from .algebra import (
     truncated_polynomial_algebra,
 )
 from .errors import AxiomError
-from .fmodule import LeftFModule, RightFModule, _FModule, hom_space, semilinear_pairs
+from .fmodule import LeftFModule, RightFModule, _FModule, hom_space, semilinear_stacks
 from .linalg import FpMatrix, combine, mulmod, operator_kernel, operator_stack, quotient_maps
 
 
@@ -140,9 +140,9 @@ def _quotient_action(A: FiniteAlgebra, a: Ideal) -> np.ndarray:
 def semilinear_solution_space(action, A: FiniteAlgebra, side: str) -> list[FpMatrix]:
     """Basis of all x-action matrices compatible with the given ring action,
     a list of FpMatrix or a d x n x n stack."""
-    pairs = semilinear_pairs(A, action, side)
-    n = pairs[0][0].rows
-    return operator_kernel(A.p, (n, n), pairs)
+    if not isinstance(action, np.ndarray):
+        action = operator_stack(action[0].rows, action)
+    return operator_kernel(A.p, *semilinear_stacks(A, action, side))
 
 
 def random_module(A: FiniteAlgebra, side: str, max_dim: int, rng: random.Random) -> _FModule:

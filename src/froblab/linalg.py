@@ -354,6 +354,8 @@ class FpMatrix:
         kernel of the residue self - B^T @ self[P]: one product and one
         kernel, for any shape and for zero and full targets alike.
         """
+        if target.p != self.p:
+            raise ValueError("matrix and target live over different fields")
         if target.ambient_dim != self.rows:
             raise ValueError("target lives in the wrong ambient space")
         in_target = mulmod(target.basis.T, self.data[target.pivots], self.p)
@@ -530,22 +532,29 @@ def relations(p: int, rows: np.ndarray) -> Subspace:
     return Subspace(p, k, np.ascontiguousarray(space.basis[r:, n:]), space.pivots[r:] - n)
 
 
-def operator_stack(n: int, operators) -> np.ndarray:
-    """n x n operators as one k x n x n array: a list of FpMatrix is stacked,
-    an array of that shape is taken as it is."""
+def operator_stack(n: int, operators: list[FpMatrix]) -> np.ndarray:
+    """A list of k n x n FpMatrix stacked as one k x n x n array."""
+    return np.array([op.data for op in operators], dtype=np.int64).reshape(len(operators), n, n)
+
+
+def _operators_on(space: Subspace, operators) -> np.ndarray:
+    """Operators on the ambient F_p^n of space as one k x n x n array.  A
+    list of FpMatrix is refused unless it lives over the field of space,
+    then stacked; an array, which the package built, is taken as it is."""
     if isinstance(operators, np.ndarray):
         return operators
-    return np.array([op.data for op in operators], dtype=np.int64).reshape(len(operators), n, n)
+    if any(op.p != space.p for op in operators):
+        raise ValueError("operators and subspace live over different fields")
+    return operator_stack(space.ambient_dim, operators)
 
 
 def image_rows(space: Subspace, operators) -> np.ndarray:
     """The rows op @ b for every n x n operator and every basis row b of
     space, operator by operator: one broadcast product.  operators is a list
     of FpMatrix or a k x n x n array."""
-    n = space.ambient_dim
-    stack = operator_stack(n, operators)
+    stack = _operators_on(space, operators)
     images = mulmod(space.basis, stack.transpose(0, 2, 1), space.p)
-    return images.reshape(stack.shape[0] * space.dim, n)
+    return images.reshape(stack.shape[0] * space.dim, space.ambient_dim)
 
 
 def common_kernel(p: int, n: int, matrices) -> Subspace:
@@ -565,7 +574,7 @@ def restrict_stack(operators, space: Subspace) -> np.ndarray:
     """Matrices of n x n operators on an invariant subspace, in its canonical
     basis, as one k x dim x dim array: one coordinates call for the images of
     every operator.  operators is a list of FpMatrix or a k x n x n array."""
-    stack = operator_stack(space.ambient_dim, operators)
+    stack = _operators_on(space, operators)
     coords = space.coordinates(image_rows(space, stack))
     if coords is None:
         raise AxiomError("operator does not preserve the subspace")
@@ -611,7 +620,7 @@ def close_under(space: Subspace, operators: list[FpMatrix]) -> Subspace:
     Each basis vector's images thus meet elimination once.
     """
     p, n = space.p, space.ambient_dim
-    operators = operator_stack(n, operators)
+    operators = _operators_on(space, operators)
     basis, pivots = space.basis, space.pivots.tolist()
     frontier = space  # the span of the rows the last step added
     while True:
@@ -637,15 +646,6 @@ def combine(p: int, shape: tuple[int, int], coeffs, matrices) -> FpMatrix:
         if c:
             total = (total + (int(c) % p) * m.data) % p
     return FpMatrix._reduced(p, total)
-
-
-def _stacks(shape: tuple[int, int], pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The A_i as one d x cols x cols array and the B_i as one d x rows x rows."""
-    rows, cols = shape
-    pairs = list(pairs)
-    a = np.array([a.data for a, _ in pairs], dtype=np.int64).reshape(len(pairs), cols, cols)
-    b = np.array([b.data for _, b in pairs], dtype=np.int64).reshape(len(pairs), rows, rows)
-    return a, b
 
 
 def _intertwiner_system(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -688,11 +688,12 @@ def _blocks(n: int, stack: np.ndarray) -> list[np.ndarray]:
     return [np.array(block, dtype=np.intp) for block in blocks.values()]
 
 
-def operator_kernel(p: int, shape: tuple[int, int], pairs) -> list[FpMatrix]:
-    """Basis of {X : X A_i == B_i X for every pair (A_i, B_i)}, in canonical order.
+def operator_kernel(p: int, a: np.ndarray, b: np.ndarray) -> list[FpMatrix]:
+    """Basis of {X : X A_i == B_i X for every i}, in canonical order, for the
+    stack a of the A_i (d x cols x cols) and the stack b of the B_i
+    (d x rows x rows).
 
-    X has the given (rows, cols) shape, so A_i is cols x cols and B_i is
-    rows x rows.  With no pairs every X is a solution.
+    X is rows x cols, read off the stacks.  With d = 0 every X is a solution.
 
     A system past LIST_KERNEL_CELLS splits by blocks.  Let the row blocks I
     and column blocks J be the finest partitions on which every B_i and
@@ -707,21 +708,20 @@ def operator_kernel(p: int, shape: tuple[int, int], pairs) -> list[FpMatrix]:
     pivot.  The union, ordered by pivot, is therefore the reduced echelon
     basis of the whole kernel: the same list the whole system gives.
     """
-    rows, cols = shape
+    d, rows, cols = a.shape[0], b.shape[1], a.shape[1]
     if rows * cols == 0:
         return []
-    a, b = _stacks(shape, pairs)
-    if a.shape[0] * (rows * cols) ** 2 > LIST_KERNEL_CELLS:
+    if d * (rows * cols) ** 2 > LIST_KERNEL_CELLS:
         row_blocks, col_blocks = _blocks(rows, b), _blocks(cols, a)
         if len(row_blocks) * len(col_blocks) > 1:
-            return _block_pair_kernel(p, shape, a, b, row_blocks, col_blocks)
+            return _block_pair_kernel(p, a, b, row_blocks, col_blocks)
     kernel = FpMatrix._reduced(p, _intertwiner_system(p, a, b)).kernel()
-    return [FpMatrix._reduced(p, vec.reshape(shape)) for vec in kernel.basis]
+    return [FpMatrix._reduced(p, vec.reshape(rows, cols)) for vec in kernel.basis]
 
 
-def _block_pair_kernel(p: int, shape: tuple[int, int], a, b, row_blocks, col_blocks) -> list[FpMatrix]:
+def _block_pair_kernel(p: int, a, b, row_blocks, col_blocks) -> list[FpMatrix]:
     """operator_kernel solved per block pair (I, J) and embedded, in pivot order."""
-    rows, cols = shape
+    rows, cols = b.shape[1], a.shape[1]
     solved: dict[bytes, Subspace] = {}
     found = []  # (pivot in vec X, I, J, vector of the pair's kernel)
     for I in row_blocks:
@@ -743,14 +743,15 @@ def _block_pair_kernel(p: int, shape: tuple[int, int], a, b, row_blocks, col_blo
     return out
 
 
-def operator_solve(p: int, shape: tuple[int, int], pairs, rhs) -> FpMatrix | None:
-    """One X with X A_i - B_i X == rhs_i for every pair, or None.
+def operator_solve(p: int, a: np.ndarray, b: np.ndarray, rhs) -> FpMatrix | None:
+    """One X with X A_i - B_i X == rhs_i for every i, or None, for the stacks
+    a and b of operator_kernel.
 
-    rhs holds one matrix of the given shape per pair; with no pairs every X
-    is a solution, and the zero matrix is returned.
+    rhs holds one rows x cols matrix per i; with d = 0 every X is a
+    solution, and the zero matrix is returned.
     """
     rhs = np.asarray(rhs, dtype=np.int64).ravel() % p
-    sol = FpMatrix(p, _intertwiner_system(p, *_stacks(shape, pairs))).solve(rhs)
+    sol = FpMatrix(p, _intertwiner_system(p, a, b)).solve(rhs)
     if sol is None:
         return None
-    return FpMatrix(p, sol.reshape(shape))
+    return FpMatrix(p, sol.reshape(b.shape[1], a.shape[1]))

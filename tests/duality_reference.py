@@ -22,8 +22,9 @@ def hom_space(A: FiniteAlgebra) -> Subspace:
     regs = A.basis_matrices()
     F = A.frobenius().matrix
     eye = np.eye(A.dim, dtype=np.int64)
-    pairs = [(A.mult_matrix(F.apply(eye[i])), regs[i].T) for i in range(A.dim)]
-    basis = operator_kernel(A.p, (A.dim, A.dim), pairs)
+    a = np.array([A.mult_matrix(F.apply(eye[i])).data for i in range(A.dim)])
+    b = np.array([m.data.T for m in regs])
+    basis = operator_kernel(A.p, a, b)
     return Subspace.from_vectors(A.p, A.dim * A.dim, [b.data.ravel() for b in basis])
 
 

@@ -136,7 +136,7 @@ def times_graded_ideal(M: _FModule, ideal: GradedTwoSidedIdeal) -> Subspace:
         for b in ideal.component(m).space.basis:
             pieces.append((xp @ rho(M, b)).data.T)
     space = Subspace.from_vectors(p, n, np.vstack(pieces))
-    return close_under(space, M.action + [M.x_action])
+    return close_under(space, [*M.action, M.x_action])
 
 
 def quotient(M: _FModule, sub: FSubmodule) -> tuple[_FModule, FpMatrix]:

@@ -48,8 +48,9 @@ def cartier_by_splitting_solve(A: FiniteAlgebra) -> FpMatrix | None:
     p, d = A.p, A.dim
     F = A.frobenius().matrix
     eye = np.eye(d, dtype=np.int64)
-    frob_mults = [A.mult_matrix(F.apply(eye[i])) for i in range(d)]
-    pairs = [(m, m) for m in frob_mults] + [(F, FpMatrix.zeros(p, d, d))]
+    frob_mults = np.array([A.mult_matrix(F.apply(eye[i])).data for i in range(d)])
+    a = np.concatenate([frob_mults, F.data[None]])
+    b = np.concatenate([frob_mults, np.zeros((1, d, d), dtype=np.int64)])
     rhs = [np.zeros((d, d), dtype=np.int64)] * d + [F.data]
-    pi = operator_solve(p, (d, d), pairs, rhs)
+    pi = operator_solve(p, a, b, rhs)
     return None if pi is None else F.inverse() @ pi

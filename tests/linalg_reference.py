@@ -4,7 +4,7 @@ solver replaced, kept as the references they are checked against.
 - `two_elimination_kernel`: eliminate the matrix, build the free-variable
   basis, then bring that basis to canonical form with a second elimination.
 - `kron_intertwiner_system`: the system of X -> [X A_i - B_i X]_i built from
-  2 d `np.kron` calls.
+  2 d `np.kron` calls, one A_i and one B_i at a time.
 - `whole_operator_kernel`: one kernel of the whole stacked system, with both
   of the above, never split by blocks.
 """
@@ -24,17 +24,18 @@ def two_elimination_kernel(m: FpMatrix) -> Subspace:
     return Subspace.from_vectors(m.p, m.cols, basis)
 
 
-def kron_intertwiner_system(p: int, shape: tuple[int, int], pairs) -> np.ndarray:
-    rows, cols = shape
+def kron_intertwiner_system(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For the stack a of the A_i (d x cols x cols) and b of the B_i (d x rows x rows)."""
+    rows, cols = b.shape[1], a.shape[1]
     eye_r = np.eye(rows, dtype=np.int64)
     eye_c = np.eye(cols, dtype=np.int64)
-    blocks = [np.kron(eye_r, a.data.T) - np.kron(b.data, eye_c) for a, b in pairs]
+    blocks = [np.kron(eye_r, ai.T) - np.kron(bi, eye_c) for ai, bi in zip(a, b)]
     return np.vstack([np.zeros((0, rows * cols), dtype=np.int64), *blocks]) % p
 
 
-def whole_operator_kernel(p: int, shape: tuple[int, int], pairs) -> list[FpMatrix]:
-    rows, cols = shape
+def whole_operator_kernel(p: int, a: np.ndarray, b: np.ndarray) -> list[FpMatrix]:
+    rows, cols = b.shape[1], a.shape[1]
     if rows * cols == 0:
         return []
-    kernel = two_elimination_kernel(FpMatrix(p, kron_intertwiner_system(p, shape, pairs)))
+    kernel = two_elimination_kernel(FpMatrix(p, kron_intertwiner_system(p, a, b)))
     return [FpMatrix(p, vec.reshape(rows, cols)) for vec in kernel.basis]

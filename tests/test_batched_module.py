@@ -2,7 +2,7 @@
 
 Every module keeps one (d+1) x n x n stack of its action matrices and X, and
 rho, annihilator_submodule, times_graded_ideal, quotient, image_rows,
-semilinear_pairs and the literal dual-action formulas each read it with a
+semilinear_stacks and the literal dual-action formulas each read it with a
 few broadcast products.  The references in fmodule_reference take one
 matrix, one element or one entry at a time.  The arithmetic is exact in both,
 so the results must be equal, not close.
@@ -30,7 +30,7 @@ from froblab.duality import (
     eval_dual_formula_left,
     eval_dual_formula_right,
 )
-from froblab.fmodule import LeftFModule, RightFModule, semilinear_pairs
+from froblab.fmodule import LeftFModule, RightFModule, semilinear_stacks
 from froblab.generators import default_catalog, random_module, sampled_modules
 from froblab.linalg import (
     LIST_KERNEL_CELLS,
@@ -72,6 +72,17 @@ def graded_ideals(A: FiniteAlgebra, modules_, rng: random.Random) -> list[Graded
     return out
 
 
+def assert_semilinear_stacks_match(M) -> None:
+    """semilinear_stacks against the pairs the combine reference builds."""
+    A = M.algebra
+    a, b = semilinear_stacks(A, M.structure[:-1], M.side)
+    want = reference.semilinear_pairs(A, M.action, M.side)
+    assert a.shape == b.shape == (A.dim, M.dim, M.dim)
+    assert a.dtype == b.dtype == np.int64
+    assert a.tolist() == [x.data.tolist() for x, _ in want]
+    assert b.tolist() == [y.data.tolist() for _, y in want]
+
+
 def assert_batched_routes_match(M, rng: random.Random) -> None:
     """Every batched route on M and on its dual against its reference."""
     A = M.algebra
@@ -90,9 +101,9 @@ def assert_batched_routes_match(M, rng: random.Random) -> None:
         for r, got in zip(block, rhos):
             assert N.rho(r) == reference.rho(N, r)
             assert np.array_equal(got, reference.rho(N, r).data)
-        assert semilinear_pairs(A, N.action, N.side) == reference.semilinear_pairs(A, N.action, N.side)
+        assert_semilinear_stacks_match(N)
         space = Subspace.from_vectors(p, n, [draw(n) for _ in range(2)])
-        operators = N.action + [N.x_action]
+        operators = [*N.action, N.x_action]
         want = reference.image_rows(space, operators)
         assert np.array_equal(image_rows(space, operators), want)
         assert np.array_equal(image_rows(space, N.structure), want)
@@ -160,7 +171,7 @@ def test_zero_and_dim_one_modules_through_every_batched_method(A, cls):
         assert M.rho(A.one) == FpMatrix.identity(p, n)
         assert M.graded_annihilator() == reference.graded_annihilator(M)
         assert M._cyclic_words().shape == (n * d * n, n)
-        assert semilinear_pairs(A, M.action, M.side) == reference.semilinear_pairs(A, M.action, M.side)
+        assert_semilinear_stacks_match(M)
         for sub in (M.zero_submodule(), M.submodule(np.eye(n, dtype=np.int64))):
             got, want = M.quotient(sub), reference.quotient(M, sub)
             assert got[0] == want[0] and got[1] == want[1] and got[0].validate()
@@ -254,23 +265,20 @@ def test_batched_products_at_the_top_prime_match_python_integers(side):
 # -- every FpMatrix is frozen, reduced and owns no writable data ---------------
 
 
-def assert_frozen(m: FpMatrix) -> None:
-    data = m.data
-    assert isinstance(data, np.ndarray) and data.ndim == 2 and data.dtype == np.int64
+def assert_frozen(data: np.ndarray, p: int, ndim: int = 2) -> None:
+    assert isinstance(data, np.ndarray) and data.ndim == ndim and data.dtype == np.int64
     assert not data.flags.writeable
     base = data.base
     while isinstance(base, np.ndarray):
         assert not base.flags.writeable, "an FpMatrix is a view of a writable array"
         base = base.base
-    assert ((data >= 0) & (data < m.p)).all()
+    assert ((data >= 0) & (data < p)).all()
 
 
 def module_matrices(M) -> list[FpMatrix]:
     A = M.algebra
     mats = [*M.action, M.x_action, M.rho(A.one)]
     mats += [M.x_power(k) for k in range(M.fitting_index() + 2)]
-    for a, b in semilinear_pairs(A, M.action, M.side):
-        mats += [a, b]
     return mats
 
 
@@ -301,10 +309,12 @@ def test_every_matrix_the_package_builds_is_frozen_and_reduced():
         ctx = build_duality_context(M.algebra)
         derived, maps = derived_modules(M, ctx)
         for m in maps:
-            assert_frozen(m)
+            assert_frozen(m.data, m.p)
         for N in derived:
             for m in module_matrices(N):
-                assert_frozen(m)
+                assert_frozen(m.data, m.p)
+            for stack in semilinear_stacks(N.algebra, N.structure[:-1], N.side):
+                assert_frozen(stack, N.algebra.p, ndim=3)
             # the structure is all a module stores: its matrices are views of it
             assert not N.structure.flags.writeable and N.structure.flags.c_contiguous
             if N.dim:

@@ -2,6 +2,7 @@ import functools
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,6 +116,19 @@ def test_dual_of_zero_module():
     ctx = build_duality_context(F2T2)
     assert dual_left(LeftFModule.zero(F2T2), ctx).is_zero()
     assert dual_right(RightFModule.zero(F2T2), ctx).is_zero()
+
+
+def test_duality_functors_refuse_a_module_of_the_wrong_side():
+    # the transpose of a left module is no left module: over F2[t]/t3 it
+    # fails left semilinearity on t
+    A = truncated_polynomial_algebra(2, 3)
+    ctx = build_duality_context(A)
+    H = natural_frobenius_module(A)
+    with pytest.raises(ValueError, match="expected a right module"):
+        dual_right(H, ctx)
+    with pytest.raises(ValueError, match="expected a left module"):
+        dual_left(dual_left(H, ctx), ctx)
+    assert dual_module(dual_module(H, ctx), ctx) == H
 
 
 def test_dual_of_natural_module():

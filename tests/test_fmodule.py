@@ -34,7 +34,7 @@ from froblab.fmodule import (
     graded_annihilator_set,
     hom_space,
     natural_frobenius_module,
-    semilinear_pairs,
+    semilinear_stacks,
     twisted_frobenius_module,
     twisted_modules_isomorphic,
 )
@@ -155,7 +155,7 @@ def reference_validate(M) -> str | None:
         for j in range(A.dim):
             if M.action[i] @ M.action[j] != M.rho(A.mul(eye[i], eye[j])):
                 return f"action is not multiplicative on ({i},{j})"
-    for i, (a, b) in enumerate(semilinear_pairs(A, M.action, M.side)):
+    for i, (a, b) in enumerate(reference.semilinear_pairs(A, M.action, M.side)):
         if M.x_action @ a != b @ M.x_action:
             return f"{M.side} semilinearity fails on basis element {A.labels[i]}"
     return None
@@ -735,7 +735,7 @@ def test_enumerate_submodules_of_natural_module():
         space = Subspace.from_vectors(2, 2, vs)
         ok = all(
             space.contains(op.apply(v))
-            for op in H.action + [H.x_action]
+            for op in [*H.action, H.x_action]
             for v in space.basis
         )
         if ok:
@@ -916,14 +916,14 @@ def reference_quotient(M, sub: FSubmodule):
         lift = FpMatrix(p, reps.T)
     else:
         proj = lift = FpMatrix.zeros(p, 0, 0)
-    return [proj @ a @ lift for a in M.action], proj @ M.x_action @ lift, proj
+    return tuple(proj @ a @ lift for a in M.action), proj @ M.x_action @ lift, proj
 
 
 def reference_localize(M: RightFModule, index: int):
     decomp = M.algebra.local_components()
     part = M.rho(decomp.idempotents[index]).image()
     eye = np.eye(decomp.components[index].dim, dtype=np.int64)
-    action = [reference_restrict(M.rho(decomp.lift(index, row)), part) for row in eye]
+    action = tuple(reference_restrict(M.rho(decomp.lift(index, row)), part) for row in eye)
     return action, reference_restrict(M.x_action, part)
 
 
@@ -938,7 +938,7 @@ def test_quotient_as_module_and_localize_match_reference(M, data):
         quotient, proj = M.quotient(sub)
         assert (quotient.action, quotient.x_action, proj) == reference_quotient(M, sub)
         smod, _ = sub.as_module()
-        assert smod.action == [reference_restrict(a, sub.space) for a in M.action]
+        assert smod.action == tuple(reference_restrict(a, sub.space) for a in M.action)
         assert smod.x_action == reference_restrict(M.x_action, sub.space)
     if M.side == "right":
         for idx in range(len(M.algebra.local_components().components)):
@@ -1153,7 +1153,8 @@ def test_fraction_rule_is_the_semilinearity_on_a_basis(name, seed, data):
         noise = [rng.randrange(A.p) for _ in range(M.dim**2)]
         x = x + FpMatrix(A.p, np.array(noise, dtype=np.int64).reshape(M.dim, M.dim))
     local = RightFModule._from_structure(A, operator_stack(M.dim, [*M.action, x]))
-    linear = all(x @ a == b @ x for a, b in semilinear_pairs(A, M.action, "right"))
+    a, b = semilinear_stacks(A, M.structure[:-1], "right")
+    linear = np.array_equal(mulmod(x.data, a, A.p), mulmod(b, x.data, A.p))
     assert linear == reference_fraction_rule(local)
 
 
@@ -1243,6 +1244,20 @@ def test_hom_space_contains_identity():
     assert FpMatrix.identity(2, 2) in combos
 
 
+def test_action_is_a_tuple_that_refuses_item_assignment():
+    # a cached mutable list let one assignment change what the module reads
+    M = natural_frobenius_module(F2T2)
+    assert isinstance(M.action, tuple)
+    with pytest.raises(TypeError):
+        M.action[1] = M.action[0]
+    assert len(hom_space(M, M)) == 1 and M.validate()
+
+
+def test_hom_space_to_and_from_the_zero_module_is_zero():
+    M, Z = natural_frobenius_module(F2T2), LeftFModule.zero(F2T2)
+    assert hom_space(M, Z) == hom_space(Z, M) == hom_space(Z, Z) == []
+
+
 def test_random_modules_satisfy_semilinearity():
     rng = random.Random(13)
     for name, A in standard_algebras().items():
@@ -1279,9 +1294,9 @@ def test_solution_spaces_and_random_modules_match_the_whole_system(monkeypatch):
                     patch.setattr(generators_mod, "operator_kernel", whole_operator_kernel)
                     whole = random_module(A, side, 10, random.Random(seed))
                 assert M.action == whole.action and M.x_action == whole.x_action
-                pairs = semilinear_pairs(A, M.action, side)
-                got = semilinear_solution_space(M.action, A, side)
-                assert _bases(got) == _bases(whole_operator_kernel(A.p, (M.dim, M.dim), pairs))
+                want = whole_operator_kernel(A.p, *semilinear_stacks(A, M.structure[:-1], side))
+                assert _bases(semilinear_solution_space(M.action, A, side)) == _bases(want)
+                assert _bases(semilinear_solution_space(M.structure[:-1], A, side)) == _bases(want)
                 split += A.dim * M.dim**4 > linalg.LIST_KERNEL_CELLS
     assert split >= 20
 
@@ -1307,15 +1322,14 @@ def test_hom_space_with_linking_x_matches_the_whole_system():
             for _ in range(3):
                 M = _direct_sum(random_module(A, side, 6, rng), random_module(A, side, 6, rng))
                 N = _direct_sum(random_module(A, side, 6, rng), random_module(A, side, 6, rng))
-                pairs = list(zip(M.action, N.action)) + [(M.x_action, N.x_action)]
-                action = np.array([m.data for m in M.action])
-                with_x = np.vstack([action, M.x_action.data[None]])
-                blocks = len(linalg._blocks(M.dim, with_x))
-                big = len(pairs) * (M.dim * N.dim) ** 2 > linalg.LIST_KERNEL_CELLS
-                split += big and 1 < blocks < len(linalg._blocks(M.dim, action))
+                blocks = len(linalg._blocks(M.dim, M.structure))
+                big = (A.dim + 1) * (M.dim * N.dim) ** 2 > linalg.LIST_KERNEL_CELLS
+                split += big and 1 < blocks < len(linalg._blocks(M.dim, M.structure[:-1]))
                 got = hom_space(M, N)
-                assert _bases(got) == _bases(whole_operator_kernel(A.p, (N.dim, M.dim), pairs))
-                assert all(h @ M.x_action == N.x_action @ h for h in got)
+                assert _bases(got) == _bases(whole_operator_kernel(A.p, M.structure, N.structure))
+                for h in got:
+                    assert all(h @ a == b @ h for a, b in zip(M.action, N.action))
+                    assert h @ M.x_action == N.x_action @ h
     assert split >= 12
 
 

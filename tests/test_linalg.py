@@ -291,6 +291,21 @@ def test_annihilator_involution():
     assert s.annihilator().dim == 4 - s.dim
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: FpMatrix(2, [[1, 0], [0, 1]]).preimage(Subspace.from_vectors(3, 2, [[1, 2]])),
+        lambda: close_under(Subspace.from_vectors(3, 2, [[1, 0]]), [FpMatrix(2, [[0, 1], [1, 0]])]),
+        lambda: restrict(FpMatrix(5, [[1, 0], [0, 1]]), Subspace.from_vectors(3, 2, [[1, 2]])),
+        lambda: image_rows(Subspace.full(3, 2), [FpMatrix.identity(3, 2), FpMatrix.identity(2, 2)]),
+    ],
+    ids=["preimage", "close_under", "restrict", "image_rows"],
+)
+def test_matrices_and_subspaces_over_different_fields_are_refused(call):
+    with pytest.raises(ValueError, match="different fields"):
+        call()
+
+
 def test_preimage():
     m = FpMatrix(2, [[1, 0], [0, 0]])
     target = Subspace.zero(2, 2)
@@ -611,12 +626,12 @@ def test_restrict_gives_the_matrix_on_an_invariant_subspace():
 def test_operator_kernel_finds_commutant():
     # matrices commuting with a 2x2 Jordan block over F_2: dimension 2
     j = FpMatrix(2, [[0, 1], [0, 0]])
-    basis = operator_kernel(2, (2, 2), [(j, j)])
+    basis = operator_kernel(2, j.data[None], j.data[None])
     assert len(basis) == 2
     assert all(m @ j == j @ m for m in basis)
 
 
-# -- the callback assembler the pairs-based system builder replaced ------------
+# -- the callback assembler the stacked system builder replaced -----------------
 
 
 def _reference_system(fun, p: int, shape: tuple[int, int]) -> FpMatrix:
@@ -644,40 +659,41 @@ def reference_operator_solve(fun, p: int, shape: tuple[int, int], rhs) -> np.nda
     return None if sol is None else sol.reshape(shape)
 
 
-def _intertwiner_conditions(pairs, p: int):
+def _intertwiner_conditions(a: np.ndarray, b: np.ndarray, p: int):
     def fun(x):
-        return np.concatenate([(x @ a.data - b.data @ x).ravel() % p for a, b in pairs])
+        conditions = [(x @ ai - bi @ x).ravel() % p for ai, bi in zip(a, b)]
+        return np.concatenate([np.zeros(0, dtype=np.int64), *conditions])
 
     return fun
 
 
 @st.composite
 def intertwiner_systems(draw):
-    """Random pairs (A_i, B_i) with entries biased towards 0, 1 and -1 so that
-    kernels are often nontrivial even for a large prime."""
+    """Random stacks of the A_i and the B_i, d = 0 included, with entries
+    biased towards 0, 1 and -1 so that kernels are often nontrivial even for
+    a large prime."""
     p = draw(st.sampled_from([2, 3, 1048573]))
     rows = draw(st.integers(1, 4))
     cols = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 3))
     entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
 
-    def square(n):
-        rows_ = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-        return FpMatrix(p, np.array(rows_, dtype=np.int64).reshape(n, n))
+    def stack(n):
+        entries = draw(st.lists(entry, min_size=d * n * n, max_size=d * n * n))
+        return np.array(entries, dtype=np.int64).reshape(d, n, n)
 
-    pairs = []
-    for _ in range(draw(st.integers(1, 3))):
-        a = square(cols)
-        b = a if rows == cols and draw(st.booleans()) else square(rows)
-        pairs.append((a, b))
-    return p, (rows, cols), pairs
+    a = stack(cols)
+    b = a if rows == cols and draw(st.booleans()) else stack(rows)
+    return p, a, b
 
 
 @settings(max_examples=150, deadline=None)
 @given(intertwiner_systems(), st.data())
 def test_operator_kernel_and_solve_match_reference(system, data):
-    p, shape, pairs = system
-    fun = _intertwiner_conditions(pairs, p)
-    fast = operator_kernel(p, shape, pairs)
+    p, a, b = system
+    shape = (b.shape[1], a.shape[1])
+    fun = _intertwiner_conditions(a, b, p)
+    fast = operator_kernel(p, a, b)
     slow = reference_operator_kernel(fun, p, shape)
     assert [m.data.tolist() for m in fast] == [m.tolist() for m in slow]
     # consistent right-hand sides come from a random X; arbitrary ones may not be
@@ -686,17 +702,17 @@ def test_operator_kernel_and_solve_match_reference(system, data):
             [[data.draw(st.integers(0, p - 1)) for _ in range(shape[1])] for _ in range(shape[0])],
             dtype=np.int64,
         )
-        rhs = [(x @ a.data - b.data @ x) % p for a, b in pairs]
+        rhs = [(x @ ai - bi @ x) % p for ai, bi in zip(a, b)]
     else:
         rhs = [
             np.array(
                 [[data.draw(st.integers(0, p - 1)) for _ in range(shape[1])] for _ in range(shape[0])],
                 dtype=np.int64,
             )
-            for _ in pairs
+            for _ in range(a.shape[0])
         ]
-    got = operator_solve(p, shape, pairs, rhs)
-    want = reference_operator_solve(fun, p, shape, np.concatenate([r.ravel() for r in rhs]))
+    got = operator_solve(p, a, b, rhs)
+    want = reference_operator_solve(fun, p, shape, np.concatenate([np.zeros(0), *[r.ravel() for r in rhs]]))
     assert (got is None) == (want is None)
     if want is not None:
         assert got.data.tolist() == want.tolist()
@@ -772,22 +788,39 @@ def test_kernel_is_one_elimination(monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(intertwiner_systems(), st.integers(0, 3))
 def test_intertwiner_system_matches_the_kron_reference(system, keep):
-    p, shape, pairs = system
-    pairs = pairs[:keep]
-    got = linalg._intertwiner_system(p, *linalg._stacks(shape, pairs))
-    want = kron_intertwiner_system(p, shape, pairs)
-    assert got.shape == want.shape == (len(pairs) * shape[0] * shape[1], shape[0] * shape[1])
+    p, a, b = system
+    a, b = a[:keep], b[:keep]
+    rows, cols = b.shape[1], a.shape[1]
+    got = linalg._intertwiner_system(p, a, b)
+    want = kron_intertwiner_system(p, a, b)
+    assert got.shape == want.shape == (a.shape[0] * rows * cols, rows * cols)
     assert got.tolist() == want.tolist()
 
 
+def _empty(n: int) -> np.ndarray:
+    return np.zeros((0, n, n), dtype=np.int64)
+
+
 def test_no_pairs_leave_every_matrix_a_solution():
-    units = operator_kernel(2, (2, 2), [])
+    # d = 0: stacks of shape (0, cols, cols) and (0, rows, rows)
+    units = operator_kernel(2, _empty(2), _empty(2))
     assert [m.data.tolist() for m in units] == [
         [[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]],
     ]
-    assert operator_solve(2, (2, 2), [], []) == FpMatrix.zeros(2, 2, 2)
-    assert [m.data.ravel().tolist() for m in operator_kernel(3, (3, 1), [])] == np.eye(3).tolist()
-    assert operator_solve(3, (1, 3), [], []) == FpMatrix.zeros(3, 1, 3)
+    assert operator_solve(2, _empty(2), _empty(2), []) == FpMatrix.zeros(2, 2, 2)
+    assert [m.data.ravel().tolist() for m in operator_kernel(3, _empty(1), _empty(3))] == np.eye(3).tolist()
+    assert operator_solve(3, _empty(3), _empty(1), []) == FpMatrix.zeros(3, 1, 3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 1048573])
+@pytest.mark.parametrize("d", [0, 2])
+@pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0), (0, 0)])
+def test_zero_row_or_column_dimension_has_only_the_empty_solution(p, d, rows, cols):
+    a = np.ones((d, cols, cols), dtype=np.int64)
+    b = np.ones((d, rows, rows), dtype=np.int64)
+    assert operator_kernel(p, a, b) == whole_operator_kernel(p, a, b) == []
+    rhs = np.zeros((d, rows, cols), dtype=np.int64)
+    assert operator_solve(p, a, b, rhs) == FpMatrix.zeros(p, rows, cols)
 
 
 def _block_stack(p: int, d: int, sizes: list[int], kind: str, rng) -> np.ndarray:
@@ -836,19 +869,18 @@ def block_systems(draw):
 
     a = _block_stack(p, d, sizes(), kind, rng)
     b = a if draw(st.booleans()) else _block_stack(p, d, sizes(), kind, rng)
-    pairs = [(FpMatrix(p, x), FpMatrix(p, y)) for x, y in zip(a, b)]
-    return p, (b.shape[1], a.shape[1]), pairs
+    return p, a, b
 
 
 @settings(max_examples=25, deadline=None)
 @given(block_systems())
 def test_split_operator_kernel_matches_the_whole_system(system):
-    p, shape, pairs = system
-    assert len(pairs) * (shape[0] * shape[1]) ** 2 > LIST_KERNEL_CELLS
-    got = operator_kernel(p, shape, pairs)
-    want = whole_operator_kernel(p, shape, pairs)
+    p, a, b = system
+    assert a.shape[0] * (b.shape[1] * a.shape[1]) ** 2 > LIST_KERNEL_CELLS
+    got = operator_kernel(p, a, b)
+    want = whole_operator_kernel(p, a, b)
     assert [m.data.tolist() for m in got] == [m.data.tolist() for m in want]
-    assert all((x @ a == b @ x) for x in got[:5] for a, b in pairs)
+    assert all(np.array_equal(mulmod(x.data, a, p), mulmod(b, x.data, p)) for x in got[:5])
 
 
 def test_split_solves_each_distinct_block_pair_once(monkeypatch):
@@ -857,12 +889,11 @@ def test_split_solves_each_distinct_block_pair_once(monkeypatch):
     j = np.array([[0, 1], [0, 0]])
     a = np.zeros((12, 12), dtype=np.int64)
     a[10:, 10:] = j
-    pairs = [(FpMatrix(p, a), FpMatrix(p, a))]
     counts = _count_eliminated_rows(monkeypatch)
-    got = operator_kernel(p, (12, 12), pairs)
+    got = operator_kernel(p, a[None], a[None])
     monkeypatch.undo()
     assert sorted(counts) == [1, 2, 2, 4]
-    assert [m.data.tolist() for m in got] == [m.data.tolist() for m in whole_operator_kernel(p, (12, 12), pairs)]
+    assert [m.data.tolist() for m in got] == [m.data.tolist() for m in whole_operator_kernel(p, a[None], a[None])]
     # the commutant: 100 entries among the zero 1 x 1 blocks, one in each
     # of the 20 rectangular pairs and 2 in the Jordan block
     assert len(got) == 100 + 20 + 2
@@ -871,13 +902,12 @@ def test_split_solves_each_distinct_block_pair_once(monkeypatch):
 def test_single_block_past_the_crossover_is_one_elimination(monkeypatch):
     # a 9 x 9 shift links every index: nothing splits
     p = 1048573
-    shift = FpMatrix(p, np.eye(9, k=1, dtype=np.int64))
-    pairs = [(shift, shift)]
+    shift = np.eye(9, k=1, dtype=np.int64)[None]
     counts = _count_eliminated_rows(monkeypatch)
-    got = operator_kernel(p, (9, 9), pairs)
+    got = operator_kernel(p, shift, shift)
     monkeypatch.undo()
     assert counts == [81]
-    assert [m.data.tolist() for m in got] == [m.data.tolist() for m in whole_operator_kernel(p, (9, 9), pairs)]
+    assert [m.data.tolist() for m in got] == [m.data.tolist() for m in whole_operator_kernel(p, shift, shift)]
     assert len(got) == 9
 
 
