@@ -21,7 +21,7 @@ from .linalg import (
     int_array,
     is_prime,
     mulmod,
-    restrict,
+    restrict_stack,
     stabilize,
 )
 
@@ -45,6 +45,9 @@ class FiniteAlgebra:
             raise ValueError("need one label per basis element")
         self.table.setflags(write=False)
         self.one.setflags(write=False)
+        # the regular action: rho(e_i) has column j = e_i e_j = table[i, j]
+        self.regular_action = np.ascontiguousarray(self.table.transpose(0, 2, 1))
+        self.regular_action.setflags(write=False)
         self._basis_matrices: tuple[FpMatrix, ...] | None = None
         self._frobenius: FrobeniusData | None = None
         self._local: LocalDecomposition | None = None
@@ -118,10 +121,9 @@ class FiniteAlgebra:
         return FpMatrix._reduced(self.p, m)
 
     def basis_matrices(self) -> tuple[FpMatrix, ...]:
-        """The multiplication matrices of the basis elements, computed once."""
+        """The basis elements' multiplication matrices: cached views of the regular action."""
         if self._basis_matrices is None:
-            eye = np.eye(self.dim, dtype=np.int64)
-            self._basis_matrices = tuple(self.mult_matrix(eye[i]) for i in range(self.dim))
+            self._basis_matrices = tuple(FpMatrix._reduced(self.p, m) for m in self.regular_action)
         return self._basis_matrices
 
     def is_unit(self, u) -> bool:
@@ -247,10 +249,11 @@ class Ideal:
 
     def __init__(self, algebra: FiniteAlgebra, generators, space: Subspace | None = None):
         self.algebra = algebra
-        self.generators = [as_vector(g, algebra.p) for g in generators]
+        self.generators = tuple(as_vector(g, algebra.p) for g in generators)
         for g in self.generators:
             if g.shape[0] != algebra.dim:
                 raise ValueError("generator has wrong length")
+            g.setflags(write=False)
         if space is None:
             # A is commutative, associative and unital, so the products g e_j
             # span the ideal: g = sum one_j (g e_j), and e_k (g e_j) = g (e_k e_j)
@@ -264,10 +267,10 @@ class Ideal:
     def of_space(cls, algebra: FiniteAlgebra, space: Subspace) -> "Ideal":
         """Trusted constructor: the ideal whose canonical subspace is space,
         which the caller guarantees is an ideal of algebra.  Its generators
-        are the basis rows of space."""
+        are the basis rows of space, read-only views of its basis."""
         out = cls.__new__(cls)
         out.algebra = algebra
-        out.generators = list(space.basis)
+        out.generators = tuple(space.basis)
         out.space = space
         return out
 
@@ -357,14 +360,14 @@ def frobenius_closure_data(ideal: Ideal) -> ClosureData:
     return ClosureData(closure, A.p**m, tuple(chain), preperiod, period)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocalDecomposition:
-    """Primitive orthogonal idempotents and the local factors they cut out."""
+    """Primitive orthogonal idempotents and their local factors, frozen, as callers share it."""
 
     algebra: FiniteAlgebra
-    idempotents: list[np.ndarray]
-    components: list[FiniteAlgebra]
-    component_spaces: list[Subspace]  # each factor eps_i A; its basis rows are the factor basis
+    idempotents: tuple[np.ndarray, ...]
+    components: tuple[FiniteAlgebra, ...]
+    component_spaces: tuple[Subspace, ...]  # each eps_i A; its basis rows are the factor basis
 
     def lift(self, index: int, v) -> np.ndarray:
         """Coordinates in the ambient algebra of a factor element."""
@@ -441,17 +444,19 @@ def _decompose(A: FiniteAlgebra) -> LocalDecomposition:
 
     components, spaces = [], []
     for e in primitive:
+        e.setflags(write=False)
         space = A.mult_matrix(e).image()
-        # table[i][j] holds the coordinates of b_i b_j, column j of restrict(b_i)
-        table = np.array([restrict(A.mult_matrix(b), space).data.T for b in space.basis])
-        one = space.coordinates(e)
-        comp = FiniteAlgebra(A.p, table, one, labels=[f"b{i}" for i in range(space.dim)])
-        components.append(comp)
+        # rho(b_i) for the factor basis rows, one product with the regular action;
+        # table[i][j] holds the coordinates of b_i b_j, column j of rho(b_i) there
+        rhos = mulmod(space.basis, A.regular_action.reshape(A.dim, A.dim**2), A.p)
+        table = restrict_stack(rhos.reshape(space.dim, A.dim, A.dim), space).transpose(0, 2, 1)
+        labels = [f"b{i}" for i in range(space.dim)]
+        components.append(FiniteAlgebra(A.p, table, space.coordinates(e), labels=labels))
         spaces.append(space)
 
     if sum(c.dim for c in components) != A.dim:
         raise AxiomError("component dimensions do not sum to the algebra dimension")
-    return LocalDecomposition(A, primitive, components, spaces)
+    return LocalDecomposition(A, tuple(primitive), tuple(components), tuple(spaces))
 
 
 # -- standard constructions ------------------------------------------------

@@ -10,8 +10,9 @@ the maps g: R -> E that are right-linear over p-th powers
 
 the inverse of the tensor-hom adjunction
 Hom_R(F_*R, Hom(R, F_p)) = Hom(F_*R, F_p).  Under it x acts on E by
-precomposition with Frobenius, and both duality functors are transposes of
-the module data; the proofs are in build_duality_context and the functors.
+precomposition with Frobenius, so E is the transposed natural left module,
+and both duality functors are transposes of the module data; the proofs
+are in build_duality_context and the functors.
 The literal formulas for the dual actions evaluate psi by its definition and
 are kept as independent evaluators, so the transposes can be cross-checked
 against them.
@@ -26,27 +27,20 @@ import numpy as np
 from .algebra import FiniteAlgebra
 from .errors import AxiomError
 from .fmodule import LeftFModule, RightFModule, _FModule, graded_annihilator_set
-from .linalg import FpMatrix, as_vector, mulmod, operator_stack
+from .fmodule import natural_frobenius_module
+from .linalg import FpMatrix, as_vector, mulmod
 from .report import Report
 from .skew import GradedTwoSidedIdeal, unit_graded_ideal, x_power_graded_ideal, zero_graded_ideal
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DualityContext:
-    """The dualizing module E of an algebra.
-
-    Fields:
-      dual_action    action of the algebra on E (transposed regular matrices)
-      x_on_dual      the x-action on E, z x = psi(z)(1) = z o Frobenius (F^T)
-    """
+    """The dualizing module E of an algebra, as a right module: the algebra
+    acts by the transposed regular matrices, and x by F^T, as
+    z x = psi(z)(1) = z o Frobenius.  Its structure stack is read-only."""
 
     algebra: FiniteAlgebra
-    dual_action: list[FpMatrix]
-    x_on_dual: FpMatrix
-
-    def as_right_module(self) -> RightFModule:
-        stack = operator_stack(self.algebra.dim, [*self.dual_action, self.x_on_dual])
-        return RightFModule._from_structure(self.algebra, stack)
+    module: RightFModule
 
     def psi_matrix(self, z) -> FpMatrix:
         """psi(z) as a map R -> E, by its definition: column i is
@@ -96,7 +90,8 @@ def build_duality_context(A: FiniteAlgebra) -> DualityContext:
       - Cogeneration: the common kernel of the mult(g)^T over a basis g of an
         ideal I is the annihilator of I A = I, of dimension d - dim I.
     """
-    return DualityContext(A, [m.T for m in A.basis_matrices()], A.frobenius().matrix.T)
+    E = RightFModule._from_structure(A, _transposed(natural_frobenius_module(A)))
+    return DualityContext(A, E)
 
 
 # -- the two functors ----------------------------------------------------------

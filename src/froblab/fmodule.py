@@ -71,16 +71,12 @@ class _FModule:
 
     def __init__(self, algebra: FiniteAlgebra, action, x_action: FpMatrix):
         """The checked constructor, for data from outside: one matrix per
-        algebra basis element and X, all square of one size over the
-        algebra's field.  They are stacked once and the axioms validated."""
+        algebra basis element and X, stacked once by operator_stack, which
+        checks their field and shape, and validated."""
         mats = [*action, x_action]
         if len(mats) != algebra.dim + 1:
             raise ValueError("need one action matrix per algebra basis element")
-        if any(m.p != algebra.p for m in mats):
-            raise ValueError(f"action and x matrices must live over F_{algebra.p}")
-        if len({m.rows for m in mats} | {m.cols for m in mats}) != 1:
-            raise ValueError("action and x matrices must be square of one size")
-        self._init(algebra, operator_stack(x_action.rows, mats))
+        self._init(algebra, operator_stack(algebra.p, getattr(x_action, "rows", 0), mats))
         self.validate()
 
     @classmethod
@@ -508,7 +504,7 @@ def twisted_frobenius_module(algebra: FiniteAlgebra, c) -> LeftFModule:
 
 def _regular_module(cls, algebra: FiniteAlgebra, x_action: FpMatrix) -> _FModule:
     """The algebra acting on itself by multiplication, with the given X."""
-    stack = operator_stack(algebra.dim, [*algebra.basis_matrices(), x_action])
+    stack = np.concatenate([algebra.regular_action, x_action.data[None]])
     return cls._from_structure(algebra, stack)
 
 
@@ -527,7 +523,7 @@ def twisted_modules_isomorphic(algebra: FiniteAlgebra, c1, c2) -> tuple[bool, np
     solutions = (algebra.mult_matrix(c1) - algebra.mult_matrix(c2) @ F).kernel()
     witness = algebra.zero()
     for e in algebra.local_components().idempotents:
-        parts = image_rows(solutions, [algebra.mult_matrix(e)])
+        parts = image_rows(solutions, algebra.mult_matrix(e).data[None])
         unit = next((v for v in parts if algebra.is_unit(v + algebra.one - e)), None)
         if unit is None:
             return False, None

@@ -3,12 +3,12 @@ seeded random ideals, modules, and homomorphisms.
 
 Random modules are valid by construction, so they are built from their
 structure stack without validation (_FModule._from_structure): the ring
-action is a block sum of regular actions on quotients by random ideals,
-written straight into a stack, and the x-action is sampled from the
-solution space of the side's semilinearity constraint.  Only the quotient
-ideals are rejection-sampled: random_proper_ideal draws up to 30 random
-ideals before it falls back to a maximal ideal.  tests/test_trusted_modules.py validates the
-modules built here.
+action is a block sum of quotients of the algebra's regular action stack,
+and X is drawn from the semilinear solution space (which also takes a list
+of FpMatrix, through linalg.operator_stack).  Only the quotient ideals are
+rejection-sampled: random_proper_ideal draws up to 30 random ideals before
+it falls back to a maximal ideal.  tests/test_trusted_modules.py validates
+the modules built here.
 """
 from __future__ import annotations
 
@@ -133,15 +133,16 @@ def random_proper_ideal(A: FiniteAlgebra, rng: random.Random, max_codim: int) ->
 def _quotient_action(A: FiniteAlgebra, a: Ideal) -> np.ndarray:
     """The regular action on the quotient by an ideal, as a d x k x k stack."""
     proj, lift = quotient_maps(a.space)
-    regular = operator_stack(A.dim, A.basis_matrices())
-    return mulmod(mulmod(proj.data, regular, A.p), lift.data, A.p)
+    return mulmod(mulmod(proj.data, A.regular_action, A.p), lift.data, A.p)
 
 
 def semilinear_solution_space(action, A: FiniteAlgebra, side: str) -> list[FpMatrix]:
     """Basis of all x-action matrices compatible with the given ring action,
     a list of FpMatrix or a d x n x n stack."""
     if not isinstance(action, np.ndarray):
-        action = operator_stack(action[0].rows, action)
+        if len(action) != A.dim:
+            raise ValueError("need one action matrix per algebra basis element")
+        action = operator_stack(A.p, getattr(action[0], "rows", 0), action)
     return operator_kernel(A.p, *semilinear_stacks(A, action, side))
 
 
@@ -229,7 +230,7 @@ def default_catalog() -> InstanceCatalog:
     cat.add_module("zero_F2", "F2", LeftFModule.zero(cat.algebras["F2"]))
     f4 = cat.algebras["F4"]
     cat.add_module("natural_F4", "F4", natural_frobenius_module(f4))
-    cat.add_module("dualizing_F4", "F4", build_duality_context(f4).as_right_module())
+    cat.add_module("dualizing_F4", "F4", build_duality_context(f4).module)
     f2t3 = cat.algebras["F2[t]/t3"]
     cat.add_ideal("t2_in_F2t3", "F2[t]/t3", f2t3.ideal([[0, 0, 1]]))
     cat.add_ideal("t_in_F2t2", "F2[t]/t2", f2t2.ideal([[0, 1]]))
@@ -255,7 +256,7 @@ def sampled_modules(
             out.append((f"{side}{i}d{dim}", random_module(A, side, dim, rng)))
     if extras:
         ctx = build_duality_context(A)
-        out.append(("dualizing", ctx.as_right_module()))
+        out.append(("dualizing", ctx.module))
         natural = natural_frobenius_module(A)
         out.append(("natural", natural))
         from .duality import dual_left

@@ -532,20 +532,26 @@ def relations(p: int, rows: np.ndarray) -> Subspace:
     return Subspace(p, k, np.ascontiguousarray(space.basis[r:, n:]), space.pivots[r:] - n)
 
 
-def operator_stack(n: int, operators: list[FpMatrix]) -> np.ndarray:
-    """A list of k n x n FpMatrix stacked as one k x n x n array."""
+def operator_stack(p: int, n: int, operators) -> np.ndarray:
+    """A list of k n x n FpMatrix over F_p as one k x n x n array: the one
+    door from a list of matrices to a stack.  It refuses, with ValueError,
+    an entry that is no FpMatrix, lives over another field or is not n x n."""
+    if not all(isinstance(op, FpMatrix) for op in operators):
+        raise ValueError("operators must be FpMatrix")
+    if any(op.p != p for op in operators):
+        raise ValueError(f"operators and F_{p} live over different fields")
+    if any(op.data.shape != (n, n) for op in operators):
+        raise ValueError(f"operators must be {n} x {n}")
     return np.array([op.data for op in operators], dtype=np.int64).reshape(len(operators), n, n)
 
 
 def _operators_on(space: Subspace, operators) -> np.ndarray:
-    """Operators on the ambient F_p^n of space as one k x n x n array.  A
-    list of FpMatrix is refused unless it lives over the field of space,
-    then stacked; an array, which the package built, is taken as it is."""
+    """Operators on the ambient F_p^n of space as one k x n x n array.  An
+    array, which the package built, is taken as it is; a list goes through
+    operator_stack."""
     if isinstance(operators, np.ndarray):
         return operators
-    if any(op.p != space.p for op in operators):
-        raise ValueError("operators and subspace live over different fields")
-    return operator_stack(space.ambient_dim, operators)
+    return operator_stack(space.p, space.ambient_dim, operators)
 
 
 def image_rows(space: Subspace, operators) -> np.ndarray:
@@ -581,11 +587,6 @@ def restrict_stack(operators, space: Subspace) -> np.ndarray:
     # row j of operator i's block holds the coordinates of op_i b_j: column j
     blocks = coords.reshape(stack.shape[0], space.dim, space.dim)
     return np.ascontiguousarray(blocks.transpose(0, 2, 1))
-
-
-def restrict(op: FpMatrix, space: Subspace) -> FpMatrix:
-    """Matrix of op on an invariant subspace, in the subspace's canonical basis."""
-    return FpMatrix._reduced(op.p, restrict_stack([op], space)[0])
 
 
 def stabilize(start, step, key=None) -> tuple[list, int, int]:

@@ -44,7 +44,7 @@ class ReferenceContext:
 
     def as_right_module(self) -> RightFModule:
         A = self.algebra
-        stack = operator_stack(A.dim, [*(m.T for m in A.basis_matrices()), self.x_on_dual])
+        stack = operator_stack(A.p, A.dim, [*(m.T for m in A.basis_matrices()), self.x_on_dual])
         return RightFModule._from_structure(A, stack)
 
 
@@ -85,10 +85,10 @@ def reference_dual(module, ref: ReferenceContext):
     action = [a.T for a in module.action]
     if module.side == "left":
         x_new = (module.rho(ref.twist) @ module.x_action).T
-        stack = operator_stack(module.dim, [*action, x_new])
+        stack = operator_stack(p, module.dim, [*action, x_new])
         return RightFModule._from_structure(module.algebra, stack)
     total = FpMatrix.zeros(p, module.dim, module.dim)
     for j in range(ref.algebra.dim):
         total = total + module.rho(ref.phi[:, j]) @ module.x_action @ module.action[j]
-    stack = operator_stack(module.dim, [*action, total.T])
+    stack = operator_stack(p, module.dim, [*action, total.T])
     return LeftFModule._from_structure(module.algebra, stack)

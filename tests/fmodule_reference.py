@@ -143,7 +143,7 @@ def quotient(M: _FModule, sub: FSubmodule) -> tuple[_FModule, FpMatrix]:
     """The quotient action proj @ a @ lift, one matrix at a time."""
     proj, lift = quotient_maps(sub.space)
     action = [proj @ a @ lift for a in M.action]
-    stack = operator_stack(proj.rows, [*action, proj @ M.x_action @ lift])
+    stack = operator_stack(M.algebra.p, proj.rows, [*action, proj @ M.x_action @ lift])
     return type(M)._from_structure(M.algebra, stack), proj
 
 

@@ -73,7 +73,7 @@ def direct_sum(parts):
         return FpMatrix(A.p, out)
 
     action = [blocks([M.action[i] for M in parts]) for i in range(A.dim)]
-    stack = operator_stack(n, [*action, blocks([M.x_action for M in parts])])
+    stack = operator_stack(A.p, n, [*action, blocks([M.x_action for M in parts])])
     return type(first)._from_structure(A, stack)
 
 

@@ -50,17 +50,17 @@ def _psi_is_invertible(A, ctx) -> bool:
 
 def test_context_on_prime_field_is_trivial():
     ctx = build_duality_context(F2)
-    assert ctx.x_on_dual == FpMatrix.identity(2, 1) == F2.frobenius().matrix.T
+    assert ctx.module.x_action == FpMatrix.identity(2, 1) == F2.frobenius().matrix.T
     assert ctx.psi_matrix([1]) == FpMatrix.identity(2, 1)
-    assert ctx.dual_action == [FpMatrix.identity(2, 1)]
+    assert ctx.module.action == (FpMatrix.identity(2, 1),)
 
 
 def test_context_on_dual_numbers():
     ctx = build_duality_context(F2T2)
     # x on the dual kills the functional dual to t and fixes the one dual to 1
-    assert ctx.x_on_dual.apply([1, 0]).tolist() == [1, 0]
-    assert ctx.x_on_dual.apply([0, 1]).tolist() == [0, 0]
-    assert ctx.x_on_dual == F2T2.frobenius().matrix.T
+    assert ctx.module.x_action.apply([1, 0]).tolist() == [1, 0]
+    assert ctx.module.x_action.apply([0, 1]).tolist() == [0, 0]
+    assert ctx.module.x_action == F2T2.frobenius().matrix.T
     assert _psi_is_invertible(F2T2, ctx)
     # brute force: every psi(z) is right-linear over squares
     for z in F2T2.elements():
@@ -76,8 +76,8 @@ def test_context_on_dual_numbers():
 def test_context_on_field_extension():
     ctx = build_duality_context(F4)
     # Frobenius is the nontrivial automorphism; x on the dual is its transpose
-    assert ctx.x_on_dual == F4.frobenius().matrix.T
-    assert ctx.x_on_dual != FpMatrix.identity(2, 2)
+    assert ctx.module.x_action == F4.frobenius().matrix.T
+    assert ctx.module.x_action != FpMatrix.identity(2, 2)
     assert _psi_is_invertible(F4, ctx)
 
 
@@ -93,7 +93,7 @@ def test_reference_route_gives_the_transposes(M):
     assert len(ref.hom_basis) == A.dim and ref.psi.is_invertible()
     eye = np.eye(A.dim, dtype=np.int64)
     assert all(ref.psi_apply(z) == ctx.psi_matrix(z) for z in eye)
-    assert ref.x_on_dual == ctx.x_on_dual
+    assert ref.x_on_dual == ctx.module.x_action
     assert reference_dual(M, ref) == dual_module(M, ctx)
 
 
@@ -150,7 +150,7 @@ def test_dual_preserves_invertibility():
 def test_dual_of_dualizing_module_is_natural():
     for A in (F2, F2T2, F4, product_algebra(F2, F2)):
         ctx = build_duality_context(A)
-        E = ctx.as_right_module()
+        E = ctx.module
         DE = dual_right(E, ctx)
         assert find_module_isomorphism(DE, natural_frobenius_module(A)) is not None
 
@@ -173,7 +173,7 @@ def test_action_law_on_dual_elements():
                 lam = np.array([rng.randrange(A.p) for _ in range(H.dim)])
                 h = np.array([rng.randrange(A.p) for _ in range(H.dim)])
                 lhs = dual_pairing_element(H, D.apply_x(lam), h)
-                rhs = ctx.x_on_dual.apply(dual_pairing_element(H, lam, H.apply_x(h)))
+                rhs = ctx.module.x_action.apply(dual_pairing_element(H, lam, H.apply_x(h)))
                 assert np.array_equal(lhs, rhs)
 
 
@@ -193,7 +193,7 @@ def test_left_action_characterization():
                     r = eye[i]
                     # ((x lam)(m)) r x, computed inside the dualizing module
                     w = dual_pairing_element(M, D.apply_x(lam), m)
-                    lhs = ctx.x_on_dual.apply(A.mult_matrix(r).T.apply(w))
+                    lhs = ctx.module.x_action.apply(A.mult_matrix(r).T.apply(w))
                     # lam(m r x)
                     rhs = dual_pairing_element(M, lam, M.apply_x(M.rho(r).apply(m)))
                     assert np.array_equal(lhs, rhs)
@@ -232,7 +232,7 @@ def test_formula_trivial_cases():
     out = eval_dual_formula_left(ctx, H, [1], [1], [1])
     assert out.tolist() == [1]
     assert eval_dual_formula_left(ctx, H, [0], [1], [1]).tolist() == [0]
-    M = ctx.as_right_module()
+    M = ctx.module
     assert eval_dual_formula_right(ctx, M, [1], [0], [1]).tolist() == [0]
 
 
@@ -268,7 +268,8 @@ def test_failed_round_trip_is_reported_not_raised(monkeypatch):
     def dropping_x(M, ctx):
         D = real(M, ctx)
         zero = FpMatrix.zeros(D.algebra.p, D.dim, D.dim)
-        return LeftFModule._from_structure(D.algebra, operator_stack(D.dim, [*D.action, zero]))
+        stack = operator_stack(D.algebra.p, D.dim, [*D.action, zero])
+        return LeftFModule._from_structure(D.algebra, stack)
 
     monkeypatch.setattr(duality, "dual_right", dropping_x)
     ctx = build_duality_context(F2T2)

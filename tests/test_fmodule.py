@@ -183,7 +183,7 @@ def test_validate_matches_pairwise_reference(M, data):
     moved = M.action[i].data.copy()
     moved[r, c] += data.draw(st.integers(1, A.p - 1))
     action = [FpMatrix(A.p, moved) if k == i else a for k, a in enumerate(M.action)]
-    bad = type(M)._from_structure(A, operator_stack(M.dim, [*action, M.x_action]))
+    bad = type(M)._from_structure(A, operator_stack(A.p, M.dim, [*action, M.x_action]))
     assert validate_message(bad) == reference_validate(bad)
 
 
@@ -191,7 +191,7 @@ def test_validate_names_the_first_failing_pair():
     # F2[t]/t3 with rho(1) = rho(t) = rho(t^2) = id: the pairs (0, *), (1, 0)
     # and (1, 1) hold, and t * t^2 == t^3 == 0 fails first, at (1, 2)
     eye = FpMatrix.identity(2, 2)
-    stack = operator_stack(2, [eye, eye, eye, FpMatrix.zeros(2, 2, 2)])
+    stack = operator_stack(2, 2, [eye, eye, eye, FpMatrix.zeros(2, 2, 2)])
     bad = LeftFModule._from_structure(F2T3, stack)
     assert reference_validate(bad) == "action is not multiplicative on (1,2)"
     assert validate_message(bad) == reference_validate(bad)
@@ -1105,7 +1105,7 @@ def test_square_multiplier_matches_element_scan_for_any_x(M, seed):
     rank = rng.randrange(n + 1)
     u = np.array([rng.randrange(A.p) for _ in range(n * rank)], dtype=np.int64).reshape(n, rank)
     v = np.array([rng.randrange(A.p) for _ in range(rank * n)], dtype=np.int64).reshape(rank, n)
-    N = RightFModule._from_structure(A, operator_stack(n, [*M.action, FpMatrix(A.p, u @ v)]))
+    N = RightFModule._from_structure(A, operator_stack(A.p, n, [*M.action, FpMatrix(A.p, u @ v)]))
     report = Report()
     check_square_multiplier("m", N, report)
     if N.is_zero():
@@ -1129,7 +1129,7 @@ def test_square_multiplier_checks_cross_products_for_odd_p():
                 table[i, j, monomials.index((a + c, b + d))] = 1
     A = FiniteAlgebra(3, table, [1, 0, 0, 0])
     shift = FpMatrix(3, np.eye(4, k=-1, dtype=np.int64))
-    N = RightFModule._from_structure(A, operator_stack(4, [*A.basis_matrices(), shift]))
+    N = RightFModule._from_structure(A, operator_stack(A.p, 4, [*A.basis_matrices(), shift]))
     report = Report()
     check_square_multiplier("shift", N, report)
     assert not reference_square_multiplier(N)[0]
@@ -1152,7 +1152,7 @@ def test_fraction_rule_is_the_semilinearity_on_a_basis(name, seed, data):
     if data.draw(st.booleans()):
         noise = [rng.randrange(A.p) for _ in range(M.dim**2)]
         x = x + FpMatrix(A.p, np.array(noise, dtype=np.int64).reshape(M.dim, M.dim))
-    local = RightFModule._from_structure(A, operator_stack(M.dim, [*M.action, x]))
+    local = RightFModule._from_structure(A, operator_stack(A.p, M.dim, [*M.action, x]))
     a, b = semilinear_stacks(A, M.structure[:-1], "right")
     linear = np.array_equal(mulmod(x.data, a, A.p), mulmod(b, x.data, A.p))
     assert linear == reference_fraction_rule(local)

@@ -21,7 +21,7 @@ from froblab.linalg import (
     quotient_maps,
     quotient_representatives,
     relations,
-    restrict,
+    restrict_stack,
     stabilize,
 )
 from linalg_reference import kron_intertwiner_system, two_elimination_kernel, whole_operator_kernel
@@ -296,7 +296,7 @@ def test_annihilator_involution():
     [
         lambda: FpMatrix(2, [[1, 0], [0, 1]]).preimage(Subspace.from_vectors(3, 2, [[1, 2]])),
         lambda: close_under(Subspace.from_vectors(3, 2, [[1, 0]]), [FpMatrix(2, [[0, 1], [1, 0]])]),
-        lambda: restrict(FpMatrix(5, [[1, 0], [0, 1]]), Subspace.from_vectors(3, 2, [[1, 2]])),
+        lambda: restrict_stack([FpMatrix(5, [[1, 0], [0, 1]])], Subspace.from_vectors(3, 2, [[1, 2]])),
         lambda: image_rows(Subspace.full(3, 2), [FpMatrix.identity(3, 2), FpMatrix.identity(2, 2)]),
     ],
     ids=["preimage", "close_under", "restrict", "image_rows"],
@@ -617,10 +617,10 @@ def test_common_kernel_of_nothing_is_everything():
 def test_restrict_gives_the_matrix_on_an_invariant_subspace():
     j = FpMatrix(3, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     plane = Subspace.from_vectors(3, 3, [[1, 0, 0], [0, 1, 0]])
-    assert restrict(j, plane) == FpMatrix(3, [[0, 1], [0, 0]])
-    assert restrict(j, Subspace.zero(3, 3)) == FpMatrix.zeros(3, 0, 0)
+    assert FpMatrix(3, restrict_stack([j], plane)[0]) == FpMatrix(3, [[0, 1], [0, 0]])
+    assert FpMatrix(3, restrict_stack([j], Subspace.zero(3, 3))[0]) == FpMatrix.zeros(3, 0, 0)
     with pytest.raises(AxiomError, match="does not preserve"):
-        restrict(j, Subspace.from_vectors(3, 3, [[0, 1, 0]]))
+        restrict_stack([j], Subspace.from_vectors(3, 3, [[0, 1, 0]]))
 
 
 def test_operator_kernel_finds_commutant():

@@ -53,7 +53,7 @@ def test_duals_validate_and_round_trip(M):
     dual = dual_module(M, ctx)
     assert dual.side != M.side and dual.validate()
     assert dual_module(dual, ctx) == M
-    assert ctx.as_right_module().validate()
+    assert ctx.module.validate()
 
 
 @settings(max_examples=80, deadline=None)
