@@ -21,6 +21,7 @@ from .linalg import (
     int_array,
     is_prime,
     mulmod,
+    preimage_rows,
     restrict_stack,
     stabilize,
 )
@@ -66,21 +67,22 @@ class FiniteAlgebra:
         if not is_prime(self.p):
             raise AxiomError(f"characteristic({self.p}) is not prime")
         t = self.table
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if not np.array_equal(t[i, j], t[j, i]):
-                    raise AxiomError(f"commutativity({i},{j})")
+        # symmetric with a false diagonal, so its first (i, j) in row-major
+        # order has i < j: the first pair a loop over i < j would find
+        asymmetric = (t != t.transpose(1, 0, 2)).any(axis=2)
+        if asymmetric.any():
+            i, j = np.argwhere(asymmetric)[0]
+            raise AxiomError(f"commutativity({i},{j})")
         # (e_i e_j) e_k vs e_i (e_j e_k)
         left = np.einsum("ijm,mkl->ijkl", t, t) % self.p
         right = np.einsum("jkm,iml->ijkl", t, t) % self.p
         if not np.array_equal(left, right):
             i, j, k = np.argwhere((left != right).any(axis=3))[0]
             raise AxiomError(f"associativity({i},{j},{k})")
-        for i in range(self.dim):
-            e = np.zeros(self.dim, dtype=np.int64)
-            e[i] = 1
-            if not np.array_equal(self.mul(self.one, e), e):
-                raise AxiomError(f"identity({i})")
+        eye = np.eye(self.dim, dtype=np.int64)
+        wrong = (self._products(self.one, eye) != eye).any(axis=1)
+        if wrong.any():
+            raise AxiomError(f"identity({np.argmax(wrong)})")
         return True
 
     # -- arithmetic on elements -----------------------------------------
@@ -113,6 +115,17 @@ class FiniteAlgebra:
             base = self._products(base, base)
             k >>= 1
         return result.copy()
+
+    def _spanning_products(self, gens: np.ndarray) -> np.ndarray:
+        """The products g e_j of every row g of a (..., k, d) stack of
+        generators with every basis element e_j, as a (..., k d, d) stack.
+
+        A is commutative, associative and unital, so the products g e_j span
+        the ideal of the g: g = sum one_j (g e_j), and e_k (g e_j) = g (e_k e_j).
+        """
+        d = self.dim
+        flat = mulmod(gens, self.table.reshape(d, d * d), self.p)
+        return flat.reshape(*gens.shape[:-2], gens.shape[-2] * d, d)
 
     def mult_matrix(self, u) -> FpMatrix:
         """The matrix of multiplication by u (column j = u * e_j)."""
@@ -245,23 +258,21 @@ class FrobeniusData:
 
 
 class Ideal:
-    """An ideal, tracked as generators plus its canonical underlying subspace."""
+    """An ideal, tracked as generators plus its canonical underlying subspace.
+
+    Both are read-only properties, so the two cannot drift apart."""
 
     def __init__(self, algebra: FiniteAlgebra, generators, space: Subspace | None = None):
         self.algebra = algebra
-        self.generators = tuple(as_vector(g, algebra.p) for g in generators)
-        for g in self.generators:
+        self._generators = tuple(as_vector(g, algebra.p) for g in generators)
+        for g in self._generators:
             if g.shape[0] != algebra.dim:
                 raise ValueError("generator has wrong length")
             g.setflags(write=False)
         if space is None:
-            # A is commutative, associative and unital, so the products g e_j
-            # span the ideal: g = sum one_j (g e_j), and e_k (g e_j) = g (e_k e_j)
-            d, p = algebra.dim, algebra.p
-            G = np.array(self.generators, dtype=np.int64).reshape(-1, d)
-            products = mulmod(G, algebra.table.reshape(d, d * d), p).reshape(-1, d)
-            space = Subspace.from_vectors(p, d, products)
-        self.space = space
+            products = algebra._spanning_products(self._generator_rows())
+            space = Subspace.from_vectors(algebra.p, algebra.dim, products)
+        self._space = space
 
     @classmethod
     def of_space(cls, algebra: FiniteAlgebra, space: Subspace) -> "Ideal":
@@ -270,9 +281,21 @@ class Ideal:
         are the basis rows of space, read-only views of its basis."""
         out = cls.__new__(cls)
         out.algebra = algebra
-        out.generators = tuple(space.basis)
-        out.space = space
+        out._generators = tuple(space.basis)
+        out._space = space
         return out
+
+    @property
+    def generators(self) -> tuple[np.ndarray, ...]:
+        return self._generators
+
+    @property
+    def space(self) -> Subspace:
+        return self._space
+
+    def _generator_rows(self) -> np.ndarray:
+        """The generators as the rows of a k x d array."""
+        return np.array(self._generators, dtype=np.int64).reshape(-1, self.algebra.dim)
 
     @property
     def dim(self) -> int:
@@ -303,7 +326,7 @@ class Ideal:
     def frobenius_power(self, n: int) -> "Ideal":
         """The ideal generated by the p^n-th powers of the stored generators."""
         F = self.algebra.frobenius().power(n)
-        return Ideal(self.algebra, [F.apply(g) for g in self.generators])
+        return Ideal(self.algebra, mulmod(self._generator_rows(), F.data.T, F.p))
 
     def frobenius_closure(self) -> tuple["Ideal", int]:
         data = frobenius_closure_data(self)
@@ -340,13 +363,20 @@ def frobenius_closure_data(ideal: Ideal) -> ClosureData:
     is additive.  So (a^F)^[p^m] == a^[p^m] exactly when F^m(a^F) <= a^[p^m],
     that is a^F <= c_m; and c_m <= a^F always, as the chain ascends to a^F.
     The test exponent is therefore read off the chain, with no closure.
+
+    The inputs of every step come from two products over the N x d x d stack
+    of the distinct powers: the images F^n(g_i) of the generators, then
+    their products with the basis elements, which span a^[p^n].  Each c_n is
+    then one preimage_rows elimination, and no ideal is built per step.
     """
     A = ideal.algebra
     frob = A.frobenius()
+    powers = np.array([G.data for G in frob.powers])
+    # row i of images[n] is F^n(g_i) = powers[n] @ g_i
+    images = mulmod(ideal._generator_rows(), powers.transpose(0, 2, 1), A.p)
     chain: list[Subspace] = []
-    for G in frob.powers:
-        bracket = Ideal(A, [G.apply(g) for g in ideal.generators])
-        chain.append(G.preimage(bracket.space))
+    for G, bracket in zip(powers, A._spanning_products(images)):
+        chain.append(preimage_rows(A.p, G, bracket))
         if len(chain) > 1 and not (chain[-2] <= chain[-1]):
             raise AxiomError("frobenius closure chain is not ascending")
     preperiod, period = frob.preperiod, frob.period

@@ -93,7 +93,7 @@ class _FModule:
     def _init(self, algebra: FiniteAlgebra, stack: np.ndarray) -> None:
         stack.setflags(write=False)
         self.algebra = algebra
-        self.structure = stack
+        self._structure = stack
         self.dim = stack.shape[1]
         self._powers: list[FpMatrix] = []
         self._fitting: int | None = None
@@ -107,6 +107,12 @@ class _FModule:
     # The (d+1) x dim x dim stack `structure` of rho(e_0), ..., rho(e_(d-1))
     # and then X is all a module stores.  The batched methods read it: one
     # broadcast product stands for a loop over the action matrices.
+
+    @property
+    def structure(self) -> np.ndarray:
+        """The read-only (d+1) x dim x dim stack; it cannot be rebound, as the
+        cached action views read it."""
+        return self._structure
 
     @cached_property
     def action(self) -> tuple[FpMatrix, ...]:

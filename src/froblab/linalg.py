@@ -347,19 +347,13 @@ class FpMatrix:
         return FpMatrix(self.p, reduced[:, n:])
 
     def preimage(self, target: "Subspace") -> "Subspace":
-        """The subspace {v : self @ v in target}.
-
-        With target in reduced echelon form (basis B, pivot columns P), w
-        lies in the target exactly when w == w[P] @ B, so the preimage is the
-        kernel of the residue self - B^T @ self[P]: one product and one
-        kernel, for any shape and for zero and full targets alike.
-        """
+        """The subspace {v : self @ v in target}: preimage_rows of the
+        target's basis, for any shape and for zero and full targets alike."""
         if target.p != self.p:
             raise ValueError("matrix and target live over different fields")
         if target.ambient_dim != self.rows:
             raise ValueError("target lives in the wrong ambient space")
-        in_target = mulmod(target.basis.T, self.data[target.pivots], self.p)
-        return FpMatrix._reduced(self.p, (self.data - in_target) % self.p).kernel()
+        return preimage_rows(self.p, self.data, target.basis)
 
 
 class Subspace:
@@ -379,6 +373,7 @@ class Subspace:
         basis.setflags(write=False)
         self.basis = basis
         self.pivots = np.array(pivots, dtype=np.intp)
+        self.pivots.setflags(write=False)
 
     @classmethod
     def from_vectors(cls, p: int, ambient_dim: int, vectors) -> "Subspace":
@@ -516,20 +511,40 @@ def quotient_maps(sub: Subspace) -> tuple[FpMatrix, FpMatrix]:
     return FpMatrix._reduced(p, reduced[k:, k:]), FpMatrix._reduced(p, lift)
 
 
+def preimage_rows(p: int, g: np.ndarray, rows: np.ndarray) -> Subspace:
+    """The subspace {v : g @ v in the span of rows} of F_p^n, for an m x n
+    array g and a k x m array rows, from one elimination of
+
+        [[rows, 0  ],
+         [g^T,  I_n]].
+
+    A row of its row space is (c @ rows + (g @ v)^T, v) for some c and v, and
+    its left block vanishes exactly when g @ v = -c @ rows lies in the span
+    of rows, so the preimage is the set of right blocks of the rows with a
+    zero left block.  Such a row is sum a_i R_i over the rows R_i of the
+    reduced matrix, with a_i its entry at the pivot of R_i; that entry is 0
+    for every pivot in the left block, so the rows with a zero left block
+    are spanned by the rows whose pivot lies in the right block, at column m
+    or later, which are zero on the left block.  Their right blocks have
+    leading 1s at pivot - m and zeros at each other's pivots: they are
+    already the canonical basis of the preimage.
+    """
+    k, m = rows.shape
+    n = g.shape[1]
+    stacked = np.zeros((k + n, m + n), dtype=np.int64)
+    stacked[:k, :m] = rows
+    stacked[k:, :m] = g.T
+    stacked.reshape(-1)[k * (m + n) + m :: m + n + 1] = 1  # the diagonal of I_n
+    space = Subspace.from_vectors(p, m + n, stacked)
+    r = int(np.searchsorted(space.pivots, m))
+    return Subspace(p, n, np.ascontiguousarray(space.basis[r:, m:]), space.pivots[r:] - m)
+
+
 def relations(p: int, rows: np.ndarray) -> Subspace:
     """The relations {c : c @ rows == 0} among the rows of a k x N array,
-    inside F_p^k.
-
-    One elimination of [rows | I_k], which has k rows however long N is.
-    Its rank is k, and the rows whose pivot lies past column N are zero on
-    the rows part, so their I_k part is a combination killing rows; there
-    are k - rank(rows) of them, and in reduced echelon form they are
-    already the canonical basis of the relations.
-    """
-    k, n = rows.shape
-    space = Subspace.from_vectors(p, n + k, np.hstack([rows, np.eye(k, dtype=np.int64)]))
-    r = int(np.searchsorted(space.pivots, n))
-    return Subspace(p, k, np.ascontiguousarray(space.basis[r:, n:]), space.pivots[r:] - n)
+    inside F_p^k: the preimage of zero under rows^T, one elimination of
+    [rows | I_k], which has k rows however long N is."""
+    return preimage_rows(p, rows.T, rows[:0])
 
 
 def operator_stack(p: int, n: int, operators) -> np.ndarray:

@@ -5,13 +5,17 @@ and reads every power of F, the nilradical and the Cartier structure of a
 reduced algebra off the Frobenius cycle.  Here each is computed the old way:
 F one basis element at a time, powers by repeated squaring, the nilradical as
 the kernel of one large power of F, and the Cartier structure from a
-Frobenius splitting solved for as a linear system.
+Frobenius splitting solved for as a linear system.  The Frobenius closure
+chain, which froblab builds from two batched products and one elimination
+per power, is built here the old way: a bracket ideal per power from one
+`apply` per generator, then the residue-kernel preimage of its space.
 """
 import numpy as np
 
-from froblab.algebra import FiniteAlgebra, extension_field, prime_field, product_algebra
+from froblab.algebra import FiniteAlgebra, Ideal, extension_field, prime_field, product_algebra
 from froblab.generators import enumerate_local_algebras, standard_algebras
 from froblab.linalg import FpMatrix, Subspace, operator_solve
+from linalg_reference import residue_kernel_preimage
 
 
 def frobenius_pool() -> list[FiniteAlgebra]:
@@ -54,3 +58,14 @@ def cartier_by_splitting_solve(A: FiniteAlgebra) -> FpMatrix | None:
     rhs = [np.zeros((d, d), dtype=np.int64)] * d + [F.data]
     pi = operator_solve(p, a, b, rhs)
     return None if pi is None else F.inverse() @ pi
+
+
+def closure_chain_by_bracket_ideals(ideal: Ideal) -> list[Subspace]:
+    """c_n = (F^n)^-1(a^[p^n]) for each distinct power F^n: the bracket ideal
+    of the images F^n(g), then the kernel of the residue of F^n against it."""
+    A = ideal.algebra
+    chain = []
+    for G in A.frobenius().powers:
+        bracket = Ideal(A, [G.apply(g) for g in ideal.generators])
+        chain.append(residue_kernel_preimage(A.p, G.data, bracket.space.basis))
+    return chain

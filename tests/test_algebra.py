@@ -17,8 +17,20 @@ from froblab.algebra import (
 )
 from froblab.errors import AxiomError
 from froblab.generators import enumerate_local_algebras, standard_algebras
-from froblab.linalg import FpMatrix, Subspace, close_under, quotient_representatives
-from frobenius_reference import frobenius_by_basis_powers, frobenius_pool, nilradical_by_squaring
+from froblab.linalg import (
+    LIST_KERNEL_CELLS,
+    FpMatrix,
+    Subspace,
+    close_under,
+    quotient_representatives,
+)
+from frobenius_reference import (
+    closure_chain_by_bracket_ideals,
+    frobenius_by_basis_powers,
+    frobenius_pool,
+    nilradical_by_squaring,
+)
+from linalg_reference import count_eliminated_rows
 
 
 F2 = prime_field(2)
@@ -120,6 +132,66 @@ def test_identity_violation_is_reported():
     table[1, 1, 1] = 1
     with pytest.raises(AxiomError, match="identity"):
         FiniteAlgebra(2, table, [1, 0])
+
+
+# -- the per-index axiom loops the batched comparisons replaced -------------------
+
+
+def _axiom_loops_reference(p: int, table: np.ndarray, one: np.ndarray) -> str | None:
+    """The first violated axiom, found by a loop over i < j, the associativity
+    comparison, then a loop over i, or None for a valid table."""
+    d = table.shape[0]
+    for i in range(d):
+        for j in range(i + 1, d):
+            if not np.array_equal(table[i, j], table[j, i]):
+                return f"commutativity({i},{j})"
+    left = np.einsum("ijm,mkl->ijkl", table, table) % p
+    right = np.einsum("jkm,iml->ijkl", table, table) % p
+    if not np.array_equal(left, right):
+        i, j, k = np.argwhere((left != right).any(axis=3))[0]
+        return f"associativity({i},{j},{k})"
+    for i in range(d):
+        product = np.einsum("a,b,abl->l", one, np.eye(d, dtype=np.int64)[i], table) % p
+        if not np.array_equal(product, np.eye(d, dtype=np.int64)[i]):
+            return f"identity({i})"
+    return None
+
+
+@st.composite
+def corrupted_tables(draw):
+    """The table and identity of a drawn algebra over F_2, F_3 or F_1048573,
+    with a few changes: an entry of e_i e_j alone (often asymmetric), the
+    same entry of e_i e_j and e_j e_i, or an entry of the identity."""
+    A, _ = draw(algebras_and_generators(primes=(2, 3, 1048573)))
+    table, one, d = A.table.copy(), A.one.copy(), A.dim
+    index = st.integers(0, d - 1)
+    value = st.integers(0, A.p - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["one_side", "both_sides", "identity"]))
+        i, j, k, c = draw(index), draw(index), draw(index), draw(value)
+        if kind == "identity":
+            one[i] = c
+        else:
+            table[i, j, k] = c
+            if kind == "both_sides":
+                table[j, i, k] = c
+    return A.p, table, one
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_tables())
+@example((2, F2T3.table, np.array([1, 1, 0])))  # 1 + t is no identity
+@example((2, F2xF2.table, np.array([1, 0])))  # (1, 0) kills e_1: identity(1)
+@example((2, np.zeros((2, 2, 2), dtype=np.int64), np.array([1, 0])))
+def test_axiom_checks_match_the_loop_reference(case):
+    p, table, one = case
+    want = _axiom_loops_reference(p, table, one)
+    if want is None:
+        assert FiniteAlgebra(p, table, one).validate()
+    else:
+        with pytest.raises(AxiomError) as caught:
+            FiniteAlgebra(p, table, one)
+        assert str(caught.value) == want
 
 
 @pytest.mark.parametrize(
@@ -560,11 +632,11 @@ STANDARD = standard_algebras()
 
 
 @st.composite
-def algebras_and_generators(draw):
+def algebras_and_generators(draw, primes=(2, 3, 5)):
     """A standard algebra, or a truncated, monomial or product algebra over
-    F_2, F_3 or F_5, with 0-3 drawn ideal generators."""
+    F_p for p in primes, with 0-3 drawn ideal generators."""
     family = draw(st.sampled_from(["standard", "truncated", "monomial", "product"]))
-    p = draw(st.sampled_from([2, 3, 5]))
+    p = draw(st.sampled_from(primes))
     if family == "standard":
         A = STANDARD[draw(st.sampled_from(sorted(STANDARD)))]
     elif family == "truncated":
@@ -592,9 +664,9 @@ def test_closure_exponent_matches_reference(case):
 
 
 def test_closure_exponent_search_does_no_closure(monkeypatch):
-    # the bracket a^[p^n] of each distinct Frobenius power is the only ideal
-    # built from generators; Q is read off the chain, so comparing closures
-    # adds none
+    # each distinct Frobenius power costs one elimination, of the k d bracket
+    # products and the d rows of (F^n)^T, and no ideal is built from
+    # generators; Q is read off the chain, so comparing closures adds none
     real = Ideal.__init__
     calls: list[int] = []
 
@@ -611,9 +683,57 @@ def test_closure_exponent_search_does_no_closure(monkeypatch):
         frob = A.frobenius()
         monkeypatch.setattr(Ideal, "__init__", counting)
         calls.clear()
+        eliminated = count_eliminated_rows(monkeypatch)
         frobenius_closure_data(a)
         monkeypatch.undo()
-        assert 0 < len(calls) <= len(frob.powers)
+        assert calls == []
+        assert eliminated == [(len(gens) + 1) * A.dim] * len(frob.powers)
+
+
+# -- the bracket ideal and residue kernel the one-elimination chain replaced ------
+
+
+def assert_chain_matches_reference(a: Ideal) -> None:
+    chain = frobenius_closure_data(a).chain
+    want = closure_chain_by_bracket_ideals(a)
+    assert len(chain) == len(want) == len(a.algebra.frobenius().powers)
+    for got, ref in zip(chain, want):
+        assert got == ref
+        assert got.pivots.tolist() == ref.pivots.tolist()
+
+
+@settings(max_examples=250, deadline=None)
+@given(algebras_and_generators(primes=(2, 3, 1048573)))
+@example((F2T3, [[0, 0, 1]]))
+@example((F2T3, []))
+def test_closure_chain_matches_the_bracket_ideal_reference(case):
+    A, gens = case
+    assert_chain_matches_reference(A.ideal(gens))
+
+
+def _t_powers(A: FiniteAlgebra, *exponents: int) -> list[np.ndarray]:
+    """t^e for each exponent, in F_p[t]/t^dim."""
+    return [np.eye(A.dim, dtype=np.int64)[e] for e in exponents]
+
+
+def test_closure_chain_past_the_list_kernel_matches_the_reference():
+    # one elimination has (k + 1) d rows and 2 d columns: past
+    # LIST_KERNEL_CELLS for d >= 33 with one generator
+    F2T40 = truncated_polynomial_algebra(2, 40)
+    FlT33 = truncated_polynomial_algebra(1048573, 33)
+    F3T35 = truncated_polynomial_algebra(3, 35)
+    rng = np.random.default_rng(22)
+    cases = [
+        (F2T40, _t_powers(F2T40, 3)),
+        (F2T40, [(_t_powers(F2T40, 5)[0] + _t_powers(F2T40, 12)[0]) % 2]),
+        (F2T40, _t_powers(F2T40, 9, 14)),
+        (FlT33, _t_powers(FlT33, 2)),
+        (FlT33, [rng.integers(0, 1048573, 33) * (np.arange(33) >= 4) % 1048573]),
+        (F3T35, _t_powers(F3T35, 4, 7)),
+    ]
+    for A, gens in cases:
+        assert (len(gens) + 1) * A.dim * 2 * A.dim > LIST_KERNEL_CELLS
+        assert_chain_matches_reference(A.ideal(gens))
 
 
 # -- the closure the one-elimination ideal replaced -------------------------------

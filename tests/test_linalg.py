@@ -24,7 +24,14 @@ from froblab.linalg import (
     restrict_stack,
     stabilize,
 )
-from linalg_reference import kron_intertwiner_system, two_elimination_kernel, whole_operator_kernel
+from linalg_reference import (
+    count_eliminated_rows,
+    identity_block_relations,
+    kron_intertwiner_system,
+    residue_kernel_preimage,
+    two_elimination_kernel,
+    whole_operator_kernel,
+)
 
 
 def brute_kernel(m: FpMatrix) -> set[tuple[int, ...]]:
@@ -351,15 +358,16 @@ def test_preimage_matches_annihilator_reference(case):
 
 
 def test_preimage_is_one_kernel(monkeypatch):
-    # the residue m - B^T m[P] needs one elimination, whose free-variable
-    # basis is already canonical; the annihilator route took four
+    # one elimination of [[B, 0], [m^T, I]], on dim target + cols rows, whose
+    # rows past the target's part are already canonical; the annihilator
+    # route took four
     m = FpMatrix(3, [[1, 2, 0, 1], [0, 1, 1, 0], [2, 2, 1, 1]])
     target = Subspace.from_vectors(3, 3, [[1, 1, 0]])
-    counts = _count_eliminated_rows(monkeypatch)
+    counts = count_eliminated_rows(monkeypatch)
     got = m.preimage(target)
     monkeypatch.undo()
     assert got == _preimage_reference(m, target)
-    assert len(counts) == 1
+    assert counts == [target.dim + m.cols]
 
 
 def test_quotient_representatives_extend_sub():
@@ -482,7 +490,7 @@ def test_quotient_maps_is_one_elimination(monkeypatch):
     for p, n, k in [(1048573, 6, 3), (5, 60, 20)]:
         subs.append(Subspace.from_vectors(p, n, rng.integers(0, p, (k, n))))
     for sub in subs:
-        counts = _count_eliminated_rows(monkeypatch)
+        counts = count_eliminated_rows(monkeypatch)
         got = quotient_maps(sub)
         monkeypatch.undo()
         assert len(counts) == 1
@@ -542,12 +550,91 @@ def test_relations_is_one_elimination_on_k_rows(monkeypatch):
     wide = rng.integers(0, 1048573, (3, 2000))
     cases.append((1048573, np.vstack([wide[:2], (wide[0] + 5 * wide[1]) % 1048573])))
     for p, rows in cases:
-        counts = _count_eliminated_rows(monkeypatch)
+        counts = count_eliminated_rows(monkeypatch)
         got = relations(p, rows)
         monkeypatch.undo()
         assert counts == [rows.shape[0]]
         assert got == reference_relations(p, rows)
     assert got.dim == 1
+
+
+# -- the residue kernel and the identity block that preimage_rows replaced -------
+
+
+@st.composite
+def preimage_rows_cases(draw):
+    """A k x m array of target rows (zero, repeated, combined or fresh) and an
+    m x n matrix g, square or not, some of whose columns map into the span."""
+    p, rows = draw(relation_rows())
+    m = rows.shape[1]
+    n = draw(st.integers(0, 6))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    g = np.array(draw(st.lists(entry, min_size=m * n, max_size=m * n)), dtype=np.int64)
+    g = g.reshape(m, n)
+    if rows.shape[0] and n and draw(st.booleans()):
+        coeffs = np.array(draw(st.lists(entry, min_size=rows.shape[0], max_size=rows.shape[0])))
+        g[:, draw(st.integers(0, n - 1))] = mulmod(coeffs, rows, p)
+    return p, g, rows
+
+
+def _large_preimage_rows_cases() -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Cases past LIST_KERNEL_CELLS, on the numpy kernel, for p in {2, 3, 1048573}."""
+    rng = np.random.default_rng(22)
+    cases = []
+    for p, m, n, k in [(2, 40, 60, 30), (3, 70, 40, 20), (1048573, 50, 45, 33)]:
+        rows = rng.integers(0, p, (k, m))
+        rows[k // 2 :] = mulmod(rng.integers(0, p, (k - k // 2, k // 2)), rows[: k // 2], p)
+        g = rng.integers(0, p, (m, n))
+        g[:, : n // 3] = mulmod(rows.T, rng.integers(0, p, (k, n // 3)), p)
+        cases.append((p, g, rows))
+    return cases
+
+
+def _assert_same_subspace(got: Subspace, want: Subspace) -> None:
+    assert got.ambient_dim == want.ambient_dim
+    assert got.basis.shape == want.basis.shape
+    assert got.basis.tolist() == want.basis.tolist()
+    assert got.pivots.tolist() == want.pivots.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(preimage_rows_cases())
+@example((2, np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.int64)))
+@example((3, np.zeros((3, 2), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)))
+@example((3, np.array([[1, 2], [2, 1]], dtype=np.int64), np.array([[1, 2]], dtype=np.int64)))
+def test_preimage_rows_match_the_residue_kernel(case):
+    p, g, rows = case
+    got = linalg.preimage_rows(p, g, rows)
+    _assert_same_subspace(got, residue_kernel_preimage(p, g, rows))
+    assert got.ambient_dim == g.shape[1]
+
+
+def test_preimage_rows_past_the_list_kernel_match_the_residue_kernel(monkeypatch):
+    for p, g, rows in _large_preimage_rows_cases():
+        (k, m), n = rows.shape, g.shape[1]
+        assert (k + n) * (m + n) > LIST_KERNEL_CELLS
+        counts = count_eliminated_rows(monkeypatch)
+        got = linalg.preimage_rows(p, g, rows)
+        monkeypatch.undo()
+        assert counts == [k + n]
+        _assert_same_subspace(got, residue_kernel_preimage(p, g, rows))
+        assert got.dim >= n // 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation_rows())
+@example((3, np.zeros((3, 0), dtype=np.int64)))
+@example((1048573, np.array([[1, 0, 0, 5], [0, 1, 0, 7], [0, 0, 1, 9]], dtype=np.int64)))
+def test_relations_match_the_identity_block_route(case):
+    p, rows = case
+    _assert_same_subspace(relations(p, rows), identity_block_relations(p, rows))
+
+
+def test_relations_past_the_list_kernel_match_the_identity_block_route():
+    for p, g, _ in _large_preimage_rows_cases():
+        m, n = g.shape
+        assert n * (m + n) > LIST_KERNEL_CELLS
+        _assert_same_subspace(relations(p, g.T), identity_block_relations(p, g.T))
 
 
 def test_from_vectors_keeps_its_messages():
@@ -778,7 +865,7 @@ def test_kernel_is_one_elimination(monkeypatch):
     # 70 x 70 entries: past LIST_KERNEL_CELLS, on the numpy kernel
     mats.append(FpMatrix(5, np.vstack([rng.integers(0, 5, (60, 70)), np.zeros((10, 70), dtype=np.int64)])))
     for m in mats:
-        counts = _count_eliminated_rows(monkeypatch)
+        counts = count_eliminated_rows(monkeypatch)
         got = m.kernel()
         monkeypatch.undo()
         assert counts == [m.rows]
@@ -889,7 +976,7 @@ def test_split_solves_each_distinct_block_pair_once(monkeypatch):
     j = np.array([[0, 1], [0, 0]])
     a = np.zeros((12, 12), dtype=np.int64)
     a[10:, 10:] = j
-    counts = _count_eliminated_rows(monkeypatch)
+    counts = count_eliminated_rows(monkeypatch)
     got = operator_kernel(p, a[None], a[None])
     monkeypatch.undo()
     assert sorted(counts) == [1, 2, 2, 4]
@@ -903,7 +990,7 @@ def test_single_block_past_the_crossover_is_one_elimination(monkeypatch):
     # a 9 x 9 shift links every index: nothing splits
     p = 1048573
     shift = np.eye(9, k=1, dtype=np.int64)[None]
-    counts = _count_eliminated_rows(monkeypatch)
+    counts = count_eliminated_rows(monkeypatch)
     got = operator_kernel(p, shift, shift)
     monkeypatch.undo()
     assert counts == [81]
@@ -993,19 +1080,6 @@ def test_close_under_matches_whole_stack_reference(case):
     assert not got.basis.flags.writeable
 
 
-def _count_eliminated_rows(monkeypatch) -> list[int]:
-    """Record the number of rows each _rref call receives."""
-    counts: list[int] = []
-    real = linalg._rref
-
-    def counting(a, p):
-        counts.append(a.shape[0])
-        return real(a, p)
-
-    monkeypatch.setattr(linalg, "_rref", counting)
-    return counts
-
-
 def test_close_under_eliminates_each_image_once(monkeypatch):
     # spin-up: every basis vector's images are reduced once, so at most
     # dim(result) * len(operators) rows reach elimination in all; the
@@ -1017,7 +1091,7 @@ def test_close_under_eliminates_each_image_once(monkeypatch):
     ops = [FpMatrix(5, rng.integers(0, 5, (6, 6))), FpMatrix(5, np.triu(rng.integers(0, 5, (6, 6)), 1))]
     start = Subspace.from_vectors(5, 6, [[1, 0, 2, 0, 0, 4]])
     for space, operators in [(line, [shift]), (start, ops)]:
-        counts = _count_eliminated_rows(monkeypatch)
+        counts = count_eliminated_rows(monkeypatch)
         closed = close_under(space, operators)
         monkeypatch.undo()
         assert closed == _close_under_reference(space, operators)

@@ -3,8 +3,10 @@ outside enter them through one checked door (linalg.operator_stack).
 
 The algebra keeps its regular action as one read-only d x d x d stack, the
 duality context keeps the dualizing module E as a module, and the cached
-local decomposition and ideal generators are frozen.  The routes the stacks
-replaced are kept here as references and compared exactly.
+local decomposition, ideal generators and subspace pivots are frozen; an
+ideal's generators and space and a module's structure cannot be rebound.
+The routes the stacks replaced are kept here as references and compared
+exactly.
 """
 import dataclasses
 
@@ -141,6 +143,47 @@ def test_ideal_generators_are_frozen():
     for ideal in (closure, A.nilradical(), A.unit_ideal()):
         assert isinstance(ideal.generators, tuple)
         assert all(not g.flags.writeable for g in ideal.generators)
+
+
+def test_subspace_pivots_are_read_only():
+    A = standard_algebras()["F2xF4"]
+    decomp = A.local_components()
+    space = decomp.component_spaces[1]
+    # an edited pivot made project(1, A.one) refuse the unit
+    with pytest.raises(ValueError, match="read-only"):
+        space.pivots[0] = 2
+    assert not space.pivots.flags.writeable
+    assert decomp.project(1, A.one).tolist() == decomp.components[1].one.tolist()
+    for made in (Subspace.from_vectors(3, 3, [[1, 2, 0]]), FpMatrix.identity(2, 3).kernel()):
+        assert not made.pivots.flags.writeable
+
+
+def test_ideal_generators_and_space_cannot_be_rebound():
+    A = truncated_polynomial_algebra(2, 3)
+    I = A.ideal([[0, 0, 1]])
+    # rebinding the generators to (1,) made the closure of (t^2) the unit ideal
+    with pytest.raises(AttributeError):
+        I.generators = (A.one,)
+    with pytest.raises(AttributeError):
+        I.space = A.unit_ideal().space
+    closure, q = I.frobenius_closure()
+    assert closure == A.ideal([[0, 1, 0]]) and q == 4  # (t, t^2)
+    for ideal in (closure, A.nilradical(), A.unit_ideal()):
+        with pytest.raises(AttributeError):
+            ideal.generators = ()
+        with pytest.raises(AttributeError):
+            ideal.space = Subspace.zero(2, 3)
+
+
+def test_module_structure_cannot_be_rebound():
+    M = LeftFModule(F2XF2, GOOD[:-1], GOOD[-1])
+    assert M.x_action == GOOD[-1]  # the cached views are filled from the stack
+    other = np.zeros_like(M.structure)
+    with pytest.raises(AttributeError):
+        M.structure = other
+    assert not M.structure.flags.writeable
+    assert M.x_action.data.tolist() == M.structure[-1].tolist()
+    assert M.validate()
 
 
 # -- the replaced routes, as references --------------------------------------------

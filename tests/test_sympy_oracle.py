@@ -1,0 +1,105 @@
+"""preimage_rows and relations against an independent oracle: sympy's
+DomainMatrix over GF(p), which shares no code with froblab.
+
+v lies in {v : g @ v in the span of rows} exactly when g @ v = rows^T @ c for
+some c, so the preimage is the projection onto the first n coordinates of
+the nullspace of [g | -rows^T]; sympy computes that nullspace and the
+reduced echelon form of its projection.  The relations {c : c @ rows == 0}
+are the nullspace of rows^T.
+"""
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
+
+from froblab.linalg import LIST_KERNEL_CELLS, MAX_PRIME, Subspace, mulmod, preimage_rows, relations
+
+PRIMES = [2, 3, 1048573, 33554393]
+
+
+def _domain_matrix(p: int, a: np.ndarray) -> DomainMatrix:
+    K = GF(p)
+    return DomainMatrix([[K(int(x)) for x in row] for row in a.tolist()], a.shape, K)
+
+
+def _canonical_rows(p: int, span: DomainMatrix) -> list[list[int]]:
+    """The reduced echelon basis of the row span, as lists of integers in [0, p)."""
+    reduced, pivots = span.rref()
+    return [[int(x) % p for x in row] for row in reduced.to_list()[: len(pivots)]]
+
+
+def sympy_preimage(p: int, g: np.ndarray, rows: np.ndarray) -> list[list[int]]:
+    n = g.shape[1]
+    null = _domain_matrix(p, np.hstack([g, (-rows.T) % p])).nullspace()
+    if null.shape[0] == 0:
+        return []
+    return _canonical_rows(p, null[:, :n])
+
+
+def sympy_relations(p: int, rows: np.ndarray) -> list[list[int]]:
+    null = _domain_matrix(p, rows.T).nullspace()
+    return [] if null.shape[0] == 0 else _canonical_rows(p, null)
+
+
+def _assert_basis(got: Subspace, want: list[list[int]]) -> None:
+    assert got.basis.tolist() == want
+    assert got.pivots.tolist() == [row.index(1) for row in want]
+
+
+@st.composite
+def preimage_systems(draw):
+    """A k x m array of target rows (zero, repeated, combined or fresh) and an
+    m x n matrix g, some of whose columns map into their span."""
+    p = draw(st.sampled_from(PRIMES))
+    k, m, n = draw(st.integers(0, 5)), draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    rows = np.zeros((k, m), dtype=np.int64)
+    for i in range(k):
+        kind = draw(st.sampled_from(["zero", "repeat", "combine", "fresh"] if i else ["fresh"]))
+        if kind == "repeat":
+            rows[i] = rows[draw(st.integers(0, i - 1))]
+        elif kind == "combine":
+            coeffs = np.array(draw(st.lists(entry, min_size=i, max_size=i)), dtype=np.int64)
+            rows[i] = mulmod(coeffs, rows[:i], p)
+        elif kind == "fresh":
+            rows[i] = draw(st.lists(entry, min_size=m, max_size=m))
+    g = np.array(draw(st.lists(entry, min_size=m * n, max_size=m * n)), dtype=np.int64)
+    g = g.reshape(m, n)
+    for j in range(n):
+        if k and draw(st.booleans()):
+            coeffs = np.array(draw(st.lists(entry, min_size=k, max_size=k)), dtype=np.int64)
+            g[:, j] = mulmod(coeffs, rows, p)
+    return p, g, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(preimage_systems())
+@example((2, np.zeros((0, 3), dtype=np.int64), np.zeros((0, 0), dtype=np.int64)))
+@example((3, np.eye(3, dtype=np.int64), np.zeros((0, 3), dtype=np.int64)))
+@example((33554393, np.array([[1, 2], [3, 4]], dtype=np.int64), np.eye(2, dtype=np.int64)))
+def test_preimage_rows_match_the_sympy_nullspace(case):
+    p, g, rows = case
+    _assert_basis(preimage_rows(p, g, rows), sympy_preimage(p, g, rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(preimage_systems())
+def test_relations_match_the_sympy_nullspace(case):
+    p, g, _ = case
+    _assert_basis(relations(p, g.T), sympy_relations(p, g.T))
+
+
+def test_preimage_rows_past_the_list_kernel_match_the_sympy_nullspace():
+    rng = np.random.default_rng(5)
+    for p in PRIMES:
+        assert p <= MAX_PRIME
+        k, m, n = 20, 40, 40
+        rows = rng.integers(0, p, (k, m))
+        rows[k // 2 :] = mulmod(rng.integers(0, p, (k - k // 2, k // 2)), rows[: k // 2], p)
+        g = rng.integers(0, p, (m, n))
+        g[:, : n // 4] = mulmod(rows.T, rng.integers(0, p, (k, n // 4)), p)
+        assert (k + n) * (m + n) > LIST_KERNEL_CELLS
+        want = sympy_preimage(p, g, rows)
+        assert len(want) >= n // 4
+        _assert_basis(preimage_rows(p, g, rows), want)
