@@ -6,13 +6,14 @@ command and the acceptance tests both drive these.
 """
 from __future__ import annotations
 
-import itertools
 import random
+
+import numpy as np
 
 from .duality import build_duality_context, check_duality_identities
 from .fmodule import LeftFModule, RightFModule, _FModule, semilinear_defects
 from .generators import InstanceCatalog, sampled_modules
-from .linalg import Subspace, mulmod, relations
+from .linalg import FpMatrix, mulmod, relations
 from .report import Report
 
 
@@ -84,22 +85,19 @@ def check_square_multiplier(name: str, M: RightFModule, report: Report) -> None:
     of C annihilate Mx.  For odd p the squares of S span the products b_i b_j
     (i <= j) of a basis of S; for p = 2 squaring is additive and the b_i^2
     span them.  Each Mx^k is a subspace, so checking those products suffices.
+    Mx^k = im X^k is im X^e for k >= e, the Fitting index (fitting_index), so
+    k = 1, ..., max(e, 1) give every Mx^k.
     """
     A = M.algebra
     if M.is_zero():
         return
-    power_images = [M.x_power(k).image() for k in range(1, M.dim + 2)]
+    power_images = [M.x_power(k).image() for k in range(1, max(M.fitting_index(), 1) + 1)]
     C = power_images[0].annihilator().basis
     S = relations(A.p, mulmod(C, M.structure[:-1], A.p).reshape(A.dim, C.shape[0] * M.dim))
-    if A.p == 2:
-        pairs = [(i, i) for i in range(S.dim)]
-    else:
-        pairs = itertools.combinations_with_replacement(range(S.dim), 2)
-    ok = all(
-        imk.contains(M.rho(A.mul(S.basis[i], S.basis[j])).data.T)
-        for i, j in pairs
-        for imk in power_images
-    )
+    i, j = (np.arange(S.dim),) * 2 if A.p == 2 else np.triu_indices(S.dim)
+    rhos = M.rhos(A._products(S.basis[i], S.basis[j]))
+    columns = rhos.transpose(0, 2, 1).reshape(len(i) * M.dim, M.dim)
+    ok = all(imk.contains(columns) for imk in power_images)
     report.add(
         "square_multiplier_descends",
         "an element moving the module into Mx has its square move it into every Mx^k",
@@ -110,23 +108,26 @@ def check_square_multiplier(name: str, M: RightFModule, report: Report) -> None:
 
 
 def check_localization(name: str, M: RightFModule, report: Report) -> None:
-    """Localizing commutes with multiplying by powers of x, per idempotent factor."""
+    """Localizing commutes with multiplying by powers of x, per idempotent factor.
+
+    On a right module rho(eps) commutes with X, as eps^p = eps, so
+    rho(eps) im X^k, the image of rho(eps) X^k, is im X_eps^k lifted into M.
+    Both read only im X^k and im X_eps^k, and im X^k = im X^e for k >= e, the
+    Fitting index (fitting_index).  localize refuses unless X maps
+    U = im rho(eps) into U, and X_eps is X on U: ker X_eps^k = ker X^k & U
+    stops by e_M too.  So k <= max(e_M, 1) decide every k, on any stack.
+    """
     A = M.algebra
     decomp = A.local_components()
     for idx in range(len(decomp.components)):
         local = M.localize(idx)
-        eps = decomp.idempotents[idx]
-        proj = M.rho(eps)
-        part = proj.image()
-        ok = True
-        for k in range(1, M.dim + 2):
-            # project M x^k into the factor and compare with (local) x^k
-            projected = (proj @ M.x_power(k)).image()
-            local_im = local.x_power(k).image()
-            lifted = Subspace.from_vectors(A.p, M.dim, mulmod(local_im.basis, part.basis, A.p))
-            if projected != lifted:
-                ok = False
-                break
+        proj = M.rho(decomp.idempotents[idx])
+        lift = FpMatrix._reduced(A.p, proj.image().basis.T)  # the factor's coordinates into M
+        # M x^k projected into the factor against the local x^k lifted into M
+        ok = all(
+            (proj @ M.x_power(k)).image() == (lift @ local.x_power(k)).image()
+            for k in range(1, max(M.fitting_index(), 1) + 1)
+        )
         # the fraction rule: for units s of the factor, dividing by s commutes
         # with the x-action as ( m/s ) x = m s^(p-1) x / s.  Multiplied out by
         # rho(s) this is X rho(s^p) == rho(s) X, linear in s, and the units of

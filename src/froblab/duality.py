@@ -32,6 +32,8 @@ from .linalg import FpMatrix, as_vector, mulmod
 from .report import Report
 from .skew import GradedTwoSidedIdeal, unit_graded_ideal, x_power_graded_ideal, zero_graded_ideal
 
+DUAL_FORMULA_SAMPLES = 6  # random (lam, r, v) triples per module for the literal formulas
+
 
 @dataclass(frozen=True, eq=False)
 class DualityContext:
@@ -197,7 +199,6 @@ def check_duality_identities(
     ctx: DualityContext,
     modules: list[tuple[str, _FModule]],
     rng,
-    eval_samples_per_module: int = 6,
 ) -> Report:
     """Verify the duality laws on a sample of modules over one algebra.
 
@@ -213,7 +214,7 @@ def check_duality_identities(
     for name, module in modules:
         if module.algebra != A:
             raise ValueError(f"module {name} lives over a different algebra")
-        _check_one_module(ctx, name, module, rng, report, eval_samples_per_module)
+        _check_one_module(ctx, name, module, rng, report)
     return report
 
 
@@ -227,7 +228,6 @@ def _check_one_module(
     module: _FModule,
     rng,
     report: Report,
-    eval_samples: int,
 ) -> None:
     A = ctx.algebra
     dual = dual_module(module, ctx)
@@ -313,7 +313,7 @@ def _check_one_module(
     # literal dual-action formulas against the fast path
     mism = 0
     total = 0
-    for _ in range(eval_samples):
+    for _ in range(DUAL_FORMULA_SAMPLES):
         lam = _sample_vector(rng, A.p, module.dim)
         v = _sample_vector(rng, A.p, module.dim)
         r = _sample_vector(rng, A.p, A.dim)

@@ -178,12 +178,6 @@ class _FModule:
             powers.append(self.x_action @ powers[-1])
         return powers[n]
 
-    def _x_powers(self, start: int, stop: int) -> np.ndarray:
-        """X^start, ..., X^(stop-1) as one (stop-start) x dim x dim array."""
-        n = self.dim
-        powers = [self.x_power(m).data for m in range(start, stop)]
-        return np.array(powers, dtype=np.int64).reshape(stop - start, n, n)
-
     def _words(self, powers: np.ndarray) -> np.ndarray:
         """rho(e_i) P (left) or P rho(e_i) (right) for every P of a stack of
         powers of X and every i, as one len(powers) x d x dim x dim array."""
@@ -231,7 +225,8 @@ class _FModule:
         stacked as a (d*dim*dim) x dim matrix: the cyclic submodule of v is
         the span of the W v (see enumerate_submodules)."""
         n = self.dim
-        return self._words(self._x_powers(0, n)).reshape(n * self.algebra.dim * n, n)
+        powers = np.array([self.x_power(m).data for m in range(n)], dtype=np.int64)
+        return self._words(powers.reshape(n, n, n)).reshape(n * self.algebra.dim * n, n)
 
     def enumerate_submodules(self, budget: int) -> list["FSubmodule"]:
         """Every invariant subspace: the cyclic submodules, closed under sums.
@@ -334,12 +329,12 @@ class LeftFModule(_FModule):
     def annihilator_submodule(self, ideal: GradedTwoSidedIdeal) -> "FSubmodule":
         """Elements killed by every homogeneous piece of the graded ideal.
 
-        With N = ideal.stable_from this is the common kernel of rho(b) X^n for
-        n <= N + dim and b in a basis of b_n.  Beyond N the conditions cut
-        out U_m = {h : rho(b_N) X^(N+j) h = 0 for j <= m}, a descending chain
-        with U_(m+1) = U_0 & X^-1(U_m), so it stops for good within dim steps.
-        Each piece below N is one product, the tail X^N, ..., X^(N+dim) one
-        broadcast product, and all conditions one kernel.
+        With N = ideal.stable_from these are the h with rho(b) X^n h = 0 for b
+        in a basis of b_n, n < N, one product per piece; and past N, with
+        rho(b) X^(N+j) h = 0 for b in a basis of b_N and all j >= 0.  That says
+        X^N h is orthogonal to W, the smallest row space holding the rows of
+        those rho(b) and stable under r -> r X: their spin-up under X^T
+        (close_under).  So the tail is the one block W X^N, and all one kernel.
         """
         if ideal.algebra != self.algebra:
             raise ValueError("graded ideal lives over a different algebra")
@@ -348,8 +343,10 @@ class LeftFModule(_FModule):
             mulmod(self.rhos(piece.space.basis), self.x_power(m).data, p)
             for m, piece in enumerate(ideal.chain[:N])
         ]
-        tail = self._x_powers(N, N + n + 1)
-        blocks.append(mulmod(self.rhos(ideal.chain[N].space.basis)[None], tail[:, None], p))
+        basis = ideal.chain[N].space.basis
+        rows = Subspace.from_vectors(p, n, self.rhos(basis).reshape(basis.shape[0] * n, n))
+        stable = close_under(rows, self.structure[-1:].transpose(0, 2, 1))
+        blocks.append(mulmod(stable.basis, self.x_power(N).data, p))
         return FSubmodule(self, common_kernel(p, n, blocks))
 
 

@@ -30,6 +30,8 @@ from .errors import AxiomError
 from .fmodule import LeftFModule, RightFModule, _FModule, hom_space, semilinear_stacks
 from .linalg import FpMatrix, combine, mulmod, operator_kernel, operator_stack, quotient_maps
 
+SAMPLED_MAX_DIM = 4  # the largest random module sampled_modules draws
+
 
 # -- named algebras -----------------------------------------------------------
 
@@ -241,7 +243,6 @@ def sampled_modules(
     A: FiniteAlgebra,
     seed: int,
     per_side: int,
-    max_dim: int = 4,
     extras: bool = True,
 ) -> list[tuple[str, _FModule]]:
     """A deterministic mix of random and distinguished modules over A."""
@@ -252,7 +253,7 @@ def sampled_modules(
     out: list[tuple[str, _FModule]] = []
     for side in ("left", "right"):
         for i in range(per_side):
-            dim = rng.randrange(1, max_dim + 1)
+            dim = rng.randrange(1, SAMPLED_MAX_DIM + 1)
             out.append((f"{side}{i}d{dim}", random_module(A, side, dim, rng)))
     if extras:
         ctx = build_duality_context(A)

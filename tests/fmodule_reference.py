@@ -13,13 +13,21 @@ combine, the condition list of annihilator_submodule, the products
 X^n rho(b), the quotient action proj @ a @ lift, the images of each operator,
 the Frobenius-twisted action and the literal dual-action formulas entry by
 entry.
+
+froblab bounds two law checks by the Fitting index, and spins up the stable
+tail of annihilator_submodule.  The routes below bound them by the size
+instead: the condition list runs to n = N + dim, and check_square_multiplier
+and check_localization run k = 1, ..., dim + 1, one product, rho and
+containment test per pair of basis elements and per k.
 """
+import itertools
+
 import numpy as np
 
 from froblab.algebra import Ideal
 from froblab.duality import DualityContext
 from froblab.errors import AxiomError
-from froblab.fmodule import FSubmodule, RightFModule, _FModule
+from froblab.fmodule import FSubmodule, RightFModule, _FModule, semilinear_defects
 from froblab.linalg import (
     FpMatrix,
     Subspace,
@@ -30,6 +38,7 @@ from froblab.linalg import (
     mulmod,
     operator_stack,
     quotient_maps,
+    relations,
     stabilize,
 )
 from froblab.skew import GradedTwoSidedIdeal, SkewPolynomial
@@ -192,3 +201,60 @@ def eval_dual_formula_right(ctx: DualityContext, M: RightFModule, r, h_dual, m) 
     if ctx.psi_matrix(z) != g:
         raise AxiomError("inner map is not right-linear over p-th powers")
     return A.mult_matrix(as_vector(r, A.p)).T.apply(z)
+
+
+# -- the dim + 1 loops of the law checks ------------------------------------------
+
+
+def check_square_multiplier(name: str, M: RightFModule, report) -> None:
+    """The squares of the s with M s <= Mx against every Mx^k, k <= dim + 1,
+    one product, rho and containment test per pair and per k."""
+    A = M.algebra
+    if M.is_zero():
+        return
+    power_images = [(M.x_action**k).image() for k in range(1, M.dim + 2)]
+    C = power_images[0].annihilator().basis
+    S = relations(A.p, mulmod(C, M.structure[:-1], A.p).reshape(A.dim, C.shape[0] * M.dim))
+    if A.p == 2:
+        pairs = [(i, i) for i in range(S.dim)]
+    else:
+        pairs = itertools.combinations_with_replacement(range(S.dim), 2)
+    ok = all(
+        imk.contains(rho(M, A.mul(S.basis[i], S.basis[j])).data.T)
+        for i, j in pairs
+        for imk in power_images
+    )
+    report.add(
+        "square_multiplier_descends",
+        "an element moving the module into Mx has its square move it into every Mx^k",
+        name,
+        ok,
+        f"{A.p**S.dim} applicable elements" if ok else "",
+    )
+
+
+def check_localization(name: str, M: RightFModule, report) -> None:
+    """rho(eps) M x^k against the local x^k-image lifted into M, for every
+    idempotent factor and k = 1, ..., dim + 1, then the fraction rule."""
+    A = M.algebra
+    decomp = A.local_components()
+    for idx in range(len(decomp.components)):
+        local = M.localize(idx)
+        proj = rho(M, decomp.idempotents[idx])
+        part = proj.image()
+        ok = True
+        for k in range(1, M.dim + 2):
+            projected = (proj @ M.x_action**k).image()
+            local_im = (local.x_action**k).image()
+            lifted = Subspace.from_vectors(A.p, M.dim, mulmod(local_im.basis, part.basis, A.p))
+            if projected != lifted:
+                ok = False
+                break
+        if ok:
+            ok = not semilinear_defects(local.algebra, local.structure, "right").any()
+        report.add(
+            "localization_commutes",
+            "inverting everything outside a maximal ideal commutes with the x-action",
+            f"{name}, component {idx}",
+            ok,
+        )

@@ -7,8 +7,11 @@ few broadcast products.  The references in fmodule_reference take one
 matrix, one element or one entry at a time.  The arithmetic is exact in both,
 so the results must be equal, not close.
 
-Tier-1 cost: about 5 s for the whole file on a 2-core Xeon, 1.9 s of it
-in the dim >= 16 direct sums.
+annihilator_submodule's spin-up tail and the Fitting-index bounds of the
+two law checks are compared the same way with the size-bounded routes.
+
+Tier-1 cost: about 9 s for the whole file on a 2-core Xeon, 1.9 s of it
+in the dim >= 16 direct sums and 4.0 s in the size-bounded comparisons.
 """
 import random
 
@@ -23,6 +26,7 @@ from froblab.algebra import (
     product_algebra,
     truncated_polynomial_algebra,
 )
+from froblab.checks import check_localization, check_square_multiplier
 from froblab.duality import (
     build_duality_context,
     dual_module,
@@ -30,6 +34,7 @@ from froblab.duality import (
     eval_dual_formula_left,
     eval_dual_formula_right,
 )
+from froblab.errors import AxiomError
 from froblab.fmodule import LeftFModule, RightFModule, semilinear_stacks
 from froblab.generators import default_catalog, random_module, sampled_modules
 from froblab.linalg import (
@@ -43,6 +48,7 @@ from froblab.linalg import (
     is_prime,
     quotient_maps,
 )
+from froblab.report import Report
 from froblab.skew import GradedTwoSidedIdeal
 
 import fmodule_reference as reference
@@ -145,6 +151,137 @@ def test_batched_routes_match_past_the_list_kernel(M, seed):
     # the annihilator system of the unit ideal alone has (dim + 1) * d * dim rows
     assert (M.dim + 1) * M.algebra.dim * M.dim * M.dim > LIST_KERNEL_CELLS
     assert_batched_routes_match(M, random.Random(seed))
+
+
+# -- the spin-up tail and the Fitting-index bounds against the size bounds -------
+#
+# annihilator_submodule spins up the stable tail, and check_square_multiplier
+# and check_localization stop at the Fitting index.  Both are linear algebra
+# alone, so they agree with the routes bounded by the dimension on any stack,
+# one that breaks the module laws included.
+
+
+def check_outcome(check, M) -> tuple[list, str | None]:
+    """What a law check reports on M, and the AxiomError it raises, if any."""
+    report = Report()
+    try:
+        check("m", M, report)
+    except AxiomError as exc:
+        return report.results, str(exc)
+    return report.results, None
+
+
+def annihilator_outcome(M, B) -> Subspace | str:
+    """annihilator_submodule(B), or the AxiomError of a kernel that is no submodule."""
+    try:
+        return M.annihilator_submodule(B).space
+    except AxiomError as exc:
+        return str(exc)
+
+
+def reference_annihilator_outcome(M, B) -> Subspace | str:
+    space = reference.annihilator_submodule(M, B)
+    if space.contains(reference.image_rows(space, [*M.action, M.x_action])):
+        return space
+    return "subspace is not closed under the module structure"
+
+
+def assert_structural_routes_match(M, rng: random.Random, valid: bool = True) -> tuple[list, list]:
+    """The annihilators of the left one of M and its dual, and both law checks
+    on the right one, against the size-bounded references; returns the two
+    checks' outcomes."""
+    dual = dual_module(M, build_duality_context(M.algebra))
+    left, right = (M, dual) if M.side == "left" else (dual, M)
+    for B in graded_ideals(M.algebra, (left, right) if valid else (), rng):
+        assert annihilator_outcome(left, B) == reference_annihilator_outcome(left, B)
+    outcomes = []
+    for check, old in [
+        (check_square_multiplier, reference.check_square_multiplier),
+        (check_localization, reference.check_localization),
+    ]:
+        got = check_outcome(check, right)
+        assert got == check_outcome(old, right)
+        outcomes.append(got)
+    return outcomes
+
+
+@settings(max_examples=60, deadline=None)
+@given(modules(pool=POOL), st.integers(0, 2**32 - 1))
+def test_structural_bounds_match_the_size_bounded_routes(M, seed):
+    for results, error in assert_structural_routes_match(M, random.Random(seed)):
+        assert error is None and all(r.ok for r in results)
+
+
+def broken_stack(M, rng: random.Random, kind: str):
+    """M's stack with a random X ("x") or with every matrix random ("all"),
+    built by the trusted constructor, which checks no law."""
+    p, stack = M.algebra.p, M.structure.copy()
+    part = stack[-1:] if kind == "x" else stack
+    part[...] = np.array([rng.randrange(p) for _ in range(part.size)]).reshape(part.shape)
+    return type(M)._from_structure(M.algebra, stack)
+
+
+@settings(max_examples=80, deadline=None)
+@given(modules(pool=POOL), st.integers(0, 2**32 - 1), st.sampled_from(["x", "all"]))
+def test_structural_bounds_match_on_stacks_that_break_the_laws(M, seed, kind):
+    rng = random.Random(seed)
+    assert_structural_routes_match(broken_stack(M, rng, kind), rng, valid=False)
+
+
+def test_structural_bounds_agree_on_failing_verdicts():
+    """Seeded broken stacks on which each check fails without raising or on
+    which localize refuses, and two built to fail only at k = 2: the
+    references agree on every one."""
+    rng = random.Random(3)
+    failed, refused = [0, 0], 0
+    for A in POOL.values():
+        for side in ("left", "right"):
+            for kind in ("x", "all"):
+                for _ in range(3):
+                    M = broken_stack(random_module(A, side, 4, rng), rng, kind)
+                    for i, (results, error) in enumerate(assert_structural_routes_match(M, rng, False)):
+                        failed[i] += not all(r.ok for r in results) and error is None
+                        refused += error is not None
+    assert min(failed) > 0 and refused > 0, (failed, refused)
+    # over F2xF2, rho(eps_0) = P is no projection: P im X = im P, but
+    # P im X^2 = 0, past the Fitting index 0 of X on im P; e_M = 2
+    A = product_algebra(prime_field(2), prime_field(2))
+    P = [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
+    X = [[1, 0, 0], [0, 0, 0], [0, 1, 0]]
+    M = RightFModule._from_structure(A, np.array([np.zeros((3, 3)), P, X], dtype=np.int64))
+    assert M.fitting_index() == 2 and M.localize(0).fitting_index() == 0
+    results, error = assert_structural_routes_match(M, rng, False)[1]
+    assert error is None and [r.ok for r in results] == [False, True]
+    # over F3, rho(1) = R with im R = im X, so S = F3, but R does not map
+    # into im X^2 = 0: the square 1 * 1 fails at k = e = 2
+    R, X = [[1, 0], [0, 0]], [[0, 1], [0, 0]]
+    M = RightFModule._from_structure(prime_field(3), np.array([R, X], dtype=np.int64))
+    results, error = assert_structural_routes_match(M, rng, False)[0]
+    assert error is None and [r.ok for r in results] == [False]
+
+
+def block_module_48(A: FiniteAlgebra, side: str, seed: int):
+    """A block sum of random modules of dim exactly 48."""
+    rng, parts, dim = random.Random(seed), [], 0
+    while dim < 48:
+        part = random_module(A, side, min(6, 48 - dim), rng)
+        parts.append(part)
+        dim += part.dim
+    return direct_sum([part for part in parts if part.dim])
+
+
+@pytest.mark.parametrize(
+    "A, side",
+    [(truncated_polynomial_algebra(2, 3), "left"), (product_algebra(prime_field(3), prime_field(3)), "right")],
+    ids=["F2[t]/t3-left", "F3xF3-right"],
+)
+def test_structural_bounds_match_on_a_dim_48_block_module(A, side):
+    M = block_module_48(A, side, 48)
+    assert M.dim == 48 and M.validate()
+    # the tail of the unit ideal alone: (dim + 1) * dim rows by the size bound
+    assert (M.dim + 1) * M.dim * M.dim > LIST_KERNEL_CELLS
+    for results, error in assert_structural_routes_match(M, random.Random(48)):
+        assert error is None and all(r.ok for r in results)
 
 
 # -- edge cases -------------------------------------------------------------------

@@ -6,14 +6,27 @@ some c, so the preimage is the projection onto the first n coordinates of
 the nullspace of [g | -rows^T]; sympy computes that nullspace and the
 reduced echelon form of its projection.  The relations {c : c @ rows == 0}
 are the nullspace of rows^T.
+
+annihilator_submodule(B) of a left module is the nullspace of the conditions
+rho(b) X^n for n <= N + dim, N = B.stable_from, and b in a basis of
+b_min(n, N): past N the conditions cut out a descending chain that stops
+within dim steps.  The test builds them itself, in Python integers, from the
+module's stack, and sympy computes their nullspace.
 """
+import random
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
+from froblab.algebra import prime_field, product_algebra, truncated_polynomial_algebra
+from froblab.duality import build_duality_context, dual_module
 from froblab.linalg import LIST_KERNEL_CELLS, MAX_PRIME, Subspace, mulmod, preimage_rows, relations
+from froblab.skew import GradedTwoSidedIdeal
+
+from module_strategies import modules
 
 PRIMES = [2, 3, 1048573, 33554393]
 
@@ -103,3 +116,56 @@ def test_preimage_rows_past_the_list_kernel_match_the_sympy_nullspace():
         want = sympy_preimage(p, g, rows)
         assert len(want) >= n // 4
         _assert_basis(preimage_rows(p, g, rows), want)
+
+
+def _algebras(p: int) -> dict:
+    F = prime_field(p)
+    return {
+        f"F{p}": F,
+        f"F{p}[t]/t2": truncated_polynomial_algebra(p, 2),
+        f"F{p}xF{p}": product_algebra(F, F),
+    }
+
+
+ORACLE_ALGEBRAS = {name: A for p in PRIMES for name, A in _algebras(p).items()}
+
+
+def _py_mul(a: list, b: list, p: int) -> list:
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def sympy_annihilator(M, B) -> list[list[int]]:
+    """The nullspace of the rows of every rho(b) X^n, n <= N + dim, b in a
+    basis of b_min(n, N), built from the module's stack in Python integers."""
+    p, n = M.algebra.p, M.dim
+    *acts, X = M.structure.tolist()
+    power = np.eye(n, dtype=np.int64).tolist()
+    rows = []
+    for m in range(B.stable_from + n + 1):
+        for b in B.component(m).space.basis.tolist():
+            rho = [[sum(c * a[i][j] for c, a in zip(b, acts)) % p for j in range(n)] for i in range(n)]
+            rows += _py_mul(rho, power, p)
+        power = _py_mul(X, power, p)
+    if not rows:
+        return np.eye(n, dtype=np.int64).tolist()
+    null = _domain_matrix(p, np.array(rows, dtype=np.int64)).nullspace()
+    return [] if null.shape[0] == 0 else _canonical_rows(p, null)
+
+
+@settings(max_examples=60, deadline=None)
+@given(modules(pool=ORACLE_ALGEBRAS), st.integers(0, 2**32 - 1))
+def test_annihilator_submodule_matches_the_sympy_nullspace(M, seed):
+    """On a left module and on the dual of a right one, for the standard
+    graded ideals, the graded annihilator, the radical ideals and one chain
+    of two random ideals."""
+    A, rng = M.algebra, random.Random(seed)
+    ctx = build_duality_context(A)
+    H = M if M.side == "left" else dual_module(M, ctx)
+    ideals = [B for _, B in ctx.standard_graded_ideals] + [H.graded_annihilator()]
+    decomp = A.local_components()
+    ideals += [GradedTwoSidedIdeal(A, [decomp.radical_ideal([i])]) for i in range(len(decomp.components))]
+    first = A.ideal([[rng.randrange(A.p) for _ in range(A.dim)]])
+    second = first + A.ideal([[rng.randrange(A.p) for _ in range(A.dim)]])
+    ideals.append(GradedTwoSidedIdeal(A, [A.zero_ideal(), first, second]))
+    for B in ideals:
+        _assert_basis(H.annihilator_submodule(B).space, sympy_annihilator(H, B))
