@@ -31,29 +31,43 @@ class FiniteAlgebra:
     """A commutative unital F_p-algebra given by structure constants."""
 
     def __init__(self, p: int, table, one, labels: list[str] | None = None):
-        self.p = int(p)
-        self.table = int_array(table, self.p)
-        if self.table.ndim != 3 or len({self.table.shape[0], self.table.shape[1], self.table.shape[2]}) != 1:
-            raise ValueError(f"structure table must be d x d x d, got {self.table.shape}")
-        self.dim = self.table.shape[0]
-        if self.dim < 1:
+        """The checked constructor, for data from outside: converted, shape-checked, validated."""
+        p = int(p)
+        table = int_array(table, p)
+        if table.ndim != 3 or len(set(table.shape)) != 1:
+            raise ValueError(f"structure table must be d x d x d, got {table.shape}")
+        dim = table.shape[0]
+        if dim < 1:
             raise ValueError("algebra must have dimension at least 1")
-        self.one = as_vector(one, self.p)
-        if self.one.shape[0] != self.dim:
+        one = as_vector(one, p)
+        if one.shape[0] != dim:
             raise ValueError("identity vector has wrong length")
-        self.labels = list(labels) if labels is not None else [f"e{i}" for i in range(self.dim)]
-        if len(self.labels) != self.dim:
+        labels = list(labels) if labels is not None else [f"e{i}" for i in range(dim)]
+        if len(labels) != dim:
             raise ValueError("need one label per basis element")
-        self.table.setflags(write=False)
-        self.one.setflags(write=False)
+        self._init(p, table, one, labels)
+        self.validate()
+
+    @classmethod
+    def _from_table(cls, p: int, table: np.ndarray, one: np.ndarray, labels: list[str]):
+        """The trusted constructor, for the local factors of a decomposition: a reduced,
+        C-contiguous int64 table and identity the package built.  Nothing is checked."""
+        algebra = cls.__new__(cls)
+        algebra._init(p, table, one, labels)
+        return algebra
+
+    def _init(self, p: int, table: np.ndarray, one: np.ndarray, labels: list[str]) -> None:
+        table.setflags(write=False)
+        one.setflags(write=False)
+        self.p, self.table, self.one, self.labels = p, table, one, labels
+        self.dim = table.shape[0]
         # the regular action: rho(e_i) has column j = e_i e_j = table[i, j]
-        self.regular_action = np.ascontiguousarray(self.table.transpose(0, 2, 1))
+        self.regular_action = np.ascontiguousarray(table.transpose(0, 2, 1))
         self.regular_action.setflags(write=False)
         self._basis_matrices: tuple[FpMatrix, ...] | None = None
         self._frobenius: FrobeniusData | None = None
         self._local: LocalDecomposition | None = None
         self._nilradical: Ideal | None = None
-        self.validate()
 
     # -- axioms ---------------------------------------------------------
 
@@ -129,9 +143,9 @@ class FiniteAlgebra:
 
     def mult_matrix(self, u) -> FpMatrix:
         """The matrix of multiplication by u (column j = u * e_j)."""
-        u = as_vector(u, self.p)
-        m = np.tensordot(u, self.table, axes=(0, 0)).T % self.p
-        return FpMatrix._reduced(self.p, m)
+        d = self.dim
+        row_products = mulmod(as_vector(u, self.p), self.table.reshape(d, d * d), self.p)
+        return FpMatrix._reduced(self.p, row_products.reshape(d, d).T)
 
     def basis_matrices(self) -> tuple[FpMatrix, ...]:
         """The basis elements' multiplication matrices: cached views of the regular action."""
@@ -364,20 +378,23 @@ def frobenius_closure_data(ideal: Ideal) -> ClosureData:
     that is a^F <= c_m; and c_m <= a^F always, as the chain ascends to a^F.
     The test exponent is therefore read off the chain, with no closure.
 
-    The inputs of every step come from two products over the N x d x d stack
-    of the distinct powers: the images F^n(g_i) of the generators, then
-    their products with the basis elements, which span a^[p^n].  Each c_n is
-    then one preimage_rows elimination, and no ideal is built per step.
+    c_0 = (F^0)^-1(a^[1]) = a is the ideal's canonical space, read off with
+    no elimination.  The inputs of every later step come from two products
+    over the stack of the distinct powers F^1, F^2, ...: the images F^n(g_i)
+    of the generators, then their products with the basis elements, which
+    span a^[p^n].  Each such c_n is then one preimage_rows elimination, and
+    no ideal is built per step.
     """
     A = ideal.algebra
     frob = A.frobenius()
-    powers = np.array([G.data for G in frob.powers])
-    # row i of images[n] is F^n(g_i) = powers[n] @ g_i
+    # the reshape keeps three axes when F = I and there is no later power
+    powers = np.array([G.data for G in frob.powers[1:]]).reshape(-1, A.dim, A.dim)
+    # row i of images[n - 1] is F^n(g_i) = powers[n - 1] @ g_i
     images = mulmod(ideal._generator_rows(), powers.transpose(0, 2, 1), A.p)
-    chain: list[Subspace] = []
+    chain = [ideal.space]
     for G, bracket in zip(powers, A._spanning_products(images)):
         chain.append(preimage_rows(A.p, G, bracket))
-        if len(chain) > 1 and not (chain[-2] <= chain[-1]):
+        if not (chain[-2] <= chain[-1]):
             raise AxiomError("frobenius closure chain is not ascending")
     preperiod, period = frob.preperiod, frob.period
     closure_space = chain[preperiod]
@@ -481,7 +498,9 @@ def _decompose(A: FiniteAlgebra) -> LocalDecomposition:
         rhos = mulmod(space.basis, A.regular_action.reshape(A.dim, A.dim**2), A.p)
         table = restrict_stack(rhos.reshape(space.dim, A.dim, A.dim), space).transpose(0, 2, 1)
         labels = [f"b{i}" for i in range(space.dim)]
-        components.append(FiniteAlgebra(A.p, table, space.coordinates(e), labels=labels))
+        # e is idempotent (orthogonal parts summing to 1): eA is an algebra, built trusted
+        table, one = np.ascontiguousarray(table), space.coordinates(e)
+        components.append(FiniteAlgebra._from_table(A.p, table, one, labels))
         spaces.append(space)
 
     if sum(c.dim for c in components) != A.dim:

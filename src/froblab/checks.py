@@ -13,7 +13,7 @@ import numpy as np
 from .duality import build_duality_context, check_duality_identities
 from .fmodule import LeftFModule, RightFModule, _FModule, semilinear_defects
 from .generators import InstanceCatalog, sampled_modules
-from .linalg import FpMatrix, mulmod, relations
+from .linalg import mulmod, relations
 from .report import Report
 
 
@@ -120,9 +120,8 @@ def check_localization(name: str, M: RightFModule, report: Report) -> None:
     A = M.algebra
     decomp = A.local_components()
     for idx in range(len(decomp.components)):
-        local = M.localize(idx)
+        local, lift = M._localization(idx)  # lift: the factor's coordinates into M
         proj = M.rho(decomp.idempotents[idx])
-        lift = FpMatrix._reduced(A.p, proj.image().basis.T)  # the factor's coordinates into M
         # M x^k projected into the factor against the local x^k lifted into M
         ok = all(
             (proj @ M.x_power(k)).image() == (lift @ local.x_power(k)).image()

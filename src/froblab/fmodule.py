@@ -406,13 +406,18 @@ class RightFModule(_FModule):
         For a finite algebra, inverting everything outside a maximal ideal is
         exactly multiplication by the corresponding primitive idempotent.
         """
+        return self._localization(index)[0]
+
+    def _localization(self, index: int) -> tuple["RightFModule", FpMatrix]:
+        """localize, plus the inclusion of the factor: the basis of im rho(eps) as columns."""
         decomp = self.algebra.local_components()
         if not 0 <= index < len(decomp.components):
             raise ValueError(f"no component with index {index}")
         part = self.rho(decomp.idempotents[index]).image()
         rhos = self.rhos(decomp.component_spaces[index].basis)
         stack = restrict_stack(np.concatenate([rhos, self.structure[-1:]]), part)
-        return RightFModule._from_structure(decomp.components[index], stack)
+        local = RightFModule._from_structure(decomp.components[index], stack)
+        return local, FpMatrix._reduced(self.algebra.p, part.basis.T)
 
 
 class FSubmodule:
@@ -519,18 +524,22 @@ def twisted_modules_isomorphic(algebra: FiniteAlgebra, c1, c2) -> tuple[bool, np
     linear condition on u with solution space S.  A primitive idempotent e
     has e^p = e, so S is the sum of the e S, and it holds a unit exactly when
     each e S holds a unit of the local factor eR.  Its non-units form the
-    maximal ideal, a subspace, so some e b with b in a basis of S is a unit
-    of eR if any element of e S is.  The witness is the sum of one per factor.
+    maximal ideal, nil(eR) = nil(R) & eR as eR is Artinian local, a
+    subspace, so some e b with b in a basis of S is a unit of eR if any
+    element of e S is: the first e b outside nil(R), found for all of them by
+    one residue product.  The witness is the sum of one per factor.
     """
+    p = algebra.p
     F = algebra.frobenius().matrix
     solutions = (algebra.mult_matrix(c1) - algebra.mult_matrix(c2) @ F).kernel()
+    nil = algebra.nilradical().space
     witness = algebra.zero()
     for e in algebra.local_components().idempotents:
         parts = image_rows(solutions, algebra.mult_matrix(e).data[None])
-        unit = next((v for v in parts if algebra.is_unit(v + algebra.one - e)), None)
-        if unit is None:
+        outside = ((parts - mulmod(parts[:, nil.pivots], nil.basis, p)) % p).any(axis=1)
+        if not outside.any():
             return False, None
-        witness = (witness + unit) % algebra.p
+        witness = (witness + parts[np.argmax(outside)]) % p
     return True, witness
 
 

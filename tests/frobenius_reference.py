@@ -7,14 +7,18 @@ F one basis element at a time, powers by repeated squaring, the nilradical as
 the kernel of one large power of F, and the Cartier structure from a
 Frobenius splitting solved for as a linear system.  The Frobenius closure
 chain, which froblab builds from two batched products and one elimination
-per power, is built here the old way: a bracket ideal per power from one
-`apply` per generator, then the residue-kernel preimage of its space.
+per power after c_0 = a, is built here the old way: a bracket ideal per power,
+F^0 included, from one `apply` per generator, then the residue-kernel
+preimage of its space.  The multiplication matrix is the tensordot of the
+element with the table, and the unit search of twisted_modules_isomorphic
+tests each candidate with a rank elimination, as they were before
+mult_matrix became one product and the units were read off nil(R).
 """
 import numpy as np
 
 from froblab.algebra import FiniteAlgebra, Ideal, extension_field, prime_field, product_algebra
 from froblab.generators import enumerate_local_algebras, standard_algebras
-from froblab.linalg import FpMatrix, Subspace, operator_solve
+from froblab.linalg import FpMatrix, Subspace, image_rows, operator_solve
 from linalg_reference import residue_kernel_preimage
 
 
@@ -69,3 +73,25 @@ def closure_chain_by_bracket_ideals(ideal: Ideal) -> list[Subspace]:
         bracket = Ideal(A, [G.apply(g) for g in ideal.generators])
         chain.append(residue_kernel_preimage(A.p, G.data, bracket.space.basis))
     return chain
+
+
+def mult_matrix_by_tensordot(A: FiniteAlgebra, u) -> FpMatrix:
+    """The matrix of multiplication by u: the tensordot of u with the table."""
+    return FpMatrix(A.p, np.tensordot(np.asarray(u, dtype=np.int64), A.table, axes=(0, 0)).T % A.p)
+
+
+def twisted_isomorphic_by_unit_ranks(A: FiniteAlgebra, c1, c2) -> tuple[bool, np.ndarray | None]:
+    """twisted_modules_isomorphic with a rank elimination per candidate: the
+    first e b, b in a basis of the solution space, with e b + 1 - e a unit."""
+    F = A.frobenius().matrix
+    solutions = (mult_matrix_by_tensordot(A, c1) - mult_matrix_by_tensordot(A, c2) @ F).kernel()
+    witness = A.zero()
+    for e in A.local_components().idempotents:
+        parts = image_rows(solutions, mult_matrix_by_tensordot(A, e).data[None])
+        unit = next(
+            (v for v in parts if mult_matrix_by_tensordot(A, v + A.one - e).is_invertible()), None
+        )
+        if unit is None:
+            return False, None
+        witness = (witness + unit) % A.p
+    return True, witness

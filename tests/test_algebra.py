@@ -664,9 +664,10 @@ def test_closure_exponent_matches_reference(case):
 
 
 def test_closure_exponent_search_does_no_closure(monkeypatch):
-    # each distinct Frobenius power costs one elimination, of the k d bracket
-    # products and the d rows of (F^n)^T, and no ideal is built from
-    # generators; Q is read off the chain, so comparing closures adds none
+    # c_0 = a is the ideal's own space, and each later distinct Frobenius
+    # power costs one elimination, of the k d bracket products and the d rows
+    # of (F^n)^T, and no ideal is built from generators; Q is read off the
+    # chain, so comparing closures adds none
     real = Ideal.__init__
     calls: list[int] = []
 
@@ -684,10 +685,11 @@ def test_closure_exponent_search_does_no_closure(monkeypatch):
         monkeypatch.setattr(Ideal, "__init__", counting)
         calls.clear()
         eliminated = count_eliminated_rows(monkeypatch)
-        frobenius_closure_data(a)
+        chain = frobenius_closure_data(a).chain
         monkeypatch.undo()
         assert calls == []
-        assert eliminated == [(len(gens) + 1) * A.dim] * len(frob.powers)
+        assert eliminated == [(len(gens) + 1) * A.dim] * (len(frob.powers) - 1)
+        assert chain[0] == a.space
 
 
 # -- the bracket ideal and residue kernel the one-elimination chain replaced ------

@@ -11,7 +11,7 @@ import pytest
 
 import froblab
 from froblab import cli, fileio
-from froblab.algebra import prime_field, truncated_polynomial_algebra
+from froblab.algebra import FiniteAlgebra, prime_field, truncated_polynomial_algebra
 from froblab.cli import main
 from froblab.fmodule import RightFModule, _FModule, natural_frobenius_module
 from froblab.generators import InstanceCatalog, default_catalog
@@ -175,23 +175,34 @@ def test_dualize_round_trip(fixtures, capsys, tmp_path):
 
 
 def test_only_data_from_outside_is_validated(fixtures, monkeypatch, tmp_path):
-    # every module the package derives is built trusted: check validates only
-    # its hand-built catalog module residue_F2t2, and dualize only the module
-    # it loads
+    # every module and algebra the package derives is built trusted: check
+    # validates only its hand-built catalog module residue_F2t2 and the 11
+    # catalog algebras, not their local factors, and dualize only the module
+    # and the algebra it loads
     _, alg, mod, _ = fixtures
-    calls = []
-    validate = _FModule.validate
+    catalog, loaded = set(default_catalog().algebras.values()), truncated_polynomial_algebra(2, 2)
+    calls, algebras = [], []
+    validate, validate_algebra = _FModule.validate, FiniteAlgebra.validate
 
     def counting(self):
         calls.append(self)
         return validate(self)
 
+    def counting_algebra(self):
+        algebras.append(self)
+        return validate_algebra(self)
+
     monkeypatch.setattr(_FModule, "validate", counting)
+    monkeypatch.setattr(FiniteAlgebra, "validate", counting_algebra)
     assert main(["check", "--seed", "0", "--out", str(tmp_path / "report.txt")]) == 0
     assert [M.dim for M in calls] == [1]
+    assert len(algebras) == len(catalog) == 11
+    assert set(algebras) == catalog
     calls.clear()
+    algebras.clear()
     assert main(["dualize", alg, mod, "--out", str(tmp_path / "dual.json")]) == 0
     assert len(calls) == 1
+    assert algebras == [loaded]
 
 
 def test_fclosure_regression(fixtures, capsys):

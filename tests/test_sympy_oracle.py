@@ -12,16 +12,31 @@ rho(b) X^n for n <= N + dim, N = B.stable_from, and b in a basis of
 b_min(n, N): past N the conditions cut out a descending chain that stops
 within dim steps.  The test builds them itself, in Python integers, from the
 module's stack, and sympy computes their nullspace.
+
+The algebra layer is checked on monogenic algebras R = F_p[u]/(f), against
+sympy's factorisation f = prod g^e over GF(p).  By the Chinese remainder
+theorem R = prod F_p[u]/(g^e), each factor local with residue field
+F_(p^deg g) and maximal ideal (g) nilpotent of index e.  So the local factors
+have dimensions deg(g) e, nil(R) has dimension deg f - sum deg g, F has
+period lcm(deg g) (on the reduced quotient, a product of the fields
+F_(p^deg g), F has order deg g on each), and its preperiod is the least k
+with p^k >= e for every e: r^(p^k) kills (g) exactly then.
 """
+import math
 import random
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy import GF
+from sympy import GF, Poly, symbols
 from sympy.polys.matrices import DomainMatrix
 
-from froblab.algebra import prime_field, product_algebra, truncated_polynomial_algebra
+from froblab.algebra import (
+    extension_field,
+    prime_field,
+    product_algebra,
+    truncated_polynomial_algebra,
+)
 from froblab.duality import build_duality_context, dual_module
 from froblab.linalg import LIST_KERNEL_CELLS, MAX_PRIME, Subspace, mulmod, preimage_rows, relations
 from froblab.skew import GradedTwoSidedIdeal
@@ -169,3 +184,65 @@ def test_annihilator_submodule_matches_the_sympy_nullspace(M, seed):
     ideals.append(GradedTwoSidedIdeal(A, [A.zero_ideal(), first, second]))
     for B in ideals:
         _assert_basis(H.annihilator_submodule(B).space, sympy_annihilator(H, B))
+
+
+def _preperiod(p: int, e: int) -> int:
+    """The least k with p^k >= e: ceil(log_p e), in integers."""
+    k = 0
+    while p**k < e:
+        k += 1
+    return k
+
+
+def sympy_local_data(p: int, f: list[int]) -> tuple[list[int], int, int, int]:
+    """From the factorisation of a monic f (coefficients of 1, u, u^2, ...)
+    over GF(p): the sorted local factor dimensions, dim nil(R), and the
+    period and preperiod of F on R = F_p[u]/(f)."""
+    _, factors = Poly(list(reversed(f)), symbols("u"), modulus=p).factor_list()
+    degrees = [(g.degree(), e) for g, e in factors]
+    return (
+        sorted(d * e for d, e in degrees),
+        (len(f) - 1) - sum(d for d, _ in degrees),
+        math.lcm(*(d for d, _ in degrees)),
+        max(_preperiod(p, e) for _, e in degrees),
+    )
+
+
+@st.composite
+def monic_polynomials(draw):
+    """p and a monic f of degree 1 to 8 over F_p, coefficients of 1, u, ...:
+    drawn outright, or a product of powers of drawn monic factors, so that
+    repeated factors, hence nilpotents, are common."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 1048573]))
+    entry = st.integers(0, p - 1)
+    if draw(st.booleans()):
+        degree = draw(st.integers(1, 8))
+        return p, draw(st.lists(entry, min_size=degree, max_size=degree)) + [1]
+    f = [1]
+    for _ in range(draw(st.integers(1, 3))):
+        room = 8 - (len(f) - 1)
+        if not room:
+            break
+        degree = draw(st.integers(1, min(3, room)))
+        e = draw(st.integers(1, min(4, room // degree)))
+        h = draw(st.lists(entry, min_size=degree, max_size=degree)) + [1]
+        for _ in range(e):
+            f = [
+                sum(f[i] * h[k - i] for i in range(max(0, k - degree), min(k, len(f) - 1) + 1)) % p
+                for k in range(len(f) + degree)
+            ]
+    return p, f
+
+
+@settings(max_examples=150, deadline=None)
+@given(monic_polynomials())
+@example((2, [1, 0, 0, 0, 0, 0, 0, 0, 1]))  # (u + 1)^8: one factor, nilpotent of index 8
+@example((3, [1, 1, 0, 1, 0, 1]))
+def test_local_structure_of_monogenic_algebras_matches_the_sympy_factorisation(case):
+    p, f = case
+    A = extension_field(p, f)
+    dims, nil_dim, period, preperiod = sympy_local_data(p, f)
+    assert sorted(c.dim for c in A.local_components().components) == dims
+    assert A.nilradical().dim == nil_dim
+    frob = A.frobenius()
+    assert (frob.period, frob.preperiod) == (period, preperiod)
