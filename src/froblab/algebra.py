@@ -50,8 +50,9 @@ class FiniteAlgebra:
 
     @classmethod
     def _from_table(cls, p: int, table: np.ndarray, one: np.ndarray, labels: list[str]):
-        """The trusted constructor, for the local factors of a decomposition: a reduced,
-        C-contiguous int64 table and identity the package built.  Nothing is checked."""
+        """The trusted constructor, for the local factors of a decomposition and the
+        products of algebras: a reduced, C-contiguous int64 table and identity the
+        package built.  Nothing is checked."""
         algebra = cls.__new__(cls)
         algebra._init(p, table, one, labels)
         return algebra
@@ -563,6 +564,8 @@ def extension_field(p: int, min_poly: list[int], var: str = "u") -> FiniteAlgebr
 
 
 def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
+    """a x b, built trusted: the product of two algebras is one, with the
+    block-diagonal table and the identity (1, 1), so nothing is validated again."""
     if a.p != b.p:
         raise ValueError("factors must share the characteristic")
     d = a.dim + b.dim
@@ -571,4 +574,4 @@ def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     table[a.dim :, a.dim :, a.dim :] = b.table
     one = np.concatenate([a.one, b.one])
     labels = [f"({lab},0)" for lab in a.labels] + [f"(0,{lab})" for lab in b.labels]
-    return FiniteAlgebra(a.p, table, one, labels=labels)
+    return FiniteAlgebra._from_table(a.p, table, one, labels)

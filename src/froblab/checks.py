@@ -41,7 +41,7 @@ def stabilization_bound(M: RightFModule) -> tuple[int, bool]:
 def check_stabilization(name: str, M: RightFModule, report: Report) -> None:
     """Direct image-chain stabilization versus the reduction pipeline."""
     e = M.divisibility_exponent()
-    constant_on = M.x_power(e).image() == M.x_power(e + 1).image() == M.x_power(e + 2).image()
+    constant_on = M.x_image(e) == M.x_image(e + 1) == M.x_image(e + 2)
     bound, pipeline_ok = stabilization_bound(M)
     report.add(
         "image_chain_stabilizes",
@@ -66,10 +66,10 @@ def check_uniform_torsion_bound(name: str, H: LeftFModule, report: Report) -> No
     when ker(X^max(dim, e)) lies in ker(X^e).
     """
     e = H.torsion_exponent()
-    killed = H.x_power(e).kernel()
-    ok = H.x_power(max(H.dim, e)).kernel() <= killed
+    killed = H.x_kernel(e)
+    ok = H.x_kernel(max(H.dim, e)) <= killed
     if e > 0:
-        ok = ok and H.x_power(e - 1).kernel() != killed
+        ok = ok and H.x_kernel(e - 1) != killed
     report.add(
         "uniform_torsion_exponent",
         "every x-torsion element is killed by one uniform power of x",
@@ -91,7 +91,7 @@ def check_square_multiplier(name: str, M: RightFModule, report: Report) -> None:
     A = M.algebra
     if M.is_zero():
         return
-    power_images = [M.x_power(k).image() for k in range(1, max(M.fitting_index(), 1) + 1)]
+    power_images = [M.x_image(k) for k in range(1, max(M.fitting_index(), 1) + 1)]
     C = power_images[0].annihilator().basis
     S = relations(A.p, mulmod(C, M.structure[:-1], A.p).reshape(A.dim, C.shape[0] * M.dim))
     i, j = (np.arange(S.dim),) * 2 if A.p == 2 else np.triu_indices(S.dim)

@@ -28,7 +28,7 @@ from .algebra import FiniteAlgebra
 from .errors import AxiomError
 from .fmodule import LeftFModule, RightFModule, _FModule, graded_annihilator_set
 from .fmodule import natural_frobenius_module
-from .linalg import FpMatrix, as_vector, mulmod
+from .linalg import FpMatrix, as_vector, int_array, mulmod
 from .report import Report
 from .skew import GradedTwoSidedIdeal, unit_graded_ideal, x_power_graded_ideal, zero_graded_ideal
 
@@ -48,8 +48,7 @@ class DualityContext:
         """psi(z) as a map R -> E, by its definition: column i is
         a -> z(e_i a^p), i.e. F^T (table z)^T."""
         A = self.algebra
-        products = mulmod(A.table, as_vector(z, A.p), A.p)  # [i, j] = z(e_i e_j)
-        return A.frobenius().matrix.T @ FpMatrix._reduced(A.p, products).T
+        return FpMatrix._reduced(A.p, _psi(A, as_vector(z, A.p)[None])[0])
 
     @cached_property
     def standard_graded_ideals(self) -> tuple[tuple[str, GradedTwoSidedIdeal], ...]:
@@ -64,6 +63,32 @@ class DualityContext:
 
     def __repr__(self) -> str:
         return f"DualityContext({self.algebra!r})"
+
+
+def _psi(A: FiniteAlgebra, z: np.ndarray) -> np.ndarray:
+    """psi(z) for every row z of a k x d stack, as one k x d x d array in the
+    layout of DualityContext.psi_matrix: F^T (table z)^T, two products."""
+    products = mulmod(A.table, z[:, None, :, None], A.p)[..., 0]  # [s, i, j] = z_s(e_i e_j)
+    return mulmod(A.frobenius().matrix.data.T, products.transpose(0, 2, 1), A.p)
+
+
+def _dual_act(A: FiniteAlgebra, r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """z . r = mult(r)^T z in E, for every row of the k x d stacks r and z."""
+    flat = mulmod(r, A.table.reshape(A.dim, A.dim * A.dim), A.p)
+    mult = flat.reshape(r.shape[0], A.dim, A.dim)  # [s, i, j] = (r_s e_i)_j
+    return mulmod(mult, z[:, :, None], A.p)[..., 0]
+
+
+def _sample_rows(p: int, *samples) -> tuple[bool, list[np.ndarray]]:
+    """The arguments of an evaluator as stacks with one row per sample, and
+    whether they came as single vectors: all vectors, or all stacks of k rows."""
+    rows = [int_array(sample, p) for sample in samples]
+    single = rows[0].ndim == 1
+    if single:
+        rows = [row[None] for row in rows]
+    if any(row.ndim != 2 for row in rows) or len({row.shape[0] for row in rows}) != 1:
+        raise ValueError("expected all vectors, or all stacks with one row per sample")
+    return single, rows
 
 
 def build_duality_context(A: FiniteAlgebra) -> DualityContext:
@@ -137,40 +162,47 @@ def dual_map(phi: FpMatrix) -> FpMatrix:
 
 
 def eval_dual_formula_left(ctx: DualityContext, H: LeftFModule, m_dual, r, h) -> np.ndarray:
-    """Literal dual-action formula: psi(m(x h)) evaluated at r, in E coordinates."""
+    """Literal dual-action formula: psi(m(x h)) evaluated at r, in E coordinates.
+
+    m_dual, r and h are vectors, or k-row stacks for k samples at once (a
+    k x d result): psi is evaluated by its definition on every row."""
     A = ctx.algebra
-    lam = as_vector(m_dual, A.p)
-    r = as_vector(r, A.p)
-    w = H.apply_x(h)
-    z = mulmod(mulmod(H.structure[:-1], w, A.p), lam, A.p)  # [k] = lam(rho(e_k) x h)
-    return ctx.psi_matrix(z).apply(r)
+    single, (lam, r, h) = _sample_rows(A.p, m_dual, r, h)
+    # [s, k] = lam_s(rho(e_k) x h_s)
+    z = dual_pairing_element(H, lam, mulmod(h, H.structure[-1].T, A.p))
+    out = mulmod(_psi(A, z), r[:, :, None], A.p)[..., 0]
+    return out[0] if single else out
 
 
 def eval_dual_formula_right(ctx: DualityContext, M: RightFModule, r, h_dual, m) -> np.ndarray:
     """Literal dual-action formula: psi^{-1} of g = (r' -> h(m r' x)), then acted on by r.
 
-    psi^{-1}(g) = g^T 1, exact when g is in the image of psi: psi(g^T 1) == g."""
+    psi^{-1}(g) = g^T 1, exact when g is in the image of psi: psi(g^T 1) == g.
+    r, h_dual and m are vectors, or k-row stacks for k samples at once (a
+    k x d result); the test of psi(g^T 1) == g covers every row."""
     A = ctx.algebra
-    lam = as_vector(h_dual, A.p)
-    r = as_vector(r, A.p)
-    m = as_vector(m, A.p)
+    single, (r, lam, m) = _sample_rows(A.p, r, h_dual, m)
     acts, X = M.structure[:-1], M.structure[-1]
-    rows = mulmod(lam, acts, A.p)  # [k] = lam rho(e_k)
-    cols = mulmod(acts, m, A.p)  # [j] = rho(e_j) m, i.e. m e_j
-    # [k, j] = lam(rho(e_k) X rho(e_j) m) = h(m e_j x e_k)
-    g = FpMatrix._reduced(A.p, mulmod(mulmod(rows, X, A.p), cols.T, A.p))
-    z = g.T.apply(A.one)
-    if ctx.psi_matrix(z) != g:
+    rows = mulmod(lam[:, None, None, :], acts, A.p)[:, :, 0]  # [s, k] = lam_s rho(e_k)
+    cols = mulmod(acts, m[:, None, :, None], A.p)[..., 0]  # [s, j] = rho(e_j) m_s, i.e. m_s e_j
+    # [s, k, j] = lam_s(rho(e_k) X rho(e_j) m_s) = h_s(m_s e_j x e_k)
+    g = mulmod(mulmod(rows, X, A.p), cols.transpose(0, 2, 1), A.p)
+    z = mulmod(A.one, g, A.p)  # g^T 1, row by row
+    if not np.array_equal(_psi(A, z), g):
         raise AxiomError("inner map is not right-linear over p-th powers; this is a bug")
-    return A.mult_matrix(r).T.apply(z)
+    out = _dual_act(A, r, z)
+    return out[0] if single else out
 
 
 def dual_pairing_element(module: _FModule, lam, v) -> np.ndarray:
-    """E-coordinates of the map r -> lam(rho(r) v); the dual vector as a map into E."""
+    """E-coordinates of the map r -> lam(rho(r) v); the dual vector as a map into E.
+    lam and v are vectors, or k-row stacks for k pairs at once (a k x d result)."""
     A = module.algebra
-    lam = as_vector(lam, A.p)
-    v = as_vector(v, A.p)
-    return mulmod(mulmod(module.structure[:-1], v, A.p), lam, A.p)
+    single, (lam, v) = _sample_rows(A.p, lam, v)
+    # [s, k] = rho(e_k) v_s
+    images = mulmod(module.structure[None, :-1], v[:, None, :, None], A.p)[..., 0]
+    out = mulmod(images, lam[:, :, None], A.p)[..., 0]
+    return out[0] if single else out
 
 
 def double_dual_map(module: _FModule, ctx: DualityContext) -> FpMatrix:
@@ -229,7 +261,6 @@ def _check_one_module(
     rng,
     report: Report,
 ) -> None:
-    A = ctx.algebra
     dual = dual_module(module, ctx)
 
     # (a) evaluation maps: under the linear-dual identification both are
@@ -311,31 +342,37 @@ def _check_one_module(
             )
 
     # literal dual-action formulas against the fast path
-    mism = 0
-    total = 0
-    for _ in range(DUAL_FORMULA_SAMPLES):
-        lam = _sample_vector(rng, A.p, module.dim)
-        v = _sample_vector(rng, A.p, module.dim)
-        r = _sample_vector(rng, A.p, A.dim)
-        total += 1
-        if module.side == "left":
-            got = eval_dual_formula_left(ctx, module, lam, r, v)
-            lam2 = dual.rho(r).apply(lam)
-            want = dual_pairing_element(module, dual.apply_x(lam2), v)
-        else:
-            got = eval_dual_formula_right(ctx, module, r, lam, v)
-            want = A.mult_matrix(r).T.apply(
-                dual_pairing_element(module, dual.apply_x(lam), v)
-            )
-        if not np.array_equal(got, want):
-            mism += 1
+    mism = _dual_formula_mismatches(ctx, module, dual, rng)
     report.add(
         "dual_formula_fast_path",
         "the literal dual-action formulas agree with the transpose fast path",
         name,
         mism == 0,
-        f"{mism}/{total} mismatches" if mism else "",
+        f"{mism}/{DUAL_FORMULA_SAMPLES} mismatches" if mism else "",
     )
+
+
+def _dual_formula_mismatches(ctx: DualityContext, module: _FModule, dual: _FModule, rng) -> int:
+    """On how many of DUAL_FORMULA_SAMPLES random (lam, v, r) triples the
+    literal formula and the transpose fast path disagree.  The triples are
+    drawn one after another, then each side is evaluated on all of them at
+    once, every vector of the fast path applied to a row as v -> v @ M^T."""
+    A = ctx.algebra
+    p, shapes = A.p, (module.dim, module.dim, A.dim)
+    draws = [_sample_vector(rng, p, n) for _ in range(DUAL_FORMULA_SAMPLES) for n in shapes]
+    lam, v, r = (
+        np.array(draws[i::3], dtype=np.int64).reshape(DUAL_FORMULA_SAMPLES, n)
+        for i, n in enumerate(shapes)
+    )
+    X = dual.structure[-1]
+    if module.side == "left":
+        got = eval_dual_formula_left(ctx, module, lam, r, v)
+        lam2 = mulmod(dual.rhos(r), lam[:, :, None], p)[..., 0]  # rho(r)^T lam, row by row
+        want = dual_pairing_element(module, mulmod(lam2, X.T, p), v)
+    else:
+        got = eval_dual_formula_right(ctx, module, r, lam, v)
+        want = _dual_act(A, r, dual_pairing_element(module, mulmod(lam, X.T, p), v))
+    return int((got != want).any(axis=1).sum())
 
 
 def _check_left_kernel_identity(

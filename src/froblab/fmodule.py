@@ -96,6 +96,8 @@ class _FModule:
         self._structure = stack
         self.dim = stack.shape[1]
         self._powers: list[FpMatrix] = []
+        self._images: dict[int, Subspace] = {}
+        self._kernels: dict[int, Subspace] = {}
         self._fitting: int | None = None
 
     @classmethod
@@ -165,9 +167,6 @@ class _FModule:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def apply_x(self, v) -> np.ndarray:
-        return self.x_action.apply(v)
-
     def x_power(self, n: int) -> FpMatrix:
         """X^n.  The powers are kept: each new one is one product from the
         last, so every power is built at most once per module."""
@@ -177,6 +176,22 @@ class _FModule:
         while len(powers) <= n:
             powers.append(self.x_action @ powers[-1])
         return powers[n]
+
+    def x_image(self, k: int) -> Subspace:
+        """im X^k, kept like the powers: each is eliminated at most once per
+        module, and im X^0 is the whole space, with nothing to eliminate."""
+        if k not in self._images:
+            p, n = self.algebra.p, self.dim
+            self._images[k] = self.x_power(k).image() if k else Subspace.full(p, n)
+        return self._images[k]
+
+    def x_kernel(self, k: int) -> Subspace:
+        """ker X^k, kept like the powers: each is eliminated at most once per
+        module, and ker X^0 is zero, with nothing to eliminate."""
+        if k not in self._kernels:
+            p, n = self.algebra.p, self.dim
+            self._kernels[k] = self.x_power(k).kernel() if k else Subspace.zero(p, n)
+        return self._kernels[k]
 
     def _words(self, powers: np.ndarray) -> np.ndarray:
         """rho(e_i) P (left) or P rho(e_i) (right) for every P of a stack of
@@ -194,10 +209,11 @@ class _FModule:
         ker X^(e+1) = ker X^e, and im X^(e+2) = X im X^(e+1) = X im X^e.
         So from e on neither chain moves again (Fitting's lemma), and
         e <= dim.  The torsion and divisibility exponents are both this e.
+        The ranks are read off the kept images im X^1, ..., im X^(e+1).
         """
         if self._fitting is None:
             e, rank = 0, self.dim
-            while (following := self.x_power(e + 1).rank()) != rank:
+            while (following := self.x_image(e + 1).dim) != rank:
                 e, rank = e + 1, following
             self._fitting = e
         return self._fitting
@@ -205,11 +221,13 @@ class _FModule:
     # -- submodules and quotients ------------------------------------------
 
     def submodule(self, vectors) -> "FSubmodule":
+        """The submodule generated by the vectors: their span closed under
+        the whole structure, which is closed by construction, on any stack."""
         space = Subspace.from_vectors(self.algebra.p, self.dim, vectors)
-        return FSubmodule(self, close_under(space, self.structure))
+        return FSubmodule._closed(self, close_under(space, self.structure))
 
     def zero_submodule(self) -> "FSubmodule":
-        return FSubmodule(self, Subspace.zero(self.algebra.p, self.dim))
+        return FSubmodule._closed(self, Subspace.zero(self.algebra.p, self.dim))
 
     def quotient(self, sub: "FSubmodule") -> tuple["_FModule", FpMatrix]:
         """Quotient module and the projection matrix onto its basis."""
@@ -317,10 +335,10 @@ class LeftFModule(_FModule):
         return self.fitting_index()
 
     def x_torsion(self) -> "FSubmodule":
-        return FSubmodule(self, self.x_power(self.fitting_index()).kernel())
+        return FSubmodule(self, self.x_kernel(self.fitting_index()))
 
     def is_x_torsion_free(self) -> bool:
-        return self.x_action.kernel().is_zero()
+        return self.x_kernel(1).is_zero()
 
     def graded_annihilator(self) -> GradedTwoSidedIdeal:
         """Largest chain (b_n) with rho(b_n) . X^n == 0; stabilizes with im(X^n)."""
@@ -358,7 +376,7 @@ class RightFModule(_FModule):
         return self.fitting_index()
 
     def is_x_divisible(self) -> bool:
-        return self.x_action.image().is_full()
+        return self.x_image(1).is_full()
 
     def graded_annihilator(self) -> GradedTwoSidedIdeal:
         """Largest chain (b_n) with X^n . rho(b_n) == 0; stabilizes with ker(X^n)."""
@@ -398,7 +416,7 @@ class RightFModule(_FModule):
 
     def stable_image(self) -> tuple["FSubmodule", int]:
         e = self.fitting_index()
-        return FSubmodule(self, self.x_power(e).image()), e
+        return FSubmodule(self, self.x_image(e)), e
 
     def localize(self, index: int) -> "RightFModule":
         """Projection onto an idempotent factor, as a module over that factor.
@@ -426,12 +444,23 @@ class FSubmodule:
     __slots__ = ("parent", "space")
 
     def __init__(self, parent: _FModule, space: Subspace):
+        """The checked constructor: space must lie in the parent's ambient
+        space and be closed under its whole structure."""
         if space.ambient_dim != parent.dim or space.p != parent.algebra.p:
             raise ValueError("subspace has the wrong ambient space")
         if not space.contains(image_rows(space, parent.structure)):
             raise AxiomError("subspace is not closed under the module structure")
         self.parent = parent
         self.space = space
+
+    @classmethod
+    def _closed(cls, parent: _FModule, space: Subspace) -> "FSubmodule":
+        """The trusted constructor, for a subspace of the parent's ambient
+        space that the package closed under its structure.  Nothing is checked."""
+        sub = cls.__new__(cls)
+        sub.parent = parent
+        sub.space = space
+        return sub
 
     @property
     def dim(self) -> int:

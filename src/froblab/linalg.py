@@ -207,7 +207,8 @@ class FpMatrix:
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMatrix":
-        return cls(p, np.eye(n, dtype=np.int64))
+        _check_prime(p)
+        return cls._reduced(int(p), np.eye(n, dtype=np.int64))
 
     @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
@@ -394,11 +395,14 @@ class Subspace:
 
     @classmethod
     def zero(cls, p: int, ambient_dim: int) -> "Subspace":
-        return cls.from_vectors(p, ambient_dim, [])
+        _check_prime(p)
+        return cls(p, ambient_dim, np.zeros((0, ambient_dim), dtype=np.int64), [])
 
     @classmethod
     def full(cls, p: int, ambient_dim: int) -> "Subspace":
-        return cls.from_vectors(p, ambient_dim, np.eye(ambient_dim, dtype=np.int64))
+        """F_p^n, whose reduced echelon basis is the identity: nothing to eliminate."""
+        _check_prime(p)
+        return cls(p, ambient_dim, np.eye(ambient_dim, dtype=np.int64), range(ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -451,7 +455,7 @@ class Subspace:
         """The subspace {w : w . v == 0 for all v in self}."""
         if self.dim == 0:
             return Subspace.full(self.p, self.ambient_dim)
-        return FpMatrix(self.p, self.basis).kernel()
+        return FpMatrix._reduced(self.p, self.basis).kernel()
 
     def __le__(self, other: "Subspace") -> bool:
         return other.contains_space(self)

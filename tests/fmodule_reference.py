@@ -19,13 +19,19 @@ tail of annihilator_submodule.  The routes below bound them by the size
 instead: the condition list runs to n = N + dim, and check_square_multiplier
 and check_localization run k = 1, ..., dim + 1, one product, rho and
 containment test per pair of basis elements and per k.
+
+froblab keeps im X^k and ker X^k per module, reads the Fitting index off the
+kept images, and evaluates the literal dual-action formulas on all samples
+at once.  The routes below do each the old way: one rank elimination per
+step of the Fitting loop, and one (lam, v, r) sample at a time through the
+entry-by-entry evaluators.
 """
 import itertools
 
 import numpy as np
 
 from froblab.algebra import Ideal
-from froblab.duality import DualityContext
+from froblab.duality import DUAL_FORMULA_SAMPLES, DualityContext
 from froblab.errors import AxiomError
 from froblab.fmodule import FSubmodule, RightFModule, _FModule, semilinear_defects
 from froblab.linalg import (
@@ -93,6 +99,14 @@ def x_torsion(M: _FModule) -> FSubmodule:
 def stable_image(M: _FModule) -> tuple[FSubmodule, int]:
     states, e = x_chain(M, FpMatrix.image)
     return FSubmodule(M, states[e][1]), e
+
+
+def fitting_index_by_ranks(M: _FModule) -> int:
+    """The least e with rank X^e == rank X^(e+1), one rank elimination per step."""
+    e, rank = 0, M.dim
+    while (following := M.x_power(e + 1).rank()) != rank:
+        e, rank = e + 1, following
+    return e
 
 
 def graded_annihilator(M: _FModule) -> GradedTwoSidedIdeal:
@@ -181,7 +195,7 @@ def dual_pairing_element(M: _FModule, lam, v) -> np.ndarray:
 
 def eval_dual_formula_left(ctx: DualityContext, H: _FModule, m_dual, r, h) -> np.ndarray:
     """psi(m(x h)) at r, with m(x h) evaluated one basis element at a time."""
-    z = dual_pairing_element(H, m_dual, H.apply_x(h))
+    z = dual_pairing_element(H, m_dual, H.x_action.apply(h))
     return ctx.psi_matrix(z).apply(as_vector(r, ctx.algebra.p))
 
 
@@ -193,7 +207,7 @@ def eval_dual_formula_right(ctx: DualityContext, M: RightFModule, r, h_dual, m) 
     m = as_vector(m, A.p)
     inner = np.zeros((A.dim, A.dim), dtype=np.int64)
     for j, aj in enumerate(M.action):
-        w = M.apply_x(aj.apply(m))
+        w = M.x_action.apply(aj.apply(m))
         for k, ak in enumerate(M.action):
             inner[k, j] = int(lam @ ak.apply(w) % A.p)
     g = FpMatrix(A.p, inner)
@@ -258,3 +272,26 @@ def check_localization(name: str, M: RightFModule, report) -> None:
             f"{name}, component {idx}",
             ok,
         )
+
+
+# -- the per-sample loop of the literal dual-action formulas ---------------------
+
+
+def dual_formula_mismatches(ctx: DualityContext, M: _FModule, dual: _FModule, rng) -> int:
+    """On how many of DUAL_FORMULA_SAMPLES (lam, v, r) triples the literal
+    formula and the transpose fast path disagree: each triple drawn and
+    evaluated in turn, by the entry-by-entry evaluators and one FpMatrix
+    application at a time."""
+    A = ctx.algebra
+    mismatches = 0
+    for _ in range(DUAL_FORMULA_SAMPLES):
+        lam, v, r = ([rng.randrange(A.p) for _ in range(n)] for n in (M.dim, M.dim, A.dim))
+        if M.side == "left":
+            got = eval_dual_formula_left(ctx, M, lam, r, v)
+            lam2 = rho(dual, r).apply(lam)
+            want = dual_pairing_element(M, dual.x_action.apply(lam2), v)
+        else:
+            got = eval_dual_formula_right(ctx, M, r, lam, v)
+            want = A.mult_matrix(r).T.apply(dual_pairing_element(M, dual.x_action.apply(lam), v))
+        mismatches += not np.array_equal(got, want)
+    return mismatches

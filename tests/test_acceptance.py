@@ -126,12 +126,12 @@ def test_criterion_03_formula_fidelity(contexts, samples):
                 if module.side == "left":
                     got = eval_dual_formula_left(ctx, module, lam, r, v)
                     want = dual_pairing_element(
-                        module, dual.apply_x(dual.rho(r).apply(lam)), v
+                        module, dual.x_action.apply(dual.rho(r).apply(lam)), v
                     )
                 else:
                     got = eval_dual_formula_right(ctx, module, r, lam, v)
                     want = A.mult_matrix(r).T.apply(
-                        dual_pairing_element(module, dual.apply_x(lam), v)
+                        dual_pairing_element(module, dual.x_action.apply(lam), v)
                     )
                 total += 1
                 if not np.array_equal(got, want):

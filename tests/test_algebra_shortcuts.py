@@ -5,8 +5,9 @@
 - twisted_modules_isomorphic takes, per local factor, the first candidate
   outside nil(R); the reference tests each candidate e b + 1 - e with a rank
   elimination.  Outcome and witness must agree exactly.
-- the local factors of a decomposition are built trusted; rebuilt through
-  the checked constructor, each must validate and equal the trusted one.
+- the local factors of a decomposition and the products of algebras are
+  built trusted; rebuilt through the checked constructor, each must
+  validate and equal the trusted one.
 
 The Frobenius closure chain, which now reads c_0 = a off the ideal, is
 compared with the bracket-ideal reference in test_algebra.py.
@@ -25,6 +26,7 @@ from froblab.algebra import (
     truncated_polynomial_algebra,
 )
 from froblab.fmodule import twisted_modules_isomorphic
+from froblab.generators import default_catalog
 from frobenius_reference import (
     frobenius_pool,
     mult_matrix_by_tensordot,
@@ -168,12 +170,33 @@ def test_mult_matrix_matches_the_tensordot_reference(p, degree, data):
     assert A.mult_matrix(u) == mult_matrix_by_tensordot(A, u)
 
 
+def assert_passes_the_checked_constructor(A: FiniteAlgebra) -> None:
+    checked = FiniteAlgebra(A.p, A.table, A.one, A.labels)
+    assert checked.validate()
+    assert checked == A and checked.labels == A.labels
+    assert np.array_equal(checked.regular_action, A.regular_action)
+    assert A.table.flags.c_contiguous and not A.table.flags.writeable
+
+
 def test_trusted_local_factors_pass_the_checked_constructor():
     for A in frobenius_pool() + large_prime_algebras():
-        decomp = A.local_components()
-        for comp in decomp.components:
-            checked = FiniteAlgebra(comp.p, comp.table, comp.one, comp.labels)
-            assert checked.validate()
-            assert checked == comp and checked.labels == comp.labels
-            assert np.array_equal(checked.regular_action, comp.regular_action)
-            assert comp.table.flags.c_contiguous and not comp.table.flags.writeable
+        for comp in A.local_components().components:
+            assert_passes_the_checked_constructor(comp)
+
+
+def test_trusted_products_pass_the_checked_constructor():
+    """The catalog's products, and seeded products of two and of three
+    algebras of the pools over one field."""
+    rng = random.Random(25)
+    pool = frobenius_pool() + large_prime_algebras()
+    products = [A for name, A in default_catalog().algebras.items() if "x" in name]
+    assert len(products) == 2
+    for factors in [2] * 40 + [3] * 10:
+        first = rng.choice(pool)
+        same_field = [B for B in pool if B.p == first.p]
+        A = first
+        for _ in range(factors - 1):
+            A = product_algebra(A, rng.choice(same_field))
+        products.append(A)
+    for A in products:
+        assert_passes_the_checked_constructor(A)

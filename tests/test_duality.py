@@ -172,8 +172,8 @@ def test_action_law_on_dual_elements():
             for _ in range(6):
                 lam = np.array([rng.randrange(A.p) for _ in range(H.dim)])
                 h = np.array([rng.randrange(A.p) for _ in range(H.dim)])
-                lhs = dual_pairing_element(H, D.apply_x(lam), h)
-                rhs = ctx.module.x_action.apply(dual_pairing_element(H, lam, H.apply_x(h)))
+                lhs = dual_pairing_element(H, D.x_action.apply(lam), h)
+                rhs = ctx.module.x_action.apply(dual_pairing_element(H, lam, H.x_action.apply(h)))
                 assert np.array_equal(lhs, rhs)
 
 
@@ -192,10 +192,10 @@ def test_left_action_characterization():
                 for i in range(A.dim):
                     r = eye[i]
                     # ((x lam)(m)) r x, computed inside the dualizing module
-                    w = dual_pairing_element(M, D.apply_x(lam), m)
+                    w = dual_pairing_element(M, D.x_action.apply(lam), m)
                     lhs = ctx.module.x_action.apply(A.mult_matrix(r).T.apply(w))
                     # lam(m r x)
-                    rhs = dual_pairing_element(M, lam, M.apply_x(M.rho(r).apply(m)))
+                    rhs = dual_pairing_element(M, lam, M.x_action.apply(M.rho(r).apply(m)))
                     assert np.array_equal(lhs, rhs)
 
 
@@ -214,11 +214,11 @@ def test_literal_formulas_match_fast_path():
                     r = np.array([rng.randrange(A.p) for _ in range(A.dim)])
                     if side == "left":
                         got = eval_dual_formula_left(ctx, M, lam, r, v)
-                        want = dual_pairing_element(M, D.apply_x(D.rho(r).apply(lam)), v)
+                        want = dual_pairing_element(M, D.x_action.apply(D.rho(r).apply(lam)), v)
                     else:
                         got = eval_dual_formula_right(ctx, M, r, lam, v)
                         want = A.mult_matrix(r).T.apply(
-                            dual_pairing_element(M, D.apply_x(lam), v)
+                            dual_pairing_element(M, D.x_action.apply(lam), v)
                         )
                     assert np.array_equal(got, want)
                     count += 1

@@ -112,7 +112,7 @@ def test_natural_module_is_left_valid():
     H = natural_frobenius_module(F2T2)
     assert H.validate()
     # x acts as squaring: x(1+t) = (1+t)^2 = 1
-    assert H.apply_x([1, 1]).tolist() == [1, 0]
+    assert H.x_action.apply([1, 1]).tolist() == [1, 0]
 
 
 def test_zero_x_action_is_valid_on_both_sides():

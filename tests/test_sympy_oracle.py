@@ -1,6 +1,11 @@
 """preimage_rows and relations against an independent oracle: sympy's
 DomainMatrix over GF(p), which shares no code with froblab.
 
+_rref, on the list kernel and on the numpy kernel alike, must give sympy's
+reduced row echelon form and pivots exactly, and FpMatrix.kernel the reduced
+echelon basis of sympy's nullspace, on every shape: 0 rows, 0 columns and
+past LIST_KERNEL_CELLS included.
+
 v lies in {v : g @ v in the span of rows} exactly when g @ v = rows^T @ c for
 some c, so the preimage is the projection onto the first n coordinates of
 the nullspace of [g | -rows^T]; sympy computes that nullspace and the
@@ -38,7 +43,18 @@ from froblab.algebra import (
     truncated_polynomial_algebra,
 )
 from froblab.duality import build_duality_context, dual_module
-from froblab.linalg import LIST_KERNEL_CELLS, MAX_PRIME, Subspace, mulmod, preimage_rows, relations
+from froblab.linalg import (
+    LIST_KERNEL_CELLS,
+    MAX_PRIME,
+    FpMatrix,
+    Subspace,
+    _rref,
+    _rref_numpy,
+    _rref_rows,
+    mulmod,
+    preimage_rows,
+    relations,
+)
 from froblab.skew import GradedTwoSidedIdeal
 
 from module_strategies import modules
@@ -73,6 +89,61 @@ def sympy_relations(p: int, rows: np.ndarray) -> list[list[int]]:
 def _assert_basis(got: Subspace, want: list[list[int]]) -> None:
     assert got.basis.tolist() == want
     assert got.pivots.tolist() == [row.index(1) for row in want]
+
+
+def assert_rref_and_kernel_match(p: int, a: np.ndarray) -> int:
+    """Both elimination kernels, the dispatching _rref and FpMatrix.kernel
+    against sympy, on the same matrix; returns the kernel's dimension.
+    sympy takes the nullspace of its own reduced form, which has a's."""
+    reduced, pivots = _domain_matrix(p, a).rref()
+    want = [[int(x) % p for x in row] for row in reduced.to_list()]
+    for eliminate in (_rref, _rref_rows, _rref_numpy):
+        got, got_pivots = eliminate(a, p)
+        assert got.tolist() == want and got_pivots == list(pivots), eliminate.__name__
+    null = reduced.nullspace()
+    kernel = [] if null.shape[0] == 0 else _canonical_rows(p, null)
+    _assert_basis(FpMatrix(p, a).kernel(), kernel)
+    return len(kernel)
+
+
+@st.composite
+def kernel_matrices(draw):
+    """p and a rows x cols matrix, 0 rows and 0 columns included: drawn
+    outright, or of low rank as a product through a middle of size 0 to 3."""
+    p = draw(st.sampled_from(PRIMES))
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 8))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+
+    def block(m, n):
+        entries = draw(st.lists(entry, min_size=m * n, max_size=m * n))
+        return np.array(entries, dtype=np.int64).reshape(m, n)
+
+    if draw(st.booleans()):
+        middle = draw(st.integers(0, 3))
+        return p, mulmod(block(rows, middle), block(middle, cols), p)
+    return p, block(rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_matrices())
+@example((2, np.zeros((0, 4), dtype=np.int64)))
+@example((3, np.zeros((3, 0), dtype=np.int64)))
+@example((1048573, np.zeros((0, 0), dtype=np.int64)))
+@example((33554393, np.array([[1, 2, 3], [2, 4, 6]], dtype=np.int64)))
+def test_rref_and_kernel_match_sympy(case):
+    assert_rref_and_kernel_match(*case)
+
+
+def test_rref_and_kernel_past_the_list_kernel_match_sympy():
+    """Tall, wide and square matrices of deficient rank past
+    LIST_KERNEL_CELLS, where _rref takes the numpy kernel."""
+    rng = np.random.default_rng(25)
+    shapes = [(70, 64, 40), (40, 110, 33), (66, 66, 50), (48, 90, 30)]  # rows, cols, rank
+    for p, (rows, cols, rank) in zip(PRIMES, shapes):
+        a = mulmod(rng.integers(0, p, (rows, rank)), rng.integers(0, p, (rank, cols)), p)
+        a[rng.integers(0, rows)] = 0
+        assert rows * cols > LIST_KERNEL_CELLS
+        assert assert_rref_and_kernel_match(p, a) == cols - rank
 
 
 @st.composite
