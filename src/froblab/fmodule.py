@@ -19,6 +19,7 @@ import numpy as np
 from .algebra import FiniteAlgebra, Ideal
 from .errors import AxiomError, BudgetError
 from .linalg import (
+    STACK_CELLS,
     FpMatrix,
     Subspace,
     as_vector,
@@ -33,6 +34,7 @@ from .linalg import (
     quotient_maps,
     relations,
     restrict_stack,
+    rref_stack,
 )
 from .skew import GradedTwoSidedIdeal
 
@@ -64,6 +66,58 @@ def semilinear_defects(algebra: FiniteAlgebra, structure: np.ndarray, side: str)
     a, b = semilinear_stacks(algebra, structure[:-1], side)
     X, p = structure[-1], algebra.p
     return (mulmod(X, a, p) != mulmod(b, X, p)).any(axis=(1, 2))
+
+
+def _new_spans(p: int, stacks, seen: dict[bytes, Subspace]) -> list[Subspace]:
+    """The row spaces of the matrices of each B x r x n stack, one rref_stack
+    per stack, that are not yet in seen, keyed by their basis bytes; they
+    are added to seen.  Each kept basis is a copy, which lets the reduced
+    stack go."""
+    new = []
+    for stack in stacks:
+        reduced, ranks = rref_stack(stack, p)
+        for matrix, rank in zip(reduced, ranks.tolist()):
+            key = matrix[:rank].tobytes()
+            if key not in seen:
+                basis = matrix[:rank].copy()
+                seen[key] = space = Subspace(p, basis.shape[1], basis, (basis != 0).argmax(axis=1))
+                new.append(space)
+    return new
+
+
+def _line_stacks(p: int, words: np.ndarray):
+    """The images W v of one vector v per line of F_p^n, the one whose first
+    nonzero coordinate is 1, under the words W of a (k*n) x n array: one
+    k x n block per line, as stacks of at most STACK_CELLS cells (or one
+    line).  The vectors with that first 1 at coordinate n-1-j are the
+    base-p digits of the integers p^j, ..., 2 p^j - 1."""
+    n = words.shape[1]
+    codes = np.concatenate([np.arange(p**j, 2 * p**j) for j in range(n)])
+    places = p ** np.arange(n - 1, -1, -1)
+    step = max(1, STACK_CELLS // words.shape[0])
+    for start in range(0, len(codes), step):
+        lines = codes[start : start + step, None] // places % p
+        yield mulmod(lines, words.T, p).reshape(-1, words.shape[0] // n, n)
+
+
+def _sum_stacks(frontier: list[Subspace], cyclic: list[Subspace]):
+    """The bases of S and C, one above the other and zero-padded, for every
+    pair of a frontier space S and a cyclic C, as stacks of at most
+    STACK_CELLS cells (or one pair)."""
+    n = frontier[0].ambient_dim
+
+    def padded(spaces):
+        out = np.zeros((len(spaces), max(s.dim for s in spaces), n), dtype=np.int64)
+        for block, space in zip(out, spaces):
+            block[: space.dim] = space.basis
+        return out
+
+    tops, bottoms = padded(frontier), padded(cyclic)
+    pairs = len(frontier) * len(cyclic)
+    step = max(1, STACK_CELLS // ((tops.shape[1] + bottoms.shape[1]) * n))
+    for start in range(0, pairs, step):
+        index = np.arange(start, min(start + step, pairs))
+        yield np.concatenate([tops[index // len(cyclic)], bottoms[index % len(cyclic)]], axis=1)
 
 
 class _FModule:
@@ -259,43 +313,37 @@ class _FModule:
         j >= dim lies in the span of the lower powers.  So the cyclic
         submodule of v is the span of the W v over the d*dim words
         W = rho(e_i) X^j (left) or X^j rho(e_i) (right), j < dim: that span
-        holds v = rho(1) v, and rho(e_k) and X map each W v back into it.  It
-        costs one product and one elimination per line.
+        holds v = rho(1) v, and rho(e_k) and X map each W v back into it.
+        The images of all lines are one product, and their spans one
+        rref_stack.
 
         A sum of submodules is a submodule, so the sums need no closure
-        either.  Each submodule found tests all the cyclic generators G at
-        once: those outside it are the nonzero rows of the residue
-        G - G[:, pivots] @ basis.  The tests check graded_annihilator_set
-        against it; nothing in the package calls it.
+        either.  They are found level by level: the frontier starts as the
+        distinct cyclic submodules, each level eliminates S + C for every
+        frontier space S and cyclic C as one stack, and the sums not seen
+        before are the next frontier.  Every space enters a frontier once,
+        so C_1 + ... + C_k is found at the level after C_1 + ... + C_(k-1)
+        entered one: the levels reach every submodule.  The whole module is
+        left out of the frontier, as every sum with it is itself.
+
+        Each product and stack is chunked to at most STACK_CELLS cells,
+        unless one matrix is larger.  The tests check graded_annihilator_set
+        against the result; nothing in the package calls it.
         """
         p, n = self.algebra.p, self.dim
         if p**n > budget:
             raise BudgetError(
                 f"submodule enumeration needs {p ** n} vectors, budget is {budget}"
             )
-        zero = self.zero_submodule()
-        found = {zero.space: zero}
-        words = self._cyclic_words()
-        generators: dict[Subspace, np.ndarray] = {}
-        for lead in range(n):
-            for tail in itertools.product(range(p), repeat=n - lead - 1):
-                v = np.array((0,) * lead + (1,) + tail, dtype=np.int64)
-                images = mulmod(words, v, p).reshape(-1, n)
-                generators.setdefault(Subspace.from_vectors(p, n, images), v)
-        found.update((space, FSubmodule(self, space)) for space in generators)
-        spaces = list(generators)
-        block = np.array(list(generators.values()), dtype=np.int64).reshape(len(spaces), n)
-        queue = list(spaces)
-        while queue:
-            current = queue.pop()
-            outside = ((block - mulmod(block[:, current.pivots], current.basis, p)) % p).any(axis=1)
-            for space in itertools.compress(spaces, outside):
-                bigger = current + space
-                if bigger not in found:
-                    found[bigger] = FSubmodule(self, bigger)
-                    queue.append(bigger)
+        found = {b"": Subspace.zero(p, n)}
+        if n:
+            cyclic = _new_spans(p, _line_stacks(p, self._cyclic_words()), found)
+            frontier = cyclic
+            while frontier := [space for space in frontier if not space.is_full()]:
+                frontier = _new_spans(p, _sum_stacks(frontier, cyclic), found)
         return sorted(
-            found.values(), key=lambda s: (s.space.dim, s.space.basis.tobytes())
+            (FSubmodule._closed(self, space) for space in found.values()),
+            key=lambda s: (s.space.dim, s.space.basis.tobytes()),
         )
 
     # -- common plumbing -----------------------------------------------------
@@ -470,11 +518,11 @@ class FSubmodule:
         return self.space.is_zero()
 
     def as_module(self) -> tuple[_FModule, FpMatrix]:
-        """The submodule as a module of its own, plus the inclusion matrix."""
+        """The submodule as a module of its own, plus the inclusion matrix:
+        the basis of the space as columns, package-built and frozen."""
         stack = restrict_stack(self.parent.structure, self.space)
         mod = type(self.parent)._from_structure(self.parent.algebra, stack)
-        incl = FpMatrix(self.space.p, self.space.basis.T.reshape(self.parent.dim, self.dim))
-        return mod, incl
+        return mod, FpMatrix._reduced(self.space.p, self.space.basis.T)
 
     def __eq__(self, other) -> bool:
         return (

@@ -100,6 +100,10 @@ def as_vector(v, p: int) -> np.ndarray:
 # numpy row operations win (the measured crossover).
 LIST_KERNEL_CELLS = 4096
 
+# The most cells a caller hands rref_stack at once; a longer stack is
+# eliminated in chunks, so working memory stays bounded whatever the count.
+STACK_CELLS = 1 << 16
+
 
 def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot columns of a, on a copy."""
@@ -170,6 +174,64 @@ def _rref_numpy(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+def _inverses(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p-2) mod p for an array of nonzero residues, by square and multiply:
+    every product is of two residues below p <= MAX_PRIME, so below 2^50."""
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
+
+
+def rref_stack(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form of every matrix of a B x r x c int64 stack,
+    in lock step, and their ranks.
+
+    One pass over the columns.  At each, every matrix with a nonzero entry
+    on or below its current rank takes the first such row as its pivot row,
+    swaps it up to that rank, scales it to a leading 1 and clears the column
+    in all its other rows; each step is one numpy operation for the whole
+    stack.  A matrix with no pivot in the column takes part as a no-op: it
+    swaps row 0 with itself, scales it by 1 and clears nothing.  Over F_2
+    there is nothing to scale, and clearing is an exclusive or.  Each
+    reduced matrix has its zero rows at the bottom, so matrix b is the
+    canonical basis reduced[b, :ranks[b]] of its row space, the same rows
+    _rref gives.  Products stay below p^2 <= 2^50, so the int64 arithmetic
+    is exact for every p <= MAX_PRIME.
+    """
+    p = int(p)
+    a = np.remainder(a, p, out=np.empty(a.shape, dtype=np.int64))
+    B, r, c = a.shape
+    ranks = np.zeros(B, dtype=np.intp)
+    rows, each = np.arange(r), np.arange(B)
+    for col in range(c):
+        candidates = (a[:, :, col] != 0) & (rows >= ranks[:, None])
+        has = candidates.any(axis=1)
+        if not has.any():
+            continue
+        found = candidates.argmax(axis=1)
+        top = np.where(has, ranks, found)
+        pivot = a[each, found]
+        a[each, found] = a[each, top]
+        if p != 2:
+            pivot = pivot * _inverses(np.where(has, pivot[:, col], 1), p)[:, None] % p
+        a[each, top] = pivot
+        factors = a[:, :, col] * has[:, None]
+        factors[each, top] = 0
+        tail = a[:, :, col:]
+        if p == 2:
+            tail ^= factors[:, :, None] & pivot[:, None, col:]
+        else:
+            tail -= factors[:, :, None] * pivot[:, None, col:]
+            tail %= p
+        ranks += has
+    return a, ranks
 
 
 class FpMatrix:

@@ -25,6 +25,13 @@ kept images, and evaluates the literal dual-action formulas on all samples
 at once.  The routes below do each the old way: one rank elimination per
 step of the Fitting loop, and one (lam, v, r) sample at a time through the
 entry-by-entry evaluators.
+
+froblab finds the cyclic submodules of all lines with one rref_stack, and
+their sums level by level, each level one stacked elimination.  The route
+below eliminates one line at a time, and from each submodule found tests
+every cyclic generator with one residue product, adding those outside it
+one Subspace sum at a time; every space found goes through the checked
+FSubmodule constructor.
 """
 import itertools
 
@@ -32,7 +39,7 @@ import numpy as np
 
 from froblab.algebra import Ideal
 from froblab.duality import DUAL_FORMULA_SAMPLES, DualityContext
-from froblab.errors import AxiomError
+from froblab.errors import AxiomError, BudgetError
 from froblab.fmodule import FSubmodule, RightFModule, _FModule, semilinear_defects
 from froblab.linalg import (
     FpMatrix,
@@ -295,3 +302,35 @@ def dual_formula_mismatches(ctx: DualityContext, M: _FModule, dual: _FModule, rn
             want = A.mult_matrix(r).T.apply(dual_pairing_element(M, dual.x_action.apply(lam), v))
         mismatches += not np.array_equal(got, want)
     return mismatches
+
+
+def enumerate_submodules(M: _FModule, budget: int) -> list[FSubmodule]:
+    """Every submodule: the span of the W v over M._cyclic_words() for one
+    vector v per line, each by its own elimination, closed under sums
+    through the residue of the cyclic generators against each submodule
+    found."""
+    p, n = M.algebra.p, M.dim
+    if p**n > budget:
+        raise BudgetError(f"submodule enumeration needs {p ** n} vectors, budget is {budget}")
+    zero = M.zero_submodule()
+    found = {zero.space: zero}
+    words = M._cyclic_words()
+    generators: dict[Subspace, np.ndarray] = {}
+    for lead in range(n):
+        for tail in itertools.product(range(p), repeat=n - lead - 1):
+            v = np.array((0,) * lead + (1,) + tail, dtype=np.int64)
+            images = mulmod(words, v, p).reshape(-1, n)
+            generators.setdefault(Subspace.from_vectors(p, n, images), v)
+    found.update((space, FSubmodule(M, space)) for space in generators)
+    spaces = list(generators)
+    block = np.array(list(generators.values()), dtype=np.int64).reshape(len(spaces), n)
+    queue = list(spaces)
+    while queue:
+        current = queue.pop()
+        outside = ((block - mulmod(block[:, current.pivots], current.basis, p)) % p).any(axis=1)
+        for space in itertools.compress(spaces, outside):
+            bigger = current + space
+            if bigger not in found:
+                found[bigger] = FSubmodule(M, bigger)
+                queue.append(bigger)
+    return sorted(found.values(), key=lambda s: (s.space.dim, s.space.basis.tobytes()))

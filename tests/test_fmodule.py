@@ -2,10 +2,11 @@ import collections
 import functools
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from froblab.algebra import (
@@ -73,6 +74,7 @@ from module_strategies import (
     ALL_ALGEBRAS,
     LARGE_PRIME,
     STANDARD_ALGEBRAS,
+    algebras,
     divisible_right_modules,
     modules,
 )
@@ -813,6 +815,97 @@ def test_enumerate_submodules_makes_no_closure(monkeypatch):
         monkeypatch.undo()
         assert not calls
         assert [s.space for s in got] == [s.space for s in reference_enumerate_submodules(M)]
+
+
+@st.composite
+def lattice_modules(draw):
+    """A module of dim 0 to 6 over a standard algebra, so p in {2, 3, 5}, on
+    either side, with p^dim <= 2^10, where the line-by-line reference runs
+    in time."""
+    A = draw(algebras())
+    side = draw(st.sampled_from(("left", "right")))
+    max_dim, seed = draw(st.integers(0, 6)), draw(st.integers(0, 2**32 - 1))
+    M = random_module(A, side, max_dim, random.Random(seed))
+    assume(A.p**M.dim <= 1 << 10)
+    return M
+
+
+# about 2 s for 150 examples on a 2-core Xeon
+@settings(max_examples=150, deadline=None)
+@given(lattice_modules())
+def test_enumerate_submodules_matches_the_line_by_line_reference(M):
+    budget = M.algebra.p**M.dim
+    got = M.enumerate_submodules(budget)
+    want = reference.enumerate_submodules(M, budget)
+    assert [s.space for s in got] == [s.space for s in want]
+    assert [s.space.pivots.tolist() for s in got] == [s.space.pivots.tolist() for s in want]
+    assert all(s.parent is M for s in got)
+    # the spaces come trusted; the checked constructor raises unless each closes
+    assert [FSubmodule(M, s.space) for s in got] == got
+    # the budget counts the p^dim vectors, inclusive, in both routes alike
+    with pytest.raises(BudgetError) as raised:
+        M.enumerate_submodules(budget - 1)
+    with pytest.raises(BudgetError, match=f"^{re.escape(str(raised.value))}$"):
+        reference.enumerate_submodules(M, budget - 1)
+
+
+def test_enumerate_submodules_chunks_its_stacks(monkeypatch):
+    """With the cap at 64 cells every level is eliminated in chunks: the
+    chunks hold the same matrices in the same order as the whole stacks,
+    the result is the same, and only a stack of one matrix passes the cap."""
+    cat = default_catalog()
+    rng = random.Random(26)
+    pool = [module for _, module in cat.modules.values()]
+    pool += [random_module(A, side, 6, rng) for A in standard_algebras().values() for side in ("left", "right")]
+    pool = [M for M in pool if M.algebra.p**M.dim <= 1 << 10]
+    real = fmodule_mod.rref_stack
+    shapes = []  # of the chunked stacks
+    for M in pool:
+        runs = []
+        for cap in (fmodule_mod.STACK_CELLS, 64):
+            matrices, run_shapes = [], []
+            monkeypatch.setattr(fmodule_mod, "STACK_CELLS", cap)
+            monkeypatch.setattr(
+                fmodule_mod, "rref_stack", lambda a, p: matrices.extend(a) or run_shapes.append(a.shape) or real(a, p)
+            )
+            runs.append((M.enumerate_submodules(1 << 10), matrices))
+            monkeypatch.undo()
+        shapes += run_shapes
+        (whole, whole_matrices), (chunked, chunked_matrices) = runs
+        assert [s.space for s in chunked] == [s.space for s in whole]
+        assert len(chunked_matrices) == len(whole_matrices)
+        assert all(np.array_equal(a, b) for a, b in zip(chunked_matrices, whole_matrices))
+    assert all(B * r * c <= 64 or B == 1 for B, r, c in shapes)
+    assert sum(B > 1 for B, _, _ in shapes) > 10 and sum(B * r * c > 64 for B, r, c in shapes) > 10
+
+
+def test_sum_stacks_hold_every_pair_once(monkeypatch):
+    """Whole or in chunks, the stacks hold one matrix per pair of a frontier
+    space S and a cyclic C, in row-major order, whose rows span S + C."""
+    # X = 1 on F_2^3: every one of its 15 nonzero subspaces is a submodule
+    M = LeftFModule(F2, [FpMatrix.identity(2, 3)], FpMatrix.identity(2, 3))
+    spaces = [s.space for s in M.enumerate_submodules(1 << 10) if s.dim]
+    frontier, cyclic = spaces[:7], spaces[1:]
+    assert len(spaces) == 15
+    for cap, chunked in ((fmodule_mod.STACK_CELLS, False), (64, True)):
+        monkeypatch.setattr(fmodule_mod, "STACK_CELLS", cap)
+        stacks = list(fmodule_mod._sum_stacks(frontier, cyclic))
+        pairs = np.concatenate(stacks)
+        assert (len(stacks) > 1) == chunked
+        assert len(pairs) == len(frontier) * len(cyclic)
+        for matrix, (S, C) in zip(pairs, itertools.product(frontier, cyclic)):
+            assert Subspace.from_vectors(2, M.dim, matrix) == S + C
+
+
+def test_as_module_inclusion_equals_the_checked_construction():
+    cat = default_catalog()
+    for alg_name, module in cat.modules.values():
+        dual = dual_module(module, build_duality_context(cat.algebras[alg_name]))
+        for M in (module, dual):
+            for sub in M.enumerate_submodules(1 << 10):
+                _, incl = sub.as_module()
+                assert incl == FpMatrix(M.algebra.p, sub.space.basis.T.reshape(M.dim, sub.dim))
+                assert not incl.data.flags.writeable
 
 
 def cyclic_span(M, v) -> Subspace:

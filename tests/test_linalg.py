@@ -22,6 +22,7 @@ from froblab.linalg import (
     quotient_representatives,
     relations,
     restrict_stack,
+    rref_stack,
     stabilize,
 )
 from linalg_reference import (
@@ -146,6 +147,67 @@ def test_rref_picks_the_kernel_by_entry_count(monkeypatch):
         linalg._rref(np.ones(shape, dtype=np.int64), 3)
     assert LIST_KERNEL_CELLS == 4096
     assert picked == ["_rref_rows"] * 3 + ["_rref_numpy"] * 3
+
+
+# -- rref_stack against _rref, matrix by matrix ----------------------------------
+
+
+@st.composite
+def rref_stacks(draw):
+    """p and an unreduced B x r x c stack, B, r, c in 0..12, drawn from a
+    seed: each matrix dense, sparse, of low rank (a product through a middle
+    of size 0 to 3) or zero, and some rows repeated."""
+    p = draw(st.sampled_from([2, 3, 1048573, 33554393]))
+    B, r, c = (draw(st.integers(0, 12)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.zeros((B, r, c), dtype=np.int64)
+    for a in stack:
+        kind = rng.choice(["dense", "sparse", "low rank", "zero"])
+        if kind == "low rank":
+            middle = rng.integers(0, 4)
+            a[:] = mulmod(rng.integers(0, p, (r, middle)), rng.integers(0, p, (middle, c)), p)
+        elif kind != "zero":
+            a[:] = rng.integers(0, p, (r, c))
+            if kind == "sparse":
+                a[rng.random((r, c)) < 0.8] = 0
+        if r > 1 and rng.random() < 0.5:
+            a[rng.integers(0, r)] = a[rng.integers(0, r)]
+    return p, stack + p * rng.integers(-2, 3, stack.shape)
+
+
+def assert_stack_matches_rref(p: int, stack: np.ndarray) -> None:
+    reduced, ranks = rref_stack(stack, p)
+    assert reduced.shape == stack.shape and reduced.dtype == np.int64
+    assert ranks.shape == (stack.shape[0],)
+    for a, got, rank in zip(stack, reduced, ranks.tolist()):
+        want, pivots = linalg._rref(a, p)
+        assert np.array_equal(got, want)
+        assert rank == len(pivots)
+        assert [int(np.flatnonzero(row)[0]) for row in got[:rank]] == pivots
+
+
+# about 1.5 s for 300 examples on a 2-core Xeon
+@settings(max_examples=300, deadline=None)
+@given(rref_stacks())
+@example((2, np.zeros((0, 3, 3), dtype=np.int64)))
+@example((3, np.zeros((4, 0, 5), dtype=np.int64)))
+@example((1048573, np.zeros((3, 5, 0), dtype=np.int64)))
+@example((33554393, np.zeros((2, 4, 4), dtype=np.int64)))
+def test_rref_stack_matches_rref_matrix_by_matrix(case):
+    assert_stack_matches_rref(*case)
+
+
+def test_rref_stack_matches_the_numpy_kernel_past_the_list_kernel():
+    """Matrices past LIST_KERNEL_CELLS, where _rref takes the numpy kernel:
+    dense, of deficient rank and zero, in one stack per prime."""
+    rng = np.random.default_rng(26)
+    for p in (2, 3, 1048573, 33554393):
+        rows, cols = 70, 64
+        stack = np.zeros((3, rows, cols), dtype=np.int64)
+        stack[0] = rng.integers(0, p, (rows, cols))
+        stack[1] = mulmod(rng.integers(0, p, (rows, 30)), rng.integers(0, p, (30, cols)), p)
+        assert rows * cols > LIST_KERNEL_CELLS
+        assert_stack_matches_rref(p, stack)
 
 
 def test_rref_takes_a_numpy_integer_modulus():

@@ -4,7 +4,8 @@ DomainMatrix over GF(p), which shares no code with froblab.
 _rref, on the list kernel and on the numpy kernel alike, must give sympy's
 reduced row echelon form and pivots exactly, and FpMatrix.kernel the reduced
 echelon basis of sympy's nullspace, on every shape: 0 rows, 0 columns and
-past LIST_KERNEL_CELLS included.
+past LIST_KERNEL_CELLS included.  rref_stack must give sympy's reduced form
+of every matrix of a stack, and its rank.
 
 v lies in {v : g @ v in the span of rows} exactly when g @ v = rows^T @ c for
 some c, so the preimage is the projection onto the first n coordinates of
@@ -54,6 +55,7 @@ from froblab.linalg import (
     mulmod,
     preimage_rows,
     relations,
+    rref_stack,
 )
 from froblab.skew import GradedTwoSidedIdeal
 
@@ -144,6 +146,38 @@ def test_rref_and_kernel_past_the_list_kernel_match_sympy():
         a[rng.integers(0, rows)] = 0
         assert rows * cols > LIST_KERNEL_CELLS
         assert assert_rref_and_kernel_match(p, a) == cols - rank
+
+
+@st.composite
+def kernel_stacks(draw):
+    """p and a stack of 0 to 4 matrices of one shape, each drawn as
+    kernel_matrices draws them, or zero."""
+    p = draw(st.sampled_from(PRIMES))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    stack = np.zeros((draw(st.integers(0, 4)), rows, cols), dtype=np.int64)
+    for a in stack:
+        kind = draw(st.sampled_from(["drawn", "low rank", "zero"]))
+        if kind == "drawn":
+            a[:] = np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+        elif kind == "low rank":
+            u = np.array(draw(st.lists(entry, min_size=rows, max_size=rows)), dtype=np.int64)
+            v = np.array(draw(st.lists(entry, min_size=cols, max_size=cols)), dtype=np.int64)
+            a[:] = np.outer(u, v) % p
+    return p, stack
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_stacks())
+@example((2, np.zeros((2, 3, 3), dtype=np.int64)))
+@example((33554393, np.array([[[1, 2, 3], [2, 4, 6]], [[0, 5, 1], [7, 0, 0]]], dtype=np.int64)))
+def test_rref_stack_matches_sympy(case):
+    p, stack = case
+    reduced, ranks = rref_stack(stack, p)
+    for a, got, rank in zip(stack, reduced, ranks.tolist()):
+        want, pivots = _domain_matrix(p, a).rref()
+        assert got.tolist() == [[int(x) % p for x in row] for row in want.to_list()]
+        assert rank == len(pivots)
 
 
 @st.composite
