@@ -121,14 +121,16 @@ class FiniteAlgebra:
         return mulmod(v[..., None, :], partial, self.p)[..., 0, :]
 
     def power(self, u, k: int) -> np.ndarray:
-        """u^k for a coordinate vector u, or for each row of a stack of them."""
+        """u^k for a coordinate vector u, or for each row of a stack of them:
+        square and multiply, with no squaring after the last bit."""
         base = np.asarray(u, dtype=np.int64) % self.p
         result = np.broadcast_to(self.one, base.shape)
         while k:
             if k & 1:
                 result = self._products(result, base)
-            base = self._products(base, base)
             k >>= 1
+            if k:
+                base = self._products(base, base)
         return result.copy()
 
     def _spanning_products(self, gens: np.ndarray) -> np.ndarray:
@@ -173,13 +175,27 @@ class FiniteAlgebra:
     def frobenius(self) -> "FrobeniusData":
         """The p-th power map as a linear endomorphism, with its cycle data."""
         if self._frobenius is None:
-            # column i is e_i^p: one square-and-multiply on all the e_i at once
-            F = FpMatrix(self.p, self.power(np.eye(self.dim, dtype=np.int64), self.p).T)
+            F = FpMatrix._reduced(self.p, self._basis_frobenius_images().T)
             powers, preperiod, period = stabilize(
                 FpMatrix.identity(self.p, self.dim), lambda G: F @ G, lambda G: G.data.tobytes()
             )
             self._frobenius = FrobeniusData(F, preperiod, period, tuple(powers))
         return self._frobenius
+
+    def _basis_frobenius_images(self) -> np.ndarray:
+        """The rows e_i^p = L_i^p 1, L_i = rho(e_i), by square and multiply on
+        the stacked regular action, for all i at once.  The squares L_i^(2^j)
+        and the partial products v_i = L_i^(p mod 2^j) 1 advance together:
+        one product L (L | v) per bit gives L^2 and L v, and after the top
+        bit, which is 1, only L v is taken."""
+        p, d = self.p, self.dim
+        squares, vectors, k = self.regular_action, np.tile(self.one, (d, 1)), p
+        while k > 1:
+            both = mulmod(squares, np.concatenate([squares, vectors[:, :, None]], axis=2), p)
+            if k & 1:
+                vectors = both[:, :, -1]
+            squares, k = both[:, :, :-1], k >> 1
+        return mulmod(squares, vectors[:, :, None], p)[:, :, 0]
 
     def nilradical(self) -> "Ideal":
         """The ideal of nilpotent elements: ker F^preperiod, read off the cycle.

@@ -172,8 +172,51 @@ def load_json(path: str) -> dict:
         return json.load(handle)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _render(value, pad: str, out: list[str]) -> None:
+    """Append the text json.dumps(value, indent=2, sort_keys=True) gives,
+    nested pad deep.  Dicts with str keys, lists, ints, bools, None and str
+    are written here; any other value is handed to json.dumps, whose lines
+    take the pad, as its strings hold no raw newline."""
+    kind = type(value)
+    if value is None or kind is bool:
+        out.append("null" if value is None else "true" if value else "false")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is str:
+        out.append(_encode_str(value))
+    elif kind is list and value and all(type(item) is int for item in value):
+        # a matrix row, the bulk of every module file: one join
+        inner = "\n" + pad + "  "
+        out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + "\n" + pad + "]")
+    elif kind is list or (kind is dict and all(type(key) is str for key in value)):
+        if not value:
+            out.append("[]" if kind is list else "{}")
+            return
+        inner = pad + "  "
+        separator = "\n" + inner
+        out.append("[" if kind is list else "{")
+        for item in value if kind is list else sorted(value):
+            out.append(separator)
+            if kind is dict:
+                out.append(_encode_str(item) + ": ")
+                item = value[item]
+            _render(item, inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + pad + ("]" if kind is list else "}"))
+    else:
+        out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad))
+
+
 def dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The text of json.dumps(doc, indent=2, sort_keys=True) and a newline,
+    byte for byte, without the pure-Python encoder that indent selects."""
+    out: list[str] = []
+    _render(doc, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def atomic_write_text(path: str, text: str) -> None:

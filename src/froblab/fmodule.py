@@ -150,7 +150,7 @@ class _FModule:
         self._structure = stack
         self.dim = stack.shape[1]
         self._powers: list[FpMatrix] = []
-        self._images: dict[int, Subspace] = {}
+        self._chains: dict[str, list[Subspace]] = {"image": [], "coimage": []}
         self._kernels: dict[int, Subspace] = {}
         self._fitting: int | None = None
 
@@ -232,12 +232,33 @@ class _FModule:
         return powers[n]
 
     def x_image(self, k: int) -> Subspace:
-        """im X^k, kept like the powers: each is eliminated at most once per
-        module, and im X^0 is the whole space, with nothing to eliminate."""
-        if k not in self._images:
-            p, n = self.algebra.p, self.dim
-            self._images[k] = self.x_power(k).image() if k else Subspace.full(p, n)
-        return self._images[k]
+        """im X^k = X im X^(k-1): kept, like the powers, in a chain of X."""
+        return self._x_chain("image", k)
+
+    def x_coimage(self, k: int) -> Subspace:
+        """The row space of X^k, that of X^(k-1) times X: the image chain of
+        the dual, whose X is X^T, kept like the images."""
+        return self._x_chain("coimage", k)
+
+    def _x_chain(self, name: str, k: int) -> Subspace:
+        """Step k of the kept image or coimage chain of X, which starts at
+        the whole space, with nothing to eliminate; each later step is
+        eliminated once per module, by _x_step."""
+        kept = self._chains[name]
+        if not kept:
+            kept.append(Subspace.full(self.algebra.p, self.dim))
+        while len(kept) <= k:
+            self._x_step(name)
+        return kept[k]
+
+    def _x_step(self, name: str) -> None:
+        """Append the next step of a kept chain: the span of the rows B X^T
+        (image) or C X (coimage) of the last basis, r x dim for the last
+        rank r, in one elimination."""
+        kept, X = self._chains[name], self.structure[-1]
+        last = kept[-1]
+        rows = mulmod(last.basis, X.T if name == "image" else X, last.p)
+        kept.append(Subspace.from_vectors(last.p, self.dim, rows))
 
     def x_kernel(self, k: int) -> Subspace:
         """ker X^k, kept like the powers: each is eliminated at most once per
@@ -246,13 +267,6 @@ class _FModule:
             p, n = self.algebra.p, self.dim
             self._kernels[k] = self.x_power(k).kernel() if k else Subspace.zero(p, n)
         return self._kernels[k]
-
-    def _words(self, powers: np.ndarray) -> np.ndarray:
-        """rho(e_i) P (left) or P rho(e_i) (right) for every P of a stack of
-        powers of X and every i, as one len(powers) x d x dim x dim array."""
-        acts, powers = self.structure[None, :-1], powers[:, None]
-        p = self.algebra.p
-        return mulmod(acts, powers, p) if self.side == "left" else mulmod(powers, acts, p)
 
     def fitting_index(self) -> int:
         """The least e with rank X^e == rank X^(e+1).
@@ -263,11 +277,13 @@ class _FModule:
         ker X^(e+1) = ker X^e, and im X^(e+2) = X im X^(e+1) = X im X^e.
         So from e on neither chain moves again (Fitting's lemma), and
         e <= dim.  The torsion and divisibility exponents are both this e.
-        The ranks are read off the kept images im X^1, ..., im X^(e+1).
+        rank X^k is the dimension of im X^k and of the row space of X^k, so
+        the ranks are read off steps 1, ..., e + 1 of the side's kept chain
+        (_side_chain), the one its graded annihilator reads.
         """
         if self._fitting is None:
             e, rank = 0, self.dim
-            while (following := self.x_image(e + 1).dim) != rank:
+            while (following := self._x_chain(self._side_chain, e + 1).dim) != rank:
                 e, rank = e + 1, following
             self._fitting = e
         return self._fitting
@@ -296,9 +312,12 @@ class _FModule:
         """The d*dim words rho(e_i) X^j (left) or X^j rho(e_i) (right), j < dim,
         stacked as a (d*dim*dim) x dim matrix: the cyclic submodule of v is
         the span of the W v (see enumerate_submodules)."""
-        n = self.dim
+        n, p = self.dim, self.algebra.p
+        acts = self.structure[None, :-1]
         powers = np.array([self.x_power(m).data for m in range(n)], dtype=np.int64)
-        return self._words(powers.reshape(n, n, n)).reshape(n * self.algebra.dim * n, n)
+        powers = powers.reshape(n, 1, n, n)
+        words = mulmod(acts, powers, p) if self.side == "left" else mulmod(powers, acts, p)
+        return words.reshape(n * self.algebra.dim * n, n)
 
     def enumerate_submodules(self, budget: int) -> list["FSubmodule"]:
         """Every invariant subspace: the cyclic submodules, closed under sums.
@@ -349,13 +368,25 @@ class _FModule:
     # -- common plumbing -----------------------------------------------------
 
     def _graded_annihilator(self) -> GradedTwoSidedIdeal:
-        """The chain b_n = {r : rho(r) X^n == 0} (left) or {r : X^n rho(r) == 0}
-        (right) for n up to the Fitting index, where it stops for good with
-        the kernels and images."""
+        """The chain b_m = {r : rho(r) X^m == 0} (left) or {r : X^m rho(r) == 0}
+        (right) for m up to the Fitting index, where it stops for good with
+        the kernels and images.
+
+        rho(r) X^m == 0 says that rho(r) kills im X^m, spanned by the rows
+        of its basis B_m: B_m rho(r)^T == 0.  X^m rho(r) == 0 says that the
+        row space of X^m, spanned by the rows of its basis C_m, goes to zero:
+        C_m rho(r) == 0.  So b_m is the relations among the d products of
+        the side's basis with the rho(e_i)^T (left) or rho(e_i) (right),
+        r_m x dim each for r_m = rank X^m, not dim x dim.
+        """
         A, n = self.algebra, self.dim
+        acts = self.structure[:-1]
+        if self.side == "left":
+            acts = acts.transpose(0, 2, 1)
         chain = []
         for m in range(self.fitting_index() + 1):
-            rows = self._words(self.x_power(m).data[None]).reshape(A.dim, n * n)
+            basis = self._x_chain(self._side_chain, m).basis
+            rows = mulmod(basis, acts, A.p).reshape(A.dim, basis.shape[0] * n)
             # an ideal because rho is multiplicative: rho(sr) = rho(s) rho(r)
             chain.append(Ideal.of_space(A, relations(A.p, rows)))
         return GradedTwoSidedIdeal(A, chain)
@@ -377,6 +408,7 @@ class _FModule:
 
 class LeftFModule(_FModule):
     side = "left"
+    _side_chain = "image"  # rho(r) X^m == 0 reads only im X^m
 
     def torsion_exponent(self) -> int:
         """Least e with ker(X^e) == ker(X^(e+1)); every x-torsion element dies by x^e."""
@@ -386,7 +418,8 @@ class LeftFModule(_FModule):
         return FSubmodule(self, self.x_kernel(self.fitting_index()))
 
     def is_x_torsion_free(self) -> bool:
-        return self.x_kernel(1).is_zero()
+        """ker X == 0, read off rank X, the first step of the kept chain."""
+        return self.x_image(1).is_full()
 
     def graded_annihilator(self) -> GradedTwoSidedIdeal:
         """Largest chain (b_n) with rho(b_n) . X^n == 0; stabilizes with im(X^n)."""
@@ -418,13 +451,15 @@ class LeftFModule(_FModule):
 
 class RightFModule(_FModule):
     side = "right"
+    _side_chain = "coimage"  # X^m rho(r) == 0 reads only the row space of X^m
 
     def divisibility_exponent(self) -> int:
         """Least e with im(X^e) == im(X^(e+1))."""
         return self.fitting_index()
 
     def is_x_divisible(self) -> bool:
-        return self.x_image(1).is_full()
+        """im X is everything, read off rank X, the first step of the kept chain."""
+        return self.x_coimage(1).is_full()
 
     def graded_annihilator(self) -> GradedTwoSidedIdeal:
         """Largest chain (b_n) with X^n . rho(b_n) == 0; stabilizes with ker(X^n)."""
@@ -448,12 +483,14 @@ class RightFModule(_FModule):
         This is the universally quantified condition, which is smaller than
         ker(X^k) in general; the two are kept separate on purpose.  The
         chain stops for good at its first repeat: m in (0 : R x^(k+1)) means
-        m r x lies in (0 : R x^k) for every r.
+        m r x lies in (0 : R x^k) for every r.  X^k rho(r) m == 0 exactly
+        when C_k rho(r) m == 0 for the basis C_k of the row space of X^k, so
+        each step is the common kernel of the d products C_k rho(e_i).
         """
-        chain = []
+        p, chain = self.algebra.p, []
         for k in itertools.count():
-            words = self._words(self.x_power(k).data[None])
-            space = common_kernel(self.algebra.p, self.dim, [words])
+            rows = mulmod(self.x_coimage(k).basis, self.structure[:-1], p)
+            space = common_kernel(p, self.dim, [rows])
             if chain and space == chain[-1]:
                 return chain, k - 1
             chain.append(space)

@@ -26,6 +26,14 @@ at once.  The routes below do each the old way: one rank elimination per
 step of the Fitting loop, and one (lam, v, r) sample at a time through the
 entry-by-entry evaluators.
 
+froblab keeps two chains of X, im X^k and the row space of X^k, each step one
+elimination of the last basis times X^T or X, and reads the Fitting index,
+the graded annihilator and the annihilator chain of a right module off the
+chain of the module's side.  The routes below read them off the powers X^k
+instead: the images of the powers, the relations among the d words
+rho(e_i) X^m or X^m rho(e_i), each dim x dim, and the common kernels of the
+words X^k rho(e_i).
+
 froblab finds the cyclic submodules of all lines with one rref_stack, and
 their sums level by level, each level one stacked elimination.  The route
 below eliminates one line at a time, and from each submodule found tests
@@ -114,6 +122,42 @@ def fitting_index_by_ranks(M: _FModule) -> int:
     while (following := M.x_power(e + 1).rank()) != rank:
         e, rank = e + 1, following
     return e
+
+
+def fitting_index_by_power_images(M: _FModule) -> int:
+    """The least e with dim im X^e == dim im X^(e+1), one image of a power per step."""
+    e, rank = 0, M.dim
+    while (following := M.x_power(e + 1).image().dim) != rank:
+        e, rank = e + 1, following
+    return e
+
+
+def power_words(M: _FModule, k: int) -> np.ndarray:
+    """rho(e_i) X^k (left) or X^k rho(e_i) (right) for every i, as a d x dim x dim array."""
+    acts, power, p = M.structure[:-1], M.x_power(k).data, M.algebra.p
+    return mulmod(acts, power, p) if M.side == "left" else mulmod(power, acts, p)
+
+
+def graded_annihilator_by_power_words(M: _FModule) -> GradedTwoSidedIdeal:
+    """b_m, m up to the power-image Fitting index, as the relations among the
+    d words of X^m, each flattened to dim^2 entries."""
+    A, n = M.algebra, M.dim
+    chain = []
+    for m in range(fitting_index_by_power_images(M) + 1):
+        rows = power_words(M, m).reshape(A.dim, n * n)
+        chain.append(Ideal.of_space(A, relations(A.p, rows)))
+    return GradedTwoSidedIdeal(A, chain)
+
+
+def annihilator_chain_by_power_words(M: RightFModule) -> tuple[list[Subspace], int]:
+    """The chain (0 : R x^k) as the common kernels of the words X^k rho(e_i),
+    up to its first repeat."""
+    chain = []
+    for k in itertools.count():
+        space = common_kernel(M.algebra.p, M.dim, [power_words(M, k)])
+        if chain and space == chain[-1]:
+            return chain, k - 1
+        chain.append(space)
 
 
 def graded_annihilator(M: _FModule) -> GradedTwoSidedIdeal:

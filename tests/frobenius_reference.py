@@ -1,18 +1,19 @@
 """The Frobenius-derived maps the cycle replaced: the references for them.
 
-froblab builds F by raising all basis elements to the p-th power at once,
-and reads every power of F, the nilradical and the Cartier structure of a
-reduced algebra off the Frobenius cycle.  Here each is computed the old way:
-F one basis element at a time, powers by repeated squaring, the nilradical as
-the kernel of one large power of F, and the Cartier structure from a
-Frobenius splitting solved for as a linear system.  The Frobenius closure
-chain, which froblab builds from two batched products and one elimination
-per power after c_0 = a, is built here the old way: a bracket ideal per power,
-F^0 included, from one `apply` per generator, then the residue-kernel
-preimage of its space.  The multiplication matrix is the tensordot of the
-element with the table, and the unit search of twisted_modules_isomorphic
-tests each candidate with a rank elimination, as they were before
-mult_matrix became one product and the units were read off nil(R).
+froblab builds F as e_i^p = L_i^p 1, by square and multiply on the stacked
+regular action L_i = rho(e_i), and reads every power of F, the nilradical
+and the Cartier structure of a reduced algebra off the Frobenius cycle.
+Here each is computed the old way: F one basis element at a time, powers
+by repeated squaring, the nilradical as the kernel of one large power of F,
+and the Cartier structure from a Frobenius splitting solved for as a linear
+system.  The Frobenius closure chain, which froblab builds from two
+batched products and one elimination per power after c_0 = a, is built
+here the old way: a bracket ideal per power, F^0 included, from one
+`apply` per generator, then the residue-kernel preimage of its space.  The
+multiplication matrix is the tensordot of the element with the table, and
+the unit search of twisted_modules_isomorphic tests each candidate with a
+rank elimination, as they were before mult_matrix became one product and
+the units were read off nil(R).
 """
 import numpy as np
 

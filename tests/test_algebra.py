@@ -271,6 +271,29 @@ def test_frobenius_matches_the_per_basis_powers():
         assert A.frobenius().matrix == frobenius_by_basis_powers(A)
 
 
+@st.composite
+def frobenius_algebras(draw):
+    """An algebra over F_p, p in {2, 3, 5, 1048573}: a truncated polynomial
+    ring, an F_p[u]/(m) for a drawn monic m, or the product of two of them."""
+    p = draw(st.sampled_from([2, 3, 5, 1048573]))
+
+    def factor():
+        if draw(st.booleans()):
+            return truncated_polynomial_algebra(p, draw(st.integers(1, 4)))
+        degree = draw(st.integers(1, 4))
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree))
+        return extension_field(p, coeffs + [1])
+
+    A = factor()
+    return product_algebra(A, factor()) if draw(st.booleans()) else A
+
+
+@settings(max_examples=100, deadline=None)
+@given(frobenius_algebras())
+def test_frobenius_matches_the_per_basis_powers_on_drawn_algebras(A):
+    assert A.frobenius().matrix == frobenius_by_basis_powers(A)
+
+
 def test_nilradical_known_cases():
     assert F2T2.nilradical().space.basis.tolist() == [[0, 1]]
     assert F4.nilradical().is_zero()

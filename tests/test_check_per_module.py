@@ -1,10 +1,12 @@
 """What `check` does once per module against the routes it replaced.
 
-A module keeps im X^k and ker X^k once eliminated (x_image, x_kernel), and
-fitting_index reads its ranks off the kept images; the literal dual-action
-formulas evaluate all DUAL_FORMULA_SAMPLES samples as one stack.  The
-routes they replaced are fresh eliminations of X^k, the rank loop and the
-per-sample loop of fmodule_reference.
+A module keeps two chains of X, im X^k and the row space of X^k, each step
+one elimination of the last basis times X^T or X (x_image, x_coimage), and
+ker X^k once eliminated (x_kernel); fitting_index reads its ranks off the
+chain of the module's side.  The literal dual-action formulas evaluate all
+DUAL_FORMULA_SAMPLES samples as one stack.  The routes they replaced are
+fresh eliminations of X^k, the rank loop and the per-sample loop of
+fmodule_reference.
 Everything is exact, so the results must be equal, and on stacks that break
 the module laws too: all of it is linear algebra on the stack alone.
 
@@ -29,7 +31,7 @@ from froblab.duality import (
     eval_dual_formula_right,
 )
 from froblab.errors import AxiomError
-from froblab.fmodule import LeftFModule, RightFModule
+from froblab.fmodule import LeftFModule, RightFModule, _FModule
 from froblab.generators import default_catalog, random_module
 from froblab.linalg import LIST_KERNEL_CELLS, FpMatrix
 from froblab.report import Report
@@ -58,14 +60,22 @@ def dual_formula_outcome(route, ctx, M, dual, seed: int) -> tuple[object, object
 
 
 def assert_chains_match(M) -> None:
-    """x_image, x_kernel and the Fitting index against fresh eliminations and
-    the rank loop, asked in a shuffled order with repeats."""
+    """x_image, x_coimage, x_kernel and the Fitting index against fresh
+    eliminations of X^k and the rank loop, asked in a shuffled order with
+    repeats; what the side's chain is read for against the power routes."""
     assert M.fitting_index() == reference.fitting_index_by_ranks(fresh(M))
+    assert M.fitting_index() == reference.fitting_index_by_power_images(fresh(M))
+    assert outcome(M.graded_annihilator) == outcome(
+        lambda: reference.graded_annihilator_by_power_words(fresh(M))
+    )
+    if M.side == "right":
+        assert M.annihilator_chain() == reference.annihilator_chain_by_power_words(fresh(M))
     ks = list(range(M.dim + 3)) * 2
     random.Random(M.dim).shuffle(ks)
     for k in ks:
         power = fresh(M).x_power(k)
         assert M.x_image(k) == power.image()
+        assert M.x_coimage(k) == power.T.image()
         assert M.x_kernel(k) == power.kernel()
     if M.side == "left":
         assert M.is_x_torsion_free() == fresh(M).x_action.kernel().is_zero()
@@ -188,36 +198,56 @@ def test_chains_and_dual_formulas_match_on_a_dim_48_block_module(side):
     assert assert_dual_formulas_match(M, 48) == 0
 
 
-def test_each_image_and_kernel_of_a_power_of_x_is_eliminated_once(monkeypatch):
-    """A whole module_suite, then every chain query again: each X^k of the
-    module meets at most one image or rank elimination and one kernel."""
-    seen = []  # (kind, matrix) per call
-    for name, kind in (("image", "image"), ("rank", "image"), ("kernel", "kernel")):
-        real = getattr(FpMatrix, name)
+def test_each_chain_step_and_kernel_is_eliminated_once(monkeypatch):
+    """A whole module_suite, then every chain query again.  After the suite
+    each step of the image and coimage chains of X has met at most one
+    elimination, and each step 1 <= k <= e + 1 of the side's chain exactly
+    one; each ker X^k has met at most one kernel elimination of X^k.  The
+    queries after it then eliminate every missing step, and no step twice."""
+    steps, kernels = [], []  # (module, chain, k) per step; the matrix per kernel
+    real_step, real_kernel = _FModule._x_step, FpMatrix.kernel
 
-        def counting(self, real=real, kind=kind):
-            seen.append((kind, self))
-            return real(self)
+    def counting_step(self, name):
+        steps.append((self, name, len(self._chains[name])))
+        return real_step(self, name)
 
-        monkeypatch.setattr(FpMatrix, name, counting)
+    def counting_kernel(self):
+        kernels.append(self)
+        return real_kernel(self)
+
+    monkeypatch.setattr(_FModule, "_x_step", counting_step)
+    monkeypatch.setattr(FpMatrix, "kernel", counting_kernel)
     rng = random.Random(7)
     modules_ = [M for _, M in default_catalog().modules.values()]
     for side in ("left", "right"):
         modules_ += [random_module(A, side, 4, rng) for A in POOL.values()]
+
+    def count(N, name, k):
+        return sum(m is N and (chain, j) == (name, k) for m, chain, j in steps)
+
     for name, M in enumerate(modules_):
         for N in (fresh(M), fresh(dual_module(M, build_duality_context(M.algebra)))):
-            seen.clear()
+            steps.clear()
+            kernels.clear()
             ctx = build_duality_context(N.algebra)
             module_suite(ctx, name, N, random.Random(0), Report())
             if N.side == "left":
                 N.x_torsion(), N.is_x_torsion_free(), N.torsion_exponent()
             else:
                 N.stable_image(), N.is_x_divisible(), N.divisibility_exponent()
-            e = N.fitting_index()
-            for k in range(N.dim + 3):
-                power = N.x_power(k)
-                images = sum(kind == "image" and m is power for kind, m in seen)
-                kernels = sum(kind == "kernel" and m is power for kind, m in seen)
-                assert images <= 1 and kernels <= 1, (name, N.side, k, images, kernels)
+            e, side_chain = N.fitting_index(), N._side_chain
+            ks = list(range(N.dim + 3))
+            for k in ks:
+                for chain in ("image", "coimage"):
+                    assert count(N, chain, k) <= 1, (name, N.side, chain, k)
                 if 1 <= k <= e + 1:
-                    assert images == 1, (name, N.side, k)
+                    assert count(N, side_chain, k) == 1, (name, N.side, k)
+                power = N.x_power(k)
+                assert sum(m is power for m in kernels) <= 1, (name, N.side, k)
+            random.Random(name).shuffle(ks)
+            for k in ks * 2:
+                N.x_image(k), N.x_coimage(k), N.x_kernel(k)
+            for k in ks:
+                want = int(k > 0)  # step 0 is the whole space
+                assert count(N, "image", k) == count(N, "coimage", k) == want, (name, k)
+                assert sum(m is N.x_power(k) for m in kernels) == want, (name, N.side, k)

@@ -8,14 +8,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import froblab
 from froblab import cli, fileio
 from froblab.algebra import FiniteAlgebra, prime_field, truncated_polynomial_algebra
 from froblab.cli import main
 from froblab.fmodule import RightFModule, _FModule, natural_frobenius_module
-from froblab.generators import InstanceCatalog, default_catalog
+from froblab.generators import InstanceCatalog, default_catalog, random_module
 from froblab.linalg import FpMatrix
+
+from module_strategies import direct_sum
 
 
 def catalog_to_doc(catalog: InstanceCatalog) -> dict:
@@ -395,6 +399,73 @@ def test_check_report_matches_golden_digest(tmp_path, args, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def golden_module(A: FiniteAlgebra, side: str):
+    """A module of dim at least 12 with a non-trivial graded annihilator: a
+    faithful block with X = 0, then blocks A/a, a != 0, some with X = 0."""
+    rng = random.Random(1)
+    parts, dim = [], 0
+    while dim < 12:
+        part = random_module(A, side, A.dim - (dim > 0), rng)
+        if part.dim and (dim == 0 or rng.random() < 0.3):
+            structure = part.structure.copy()
+            structure[-1] = 0
+            part = type(part)._from_structure(A, structure)
+        if part.dim:
+            parts.append(part)
+            dim += part.dim
+    return direct_sum(parts)
+
+
+# sha256 of `analyze` in text and structured form and of the file `dualize`
+# writes, per module: any change to what they compute or print shows here
+GOLDEN_MODULE_DIGESTS = {
+    (2, "left"): (
+        "5c1386c3dfaa0b7c47e952479bc9905f5b159fc02a9f9bd90e12df90297011b0",
+        "9a46d2427f79c3d8b8c133655bc936284a70b14bc8e3f38a9923bc6159bf4810",
+        "09738183e03d2312cb9f0120affc3262ca249f2abddbc9bbb4899649107fa734",
+    ),
+    (2, "right"): (
+        "b1621eb284fe61dd546544f643103065b88cdc8421978af6fe32378f5db54532",
+        "062b4047b9de964491d550af98bd81fe06806e8348e044e1c0d1fa530d76cc92",
+        "8f9394187af8d8a6f93f4080bf4cc3d3d996b3df42ed26c7ff7bfdd0bec97aa3",
+    ),
+    (3, "left"): (
+        "e3dbbde5a805a793778d8f051cbed8af0c16da95654371deffe9928e79911e25",
+        "339835635b28cf20802a001f92dadce07cd481bf20312e8614ad56b957f23ab4",
+        "9dc2b3363ceb91b96e2567a649f4184ea37c0ddf9dd0e5302cd69acaf818c5eb",
+    ),
+    (3, "right"): (
+        "756ede2d0967ce7dbcf6d887f874d264946d94a5575b130d39ac19182629ba6d",
+        "ce9d014df72f48bf84716afea6df6a5585abf078e4791afcf5e0f2b7e1ba7f1a",
+        "5a0269f0f851eca4ec6829dc490f94abd0c980eef930af99f288325b8fc9962d",
+    ),
+    (1048573, "left"): (
+        "739973b979d91758b74340e4f2c5f3d39047814542bf9b9081f00e676bfae36b",
+        "92675b7c241ade7ebd85320dc45179ad08369b754fcb6299693aa691c1ede9c1",
+        "660ae7b99d158666ace4c528138f44d43972c594f0490b5b9f6f8e4b635cc794",
+    ),
+    (1048573, "right"): (
+        "8f176f450ea74c8eb7b69a07c966f16e1c25ebc29d81b1dc0dad483620cda4b4",
+        "b3aaf7e256d652d8653a2a055ea8f5ff7ece47c2621e2860e02084f0d9832b54",
+        "194f4e56654b3a8bcabf8771042c9f6e43e0cfcc7af6e70fcf9be058869ae361",
+    ),
+}
+
+
+@pytest.mark.parametrize("p,side", list(GOLDEN_MODULE_DIGESTS), ids=lambda v: str(v))
+def test_analyze_and_dualize_match_golden_digests(tmp_path, p, side):
+    A = truncated_polynomial_algebra(p, 3 if p == 2 else 2)
+    alg, mod = tmp_path / "alg.json", tmp_path / "mod.json"
+    alg.write_text(fileio.dump_json(fileio.algebra_to_doc(A)))
+    mod.write_text(fileio.dump_json(fileio.module_to_doc(golden_module(A, side))))
+    outs = [tmp_path / name for name in ("analyze.txt", "analyze.json", "dual.json")]
+    for fmt, out in zip(("text", "structured"), outs):
+        assert main(["analyze", str(alg), str(mod), "--format", fmt, "--out", str(out)]) == 0
+    assert main(["dualize", str(alg), str(mod), "--out", str(outs[2])]) == 0
+    digests = tuple(hashlib.sha256(out.read_bytes()).hexdigest() for out in outs)
+    assert digests == GOLDEN_MODULE_DIGESTS[p, side]
+
+
 def test_check_exits_1_on_identity_failure(monkeypatch, capsys):
     from froblab import cli
     from froblab.report import Report
@@ -509,6 +580,32 @@ def test_large_divisible_module_is_checked_and_counted(tmp_path, capsys):
     assert main(["probe-question", str(path)]) == 0
     # F3 has two radical ideals: the quotient M/0 has annihilator 0, M/M all of R
     assert "big_F3: 2 distinct graded annihilators" in capsys.readouterr().out
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**100), 2**100)
+    | st.floats()
+    | st.text()
+    | st.sampled_from(["", "\"", "\\", "\n\t\x00\x1f", "é", "\u2028", "😀", "\ud800"])
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(st.integers(), max_size=4)
+    | st.tuples(children, children)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4)
+    | st.dictionaries(st.integers(-3, 3), children, max_size=3),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents)
+def test_dump_json_is_the_text_of_json_dumps(doc):
+    assert fileio.dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

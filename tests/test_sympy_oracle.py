@@ -13,6 +13,11 @@ the nullspace of [g | -rows^T]; sympy computes that nullspace and the
 reduced echelon form of its projection.  The relations {c : c @ rows == 0}
 are the nullspace of rows^T.
 
+The graded annihilator b_m of a module is the nullspace of the d columns
+rho(e_i) X^m (left) or X^m rho(e_i) (right), each flattened; the test builds
+them in Python integers and sympy computes the nullspace, for every m up to
+dim + 1, so past the stable index too.
+
 annihilator_submodule(B) of a left module is the nullspace of the conditions
 rho(b) X^n for n <= N + dim, N = B.stable_from, and b in a basis of
 b_min(n, N): past N the conditions cut out a descending chain that stops
@@ -289,6 +294,32 @@ def test_annihilator_submodule_matches_the_sympy_nullspace(M, seed):
     ideals.append(GradedTwoSidedIdeal(A, [A.zero_ideal(), first, second]))
     for B in ideals:
         _assert_basis(H.annihilator_submodule(B).space, sympy_annihilator(H, B))
+
+
+def sympy_graded_annihilator_piece(M, m: int) -> list[list[int]]:
+    """b_m = {r : rho(r) X^m == 0} (left) or {r : X^m rho(r) == 0} (right):
+    the nullspace of the dim^2 x d matrix whose column i is rho(e_i) X^m or
+    X^m rho(e_i), built from the module's stack in Python integers."""
+    p, n, d = M.algebra.p, M.dim, M.algebra.dim
+    if n == 0:
+        return np.eye(d, dtype=np.int64).tolist()
+    *acts, X = M.structure.tolist()
+    power = np.eye(n, dtype=np.int64).tolist()
+    for _ in range(m):
+        power = _py_mul(X, power, p)
+    words = [_py_mul(a, power, p) if M.side == "left" else _py_mul(power, a, p) for a in acts]
+    columns = np.array([[x for row in w for x in row] for w in words], dtype=np.int64)
+    null = _domain_matrix(p, columns.T).nullspace()
+    return [] if null.shape[0] == 0 else _canonical_rows(p, null)
+
+
+@settings(max_examples=60, deadline=None)
+@given(modules(pool=ORACLE_ALGEBRAS, max_dim=6))
+def test_graded_annihilator_matches_the_sympy_nullspace(M):
+    """Every piece b_m, m <= dim + 1, past the stable index too."""
+    chain = M.graded_annihilator()
+    for m in range(M.dim + 2):
+        _assert_basis(chain.component(m).space, sympy_graded_annihilator_piece(M, m))
 
 
 def _preperiod(p: int, e: int) -> int:
