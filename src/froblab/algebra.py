@@ -45,6 +45,8 @@ class FiniteAlgebra:
         labels = list(labels) if labels is not None else [f"e{i}" for i in range(dim)]
         if len(labels) != dim:
             raise ValueError("need one label per basis element")
+        if not all(isinstance(label, str) for label in labels):
+            raise ValueError(f"labels must be strings, got {labels!r}")
         self._init(p, table, one, labels)
         self.validate()
 

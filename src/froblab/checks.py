@@ -13,7 +13,7 @@ import numpy as np
 from .duality import build_duality_context, check_duality_identities
 from .fmodule import LeftFModule, RightFModule, _FModule, semilinear_defects
 from .generators import InstanceCatalog, sampled_modules
-from .linalg import mulmod, relations
+from .linalg import mulmod, relations, shared_eliminations
 from .report import Report
 
 
@@ -169,34 +169,40 @@ def run_catalog_checks(
     seed: int = 0,
     instances_per_algebra: int = 4,
 ) -> Report:
-    """Validate a catalog and run every suite over it plus random instances."""
-    report = Report()
-    contexts = {name: build_duality_context(A) for name, A in catalog.algebras.items()}
-    rng = random.Random(seed)
-    for mod_name, (alg_name, module) in sorted(catalog.modules.items()):
-        module_suite(contexts[alg_name], mod_name, module, rng, report, None)
-    for ideal_name, (alg_name, ideal) in sorted(catalog.ideals.items()):
-        closure, exponent = ideal.frobenius_closure()
-        again, _ = closure.frobenius_closure()
-        steps = 0
-        while ideal.algebra.p**steps < exponent:
-            steps += 1
-        ok = (
-            ideal.space <= closure.space
-            and again.space == closure.space
-            and closure.frobenius_power(steps) == ideal.frobenius_power(steps)
-        )
-        report.add(
-            "frobenius_closure_idempotent",
-            "the Frobenius closure contains the ideal, is idempotent, and its "
-            "test exponent works",
-            ideal_name,
-            ok,
-        )
-    for index, (alg_name, A) in enumerate(sorted(catalog.algebras.items())):
-        samples = sampled_modules(
-            A, seed=seed + index, per_side=instances_per_algebra, extras=False
-        )
-        for sub_name, module in samples:
-            module_suite(contexts[alg_name], f"{alg_name}/{sub_name}", module, rng, report, None)
+    """Validate a catalog and run every suite over it plus random instances.
+
+    The whole run is one shared_eliminations scope: the two sides of a law,
+    and the suites of modules over one algebra, reduce many identical
+    matrices, and each is reduced once.
+    """
+    with shared_eliminations():
+        report = Report()
+        contexts = {name: build_duality_context(A) for name, A in catalog.algebras.items()}
+        rng = random.Random(seed)
+        for mod_name, (alg_name, module) in sorted(catalog.modules.items()):
+            module_suite(contexts[alg_name], mod_name, module, rng, report, None)
+        for ideal_name, (alg_name, ideal) in sorted(catalog.ideals.items()):
+            closure, exponent = ideal.frobenius_closure()
+            again, _ = closure.frobenius_closure()
+            steps = 0
+            while ideal.algebra.p**steps < exponent:
+                steps += 1
+            ok = (
+                ideal.space <= closure.space
+                and again.space == closure.space
+                and closure.frobenius_power(steps) == ideal.frobenius_power(steps)
+            )
+            report.add(
+                "frobenius_closure_idempotent",
+                "the Frobenius closure contains the ideal, is idempotent, and its "
+                "test exponent works",
+                ideal_name,
+                ok,
+            )
+        for index, (alg_name, A) in enumerate(sorted(catalog.algebras.items())):
+            samples = sampled_modules(
+                A, seed=seed + index, per_side=instances_per_algebra, extras=False
+            )
+            for sub_name, module in samples:
+                module_suite(contexts[alg_name], f"{alg_name}/{sub_name}", module, rng, report, None)
     return report

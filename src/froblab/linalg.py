@@ -7,6 +7,7 @@ detection in the rest of the package a pure comparison of values.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -93,6 +94,44 @@ def as_vector(v, p: int) -> np.ndarray:
     if out.ndim != 1:
         raise ValueError(f"expected a vector, got shape {out.shape}")
     return out
+
+
+# The results the eliminating primitives share while a shared_eliminations
+# scope is open, keyed by _recall; None outside every scope.
+_shared: dict | None = None
+
+
+@contextlib.contextmanager
+def shared_eliminations():
+    """A scope in which Subspace.from_vectors, FpMatrix.kernel, quotient_maps
+    and close_under compute each distinct input once.
+
+    Michie's memo function (Nature 218, 1968): each of the four is
+    deterministic and returns read-only arrays, so a call that repeats the
+    kind, p, and the shape and int64 bytes of every array input of an
+    earlier one gets the stored result, the value it would compute.  A
+    nested scope uses the outer table.  Closing the outermost scope drops
+    the table, also when the body raises.  The table is module state, one
+    per process: froblab computes in one thread.
+    """
+    global _shared
+    outer = _shared
+    if outer is None:
+        _shared = {}
+    try:
+        yield
+    finally:
+        _shared = outer
+
+
+def _recall(kind: str, p: int, arrays, compute, *args):
+    """The result stored in the open scope for kind, p and the arrays, else
+    compute(*args), stored only once it has returned."""
+    key = (kind, p, *[(a.shape, a.tobytes()) for a in arrays])
+    result = _shared.get(key)
+    if result is None:
+        result = _shared[key] = compute(*args)
+    return result
 
 
 # Up to this many entries a matrix is eliminated on Python lists, where
@@ -356,7 +395,14 @@ class FpMatrix:
         return len(_rref(self.data, self.p)[1])
 
     def kernel(self) -> "Subspace":
-        """The solution space of self @ v == 0, inside F_p^cols, in one elimination.
+        """The solution space of self @ v == 0, inside F_p^cols (shared in a
+        shared_eliminations scope)."""
+        if _shared is None:
+            return self._kernel()
+        return _recall("kernel", self.p, (self.data,), self._kernel)
+
+    def _kernel(self) -> "Subspace":
+        """kernel in one elimination.
 
         Eliminate the column-reversed matrix, with echelon basis R and pivots
         P, and take its free-variable basis: the vector w_f for a free
@@ -452,6 +498,13 @@ class Subspace:
             raise ValueError(f"vector length {vectors.shape[1]} != ambient {ambient_dim}")
         elif vectors.dtype != np.int64:
             vectors = int_array(vectors, p)
+        if _shared is None:
+            return cls._span(p, ambient_dim, vectors)
+        return _recall("span", int(p), (vectors,), cls._span, p, ambient_dim, vectors)
+
+    @classmethod
+    def _span(cls, p: int, ambient_dim: int, vectors: np.ndarray) -> "Subspace":
+        """from_vectors on a checked int64 array: one elimination."""
         reduced, pivots = _rref(vectors, p)
         return cls(p, ambient_dim, reduced[: len(pivots)], pivots)
 
@@ -561,14 +614,21 @@ def quotient_representatives(space: Subspace, sub: Subspace) -> np.ndarray:
 
 
 def quotient_maps(sub: Subspace) -> tuple[FpMatrix, FpMatrix]:
-    """Projection of F_p^n onto F_p^n / sub and a lift back (proj @ lift = id).
+    """Projection of F_p^n onto F_p^n / sub and a lift back (proj @ lift = id),
+    shared in a shared_eliminations scope."""
+    if _shared is None:
+        return _quotient_maps(sub)
+    return _recall("quotient", sub.p, (sub.basis,), _quotient_maps, sub)
 
-    One elimination of [sub^T | I]: its pivots past sub's pick the unit
-    vectors reps that represent the quotient basis, so the pivot columns
-    form B = [sub^T | reps^T].  The reduced matrix is E [sub^T | I] with
-    E B == I, as its pivot columns are the unit vectors in order; its last n
-    columns are therefore E = B^-1, and rows k.. of them, k = dim sub, are
-    the projection.
+
+def _quotient_maps(sub: Subspace) -> tuple[FpMatrix, FpMatrix]:
+    """quotient_maps in one elimination of [sub^T | I].
+
+    Its pivots past sub's pick the unit vectors reps that represent the
+    quotient basis, so the pivot columns form B = [sub^T | reps^T].  The
+    reduced matrix is E [sub^T | I] with E B == I, as its pivot columns are
+    the unit vectors in order; its last n columns are therefore E = B^-1,
+    and rows k.. of them, k = dim sub, are the projection.
     """
     p, n, k = sub.p, sub.ambient_dim, sub.dim
     eye = np.eye(n, dtype=np.int64)
@@ -699,10 +759,18 @@ def close_under(space: Subspace, operators: list[FpMatrix]) -> Subspace:
     Comput. 1994): the reduced echelon basis and pivots of the growing space
     are kept, only the rows the last step added are pushed through the
     operators, and their images are reduced once against the kept basis.
-    Each basis vector's images thus meet elimination once.
+    Each basis vector's images thus meet elimination once.  In a
+    shared_eliminations scope the key includes the operator stack.
     """
-    p, n = space.p, space.ambient_dim
     operators = _operators_on(space, operators)
+    if _shared is None:
+        return _close_under(space, operators)
+    return _recall("close", space.p, (space.basis, operators), _close_under, space, operators)
+
+
+def _close_under(space: Subspace, operators: np.ndarray) -> Subspace:
+    """close_under for a k x n x n operator stack."""
+    p, n = space.p, space.ambient_dim
     basis, pivots = space.basis, space.pivots.tolist()
     frontier = space  # the span of the rows the last step added
     while True:

@@ -665,3 +665,27 @@ def test_algebra_doc_validation():
         fileio.algebra_from_doc(doc)
     with pytest.raises(ValueError, match="JSON object"):
         fileio.algebra_from_doc([2])
+    doc = fileio.algebra_to_doc(truncated_polynomial_algebra(2, 2))
+    for labels in ([1, 2], ["a", ["b"]]):
+        doc["labels"] = labels
+        with pytest.raises(ValueError, match="labels must be strings"):
+            fileio.algebra_from_doc(doc)
+        with pytest.raises(ValueError, match="labels must be strings"):
+            FiniteAlgebra(2, doc["table"], doc["one"], labels=labels)
+
+
+@pytest.mark.parametrize("labels", [[1, 2], ["a", ["b"]]])
+@pytest.mark.parametrize("command", ["fclosure", "analyze"])
+def test_labels_that_are_not_strings_exit_2(fixtures, tmp_path, capsys, labels, command):
+    # both commands render ideals through the labels: (t) is the graded
+    # annihilator of the residue field F2 = A/(t), a left module of dim 1
+    _, alg, _, _ = fixtures
+    doc = json.loads(Path(alg).read_text())
+    doc["labels"] = labels
+    bad = tmp_path / "labels.json"
+    bad.write_text(json.dumps(doc))
+    residue = tmp_path / "residue.json"
+    residue.write_text(json.dumps({"side": "left", "dim": 1, "action": [[[1]], [[0]]], "X": [[1]]}))
+    argv = [command, str(bad), "0,1"] if command == "fclosure" else [command, str(bad), str(residue)]
+    assert main(argv) == 2
+    assert "labels must be strings" in capsys.readouterr().err
