@@ -7,6 +7,7 @@ those coordinates.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -90,9 +91,13 @@ class FiniteAlgebra:
         if asymmetric.any():
             i, j = np.argwhere(asymmetric)[0]
             raise AxiomError(f"commutativity({i},{j})")
-        # (e_i e_j) e_k vs e_i (e_j e_k)
-        left = np.einsum("ijm,mkl->ijkl", t, t) % self.p
-        right = np.einsum("jkm,iml->ijkl", t, t) % self.p
+        # (e_i e_j) e_k vs e_i (e_j e_k), each one guarded product with inner
+        # dimension d: rows (i, j) or (j, k) of t against columns (k, l) of t,
+        # or (i, l) of t^(1 0 2), whose row m column (i, l) is t[i, m, l]
+        d, p = self.dim, self.p
+        left = mulmod(t.reshape(d * d, d), t.reshape(d, d * d), p).reshape(d, d, d, d)
+        right = mulmod(t.reshape(d * d, d), t.transpose(1, 0, 2).reshape(d, d * d), p)
+        right = right.reshape(d, d, d, d).transpose(2, 0, 1, 3)
         if not np.array_equal(left, right):
             i, j, k = np.argwhere((left != right).any(axis=3))[0]
             raise AxiomError(f"associativity({i},{j},{k})")
@@ -289,6 +294,15 @@ class FrobeniusData:
             n = self.preperiod + (n - self.preperiod) % self.period
         return self.powers[n]
 
+    @functools.cached_property
+    def stack(self) -> np.ndarray:
+        """F^1, ..., F^(preperiod + period - 1) as one read-only array, built
+        once (the reshape keeps three axes when F = I and it is empty)."""
+        d = self.matrix.rows
+        stack = np.array([G.data for G in self.powers[1:]], dtype=np.int64).reshape(-1, d, d)
+        stack.setflags(write=False)
+        return stack
+
 
 class Ideal:
     """An ideal, tracked as generators plus its canonical underlying subspace.
@@ -304,7 +318,7 @@ class Ideal:
             g.setflags(write=False)
         if space is None:
             products = algebra._spanning_products(self._generator_rows())
-            space = Subspace.from_vectors(algebra.p, algebra.dim, products)
+            space = Subspace._rows(algebra.p, algebra.dim, products)
         self._space = space
 
     @classmethod
@@ -385,11 +399,20 @@ def frobenius_closure_data(ideal: Ideal) -> ClosureData:
     c_n = (F^n)^-1(a^[p^n]) = {r : r^(p^n) lies in the n-th Frobenius power
     of a} is an ascending chain, but consecutive equality is NOT a valid
     stopping rule: the chain can pause and grow again (it does for (t^2) in
-    F_2[t]/(t^3)).  Both c_n and the Frobenius powers are functions of the
-    n-th power of the Frobenius matrix, so the chain runs over the distinct
-    powers, up to the point where that matrix revisits a state; from the
-    preperiod on it is periodic and ascending, hence constant, and a^F is
-    c_preperiod.
+    F_2[t]/(t^3)).  The chain runs over the distinct powers F^0, ...,
+    F^(preperiod + period - 1), and only c_0, ..., c_preperiod are computed.
+
+    Lemma: c_n == c_preperiod for every n >= preperiod, so a^F is
+    c_preperiod and the rest of the cycle needs no elimination.  Proof: c_n
+    is a function of F^n alone, as a^[p^n] is generated by the images
+    F^n(g_i) of the generators; F^(n + period) == F^n for n >= preperiod, so
+    c_(n + period) == c_n there.  The chain ascends: r^(p^n) in a^[p^n]
+    gives r^(p^(n+1)) = (r^(p^n))^p in a^[p^(n+1)], as the p-th power of a
+    sum of multiples s_i g_i^(p^n) is the sum of the s_i^p g_i^(p^(n+1))
+    (Frobenius is additive).  An ascending chain that is periodic from
+    preperiod on is constant from there: c_preperiod <= c_n <=
+    c_(preperiod + period) == c_preperiod.  The union of the chain is the
+    closure a^F, which is therefore c_preperiod.
 
     Lemma: Q = p^m for the least m with c_m == a^F.  Proof: a <= a^F gives
     a^[p^m] <= (a^F)^[p^m], and (a^F)^[p^m] is generated by F^m(a^F), as F^m
@@ -398,32 +421,30 @@ def frobenius_closure_data(ideal: Ideal) -> ClosureData:
     The test exponent is therefore read off the chain, with no closure.
 
     c_0 = (F^0)^-1(a^[1]) = a is the ideal's canonical space, read off with
-    no elimination.  The inputs of every later step come from two products
-    over the stack of the distinct powers F^1, F^2, ...: the images F^n(g_i)
-    of the generators, then their products with the basis elements, which
-    span a^[p^n].  Each such c_n is then one preimage_rows elimination, and
-    no ideal is built per step.
+    no elimination.  The inputs of steps 1, ..., preperiod come from two
+    products over the cached stack of the powers F^1, ..., F^preperiod: the
+    images F^n(g_i) of the generators, then their products with the basis
+    elements, which span a^[p^n].  Each such c_n is then one preimage_rows
+    elimination, checked to ascend, and no ideal is built per step; the
+    closure takes preperiod eliminations in all.
     """
     A = ideal.algebra
     frob = A.frobenius()
-    # the reshape keeps three axes when F = I and there is no later power
-    powers = np.array([G.data for G in frob.powers[1:]]).reshape(-1, A.dim, A.dim)
+    preperiod, period = frob.preperiod, frob.period
+    powers = frob.stack[:preperiod]
     # row i of images[n - 1] is F^n(g_i) = powers[n - 1] @ g_i
     images = mulmod(ideal._generator_rows(), powers.transpose(0, 2, 1), A.p)
     chain = [ideal.space]
     for G, bracket in zip(powers, A._spanning_products(images)):
         chain.append(preimage_rows(A.p, G, bracket))
-        if not (chain[-2] <= chain[-1]):
+        if not chain[-2] <= chain[-1]:
             raise AxiomError("frobenius closure chain is not ascending")
-    preperiod, period = frob.preperiod, frob.period
-    closure_space = chain[preperiod]
-    closure = Ideal.of_space(A, closure_space)
-    m = next((m for m, c in enumerate(chain) if c == closure_space), None)
-    if m is None:
-        raise RuntimeError(
-            "no test exponent within the Frobenius cycle; this is a bug"
-        )
-    return ClosureData(closure, A.p**m, tuple(chain), preperiod, period)
+    closure_space = chain[-1]
+    chain += [closure_space] * (period - 1)
+    # the chain ascends to closure_space, reached by the preperiod: c_m is
+    # closure_space exactly when their dimensions agree
+    m = next(m for m, c in enumerate(chain) if c.dim == closure_space.dim)
+    return ClosureData(Ideal.of_space(A, closure_space), A.p**m, tuple(chain), preperiod, period)
 
 
 @dataclass(frozen=True)
@@ -474,8 +495,11 @@ def _primitive_idempotents(A: FiniteAlgebra) -> list[np.ndarray]:
         refined, pending = [], parts
         while pending:
             e = pending.pop()
-            be = A.mul(b, e)
-            scalar = Subspace.from_vectors(p, A.dim, [e, be]).dim == 1
+            be = A._products(b, e)
+            # be lies in F_p e exactly when it is c e for c = be[i] / e[i], at
+            # the leading entry i of e (e is nonzero)
+            i = int(np.flatnonzero(e)[0])
+            scalar = np.array_equal(be, int(be[i]) * pow(int(e[i]), -1, p) % p * e % p)
             for a in range(0 if scalar else p):
                 w = (be + a * e) % p
                 if p == 2:
@@ -499,13 +523,14 @@ def _primitive_idempotents(A: FiniteAlgebra) -> list[np.ndarray]:
 def _decompose(A: FiniteAlgebra) -> LocalDecomposition:
     primitive = _primitive_idempotents(A)
 
-    total = A.zero()
-    for i, e in enumerate(primitive):
-        total = (total + e) % A.p
-        for j in range(i + 1, len(primitive)):
-            if A.mul(e, primitive[j]).any():
-                raise AxiomError(f"idempotents {i} and {j} are not orthogonal")
-    if not np.array_equal(total, A.one):
+    # every product e_i e_j at once; the first pair i < j in row-major order
+    # is the first a loop over i < j would find
+    parts = np.array(primitive, dtype=np.int64)
+    overlap = np.triu(A._products(parts[:, None, :], parts[None, :, :]).any(axis=2), 1)
+    if overlap.any():
+        i, j = np.argwhere(overlap)[0]
+        raise AxiomError(f"idempotents {i} and {j} are not orthogonal")
+    if not np.array_equal(parts.sum(axis=0) % A.p, A.one):
         raise AxiomError("primitive idempotents do not sum to the identity")
 
     components, spaces = [], []

@@ -258,7 +258,7 @@ class _FModule:
         kept, X = self._chains[name], self.structure[-1]
         last = kept[-1]
         rows = mulmod(last.basis, X.T if name == "image" else X, last.p)
-        kept.append(Subspace.from_vectors(last.p, self.dim, rows))
+        kept.append(Subspace._rows(last.p, self.dim, rows))
 
     def x_kernel(self, k: int) -> Subspace:
         """ker X^k, kept like the powers: each is eliminated at most once per
@@ -443,7 +443,7 @@ class LeftFModule(_FModule):
             for m, piece in enumerate(ideal.chain[:N])
         ]
         basis = ideal.chain[N].space.basis
-        rows = Subspace.from_vectors(p, n, self.rhos(basis).reshape(basis.shape[0] * n, n))
+        rows = Subspace._rows(p, n, self.rhos(basis).reshape(basis.shape[0] * n, n))
         stable = close_under(rows, self.structure[-1:].transpose(0, 2, 1))
         blocks.append(mulmod(stable.basis, self.x_power(N).data, p))
         return FSubmodule(self, common_kernel(p, n, blocks))

@@ -426,7 +426,7 @@ class FpMatrix:
 
     def image(self) -> "Subspace":
         """The column span of the matrix, inside F_p^rows."""
-        return Subspace.from_vectors(self.p, self.rows, self.data.T)
+        return Subspace._rows(self.p, self.rows, self.data.T)
 
     def solve(self, b) -> np.ndarray | None:
         """One solution of self @ v == b, or None if the system is inconsistent."""
@@ -498,13 +498,20 @@ class Subspace:
             raise ValueError(f"vector length {vectors.shape[1]} != ambient {ambient_dim}")
         elif vectors.dtype != np.int64:
             vectors = int_array(vectors, p)
+        return cls._rows(int(p), ambient_dim, vectors)
+
+    @classmethod
+    def _rows(cls, p: int, ambient_dim: int, vectors: np.ndarray) -> "Subspace":
+        """The trusted door to from_vectors, for a k x ambient_dim int64 array
+        the package built over a checked int prime p: nothing is checked or
+        converted.  One elimination, shared in a shared_eliminations scope."""
         if _shared is None:
             return cls._span(p, ambient_dim, vectors)
-        return _recall("span", int(p), (vectors,), cls._span, p, ambient_dim, vectors)
+        return _recall("span", p, (vectors,), cls._span, p, ambient_dim, vectors)
 
     @classmethod
     def _span(cls, p: int, ambient_dim: int, vectors: np.ndarray) -> "Subspace":
-        """from_vectors on a checked int64 array: one elimination."""
+        """_rows outside a scope: one elimination."""
         reduced, pivots = _rref(vectors, p)
         return cls(p, ambient_dim, reduced[: len(pivots)], pivots)
 
@@ -550,8 +557,12 @@ class Subspace:
         return self.coordinates(v) is not None
 
     def contains_space(self, other: "Subspace") -> bool:
+        """Whether other lies in the space.  Both bases are canonical, so
+        reduced int64 already: other's basis B lies in it exactly when B
+        equals B[:, P] C for the pivots P and basis C, with no conversion."""
         self._compat(other)
-        return self.contains(other.basis)
+        rows = other.basis
+        return bool(np.array_equal(rows, mulmod(rows[:, self.pivots], self.basis, self.p)))
 
     def _compat(self, other: "Subspace") -> None:
         if self.p != other.p or self.ambient_dim != other.ambient_dim:
@@ -559,7 +570,7 @@ class Subspace:
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._compat(other)
-        return Subspace.from_vectors(self.p, self.ambient_dim, np.vstack([self.basis, other.basis]))
+        return Subspace._rows(self.p, self.ambient_dim, np.vstack([self.basis, other.basis]))
 
     def __and__(self, other: "Subspace") -> "Subspace":
         # (A ^ B) = (A° + B°)° for the standard dot-product pairing
@@ -661,7 +672,7 @@ def preimage_rows(p: int, g: np.ndarray, rows: np.ndarray) -> Subspace:
     stacked[:k, :m] = rows
     stacked[k:, :m] = g.T
     stacked.reshape(-1)[k * (m + n) + m :: m + n + 1] = 1  # the diagonal of I_n
-    space = Subspace.from_vectors(p, m + n, stacked)
+    space = Subspace._rows(p, m + n, stacked)
     r = int(np.searchsorted(space.pivots, m))
     return Subspace(p, n, np.ascontiguousarray(space.basis[r:, m:]), space.pivots[r:] - m)
 

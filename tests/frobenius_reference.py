@@ -13,13 +13,24 @@ here the old way: a bracket ideal per power, F^0 included, from one
 multiplication matrix is the tensordot of the element with the table, and
 the unit search of twisted_modules_isomorphic tests each candidate with a
 rank elimination, as they were before mult_matrix became one product and
-the units were read off nil(R).
+the units were read off nil(R).  The closure itself, which froblab
+eliminates only up to the preperiod of the cycle, is here eliminated at
+every distinct power, each step checked to ascend, with the closure taken
+at the preperiod and the test exponent searched along the whole chain.
 """
 import numpy as np
 
-from froblab.algebra import FiniteAlgebra, Ideal, extension_field, prime_field, product_algebra
+from froblab.algebra import (
+    ClosureData,
+    FiniteAlgebra,
+    Ideal,
+    extension_field,
+    prime_field,
+    product_algebra,
+)
+from froblab.errors import AxiomError
 from froblab.generators import enumerate_local_algebras, standard_algebras
-from froblab.linalg import FpMatrix, Subspace, image_rows, operator_solve
+from froblab.linalg import FpMatrix, Subspace, image_rows, mulmod, operator_solve, preimage_rows
 from linalg_reference import residue_kernel_preimage
 
 
@@ -74,6 +85,25 @@ def closure_chain_by_bracket_ideals(ideal: Ideal) -> list[Subspace]:
         bracket = Ideal(A, [G.apply(g) for g in ideal.generators])
         chain.append(residue_kernel_preimage(A.p, G.data, bracket.space.basis))
     return chain
+
+
+def closure_data_by_every_power(ideal: Ideal) -> ClosureData:
+    """frobenius_closure_data with one preimage_rows elimination for every
+    distinct power F^1, ..., F^(preperiod + period - 1), the periodic tail
+    included."""
+    A = ideal.algebra
+    frob = A.frobenius()
+    powers = np.array([G.data for G in frob.powers[1:]]).reshape(-1, A.dim, A.dim)
+    images = mulmod(ideal._generator_rows(), powers.transpose(0, 2, 1), A.p)
+    chain = [ideal.space]
+    for G, bracket in zip(powers, A._spanning_products(images)):
+        chain.append(preimage_rows(A.p, G, bracket))
+        if not (chain[-2] <= chain[-1]):
+            raise AxiomError("frobenius closure chain is not ascending")
+    closure_space = chain[frob.preperiod]
+    m = next(m for m, c in enumerate(chain) if c == closure_space)
+    closure = Ideal.of_space(A, closure_space)
+    return ClosureData(closure, A.p**m, tuple(chain), frob.preperiod, frob.period)
 
 
 def mult_matrix_by_tensordot(A: FiniteAlgebra, u) -> FpMatrix:

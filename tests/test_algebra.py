@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import froblab.algebra as algebra_module
 from froblab.algebra import (
     FiniteAlgebra,
     Ideal,
@@ -26,6 +27,7 @@ from froblab.linalg import (
 )
 from frobenius_reference import (
     closure_chain_by_bracket_ideals,
+    closure_data_by_every_power,
     frobenius_by_basis_powers,
     frobenius_pool,
     nilradical_by_squaring,
@@ -38,6 +40,19 @@ F2T2 = truncated_polynomial_algebra(2, 2)
 F2T3 = truncated_polynomial_algebra(2, 3)
 F4 = extension_field(2, [1, 1, 1])
 F2xF2 = product_algebra(F2, F2)
+F4xF2T3 = product_algebra(F4, F2T3)  # preperiod 2 and period 2
+
+
+def _quadratic_field(p: int) -> FiniteAlgebra:
+    """F_(p^2) = F_p[u]/(u^2 - n) for the least non-square n (Euler's criterion)."""
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    return extension_field(p, [(-n) % p, 0, 1])
+
+
+F8 = extension_field(2, [1, 1, 0, 1])
+F9 = _quadratic_field(3)
+FL = prime_field(1048573)
+FL2 = _quadratic_field(1048573)
 
 
 def brute_frobenius_cycle(A: FiniteAlgebra) -> tuple[int, int]:
@@ -474,6 +489,36 @@ def test_local_components_beyond_element_scans():
             assert not A.mul(e, f).any()
 
 
+def test_local_components_eliminate_the_fixed_space_and_each_factor_once(monkeypatch):
+    # K = ker(F - I) is one elimination and each factor e A one more; whether
+    # b e lies in F_p e is read off the leading entry of e, with none
+    p = 1048573
+    cases = [F2T3, F2xF2, product_algebra(F4, F2T3), product_algebra(F2, F8)]
+    cases += [product_algebra(truncated_polynomial_algebra(p, 2), FL2)]
+    cases += [product_algebra(product_algebra(F9, prime_field(3)), truncated_polynomial_algebra(3, 2))]
+    for A in cases:
+        A = FiniteAlgebra(A.p, A.table, A.one)  # nothing cached
+        A.frobenius()
+        counts = count_eliminated_rows(monkeypatch)
+        decomp = A.local_components()
+        monkeypatch.undo()
+        assert len(counts) == 1 + len(decomp.components)
+
+
+def test_decomposition_reports_the_first_bad_pair_of_idempotents(monkeypatch):
+    A = product_algebra(F2xF2, F2)
+    e = np.eye(3, dtype=np.int64)
+    bad = {
+        "idempotents 0 and 2 are not orthogonal": [e[0], e[1], e[0] + e[2]],
+        "idempotents 1 and 2 are not orthogonal": [e[0], e[1], e[1] + e[2]],
+        "do not sum to the identity": [e[0], e[1]],
+    }
+    for message, parts in bad.items():
+        monkeypatch.setattr(algebra_module, "_primitive_idempotents", lambda _: parts)
+        with pytest.raises(AxiomError, match=message):
+            algebra_module._decompose(A)
+
+
 def test_ideal_from_unit_generator_is_whole_ring():
     assert F2T3.ideal([F2T3.one]).space.is_full()
 
@@ -687,10 +732,10 @@ def test_closure_exponent_matches_reference(case):
 
 
 def test_closure_exponent_search_does_no_closure(monkeypatch):
-    # c_0 = a is the ideal's own space, and each later distinct Frobenius
-    # power costs one elimination, of the k d bracket products and the d rows
-    # of (F^n)^T, and no ideal is built from generators; Q is read off the
-    # chain, so comparing closures adds none
+    # c_0 = a is the ideal's own space, each step n = 1, ..., preperiod costs
+    # one elimination, of the k d bracket products and the d rows of (F^n)^T,
+    # and the periodic tail none; no ideal is built from generators, and Q is
+    # read off the chain, so comparing closures adds none
     real = Ideal.__init__
     calls: list[int] = []
 
@@ -701,6 +746,7 @@ def test_closure_exponent_search_does_no_closure(monkeypatch):
 
     cases = [(F2T3, [[0, 0, 1]]), (F2T3, [[0, 1, 1]]), (F4, [])]
     cases += [(truncated_polynomial_algebra(3, 5), [[0, 0, 1, 2, 0]])]
+    cases += [(F4xF2T3, [[0, 0, 0, 0, 1]]), (F4xF2T3, [[1, 0, 0, 1, 0]])]
     cases += [(A, [A.one]) for A in STANDARD.values()]
     for A, gens in cases:
         a = A.ideal(gens)
@@ -711,8 +757,8 @@ def test_closure_exponent_search_does_no_closure(monkeypatch):
         chain = frobenius_closure_data(a).chain
         monkeypatch.undo()
         assert calls == []
-        assert eliminated == [(len(gens) + 1) * A.dim] * (len(frob.powers) - 1)
-        assert chain[0] == a.space
+        assert eliminated == [(len(gens) + 1) * A.dim] * frob.preperiod
+        assert chain[0] == a.space and len(chain) == len(frob.powers)
 
 
 # -- the bracket ideal and residue kernel the one-elimination chain replaced ------
@@ -759,6 +805,54 @@ def test_closure_chain_past_the_list_kernel_matches_the_reference():
     for A, gens in cases:
         assert (len(gens) + 1) * A.dim * 2 * A.dim > LIST_KERNEL_CELLS
         assert_chain_matches_reference(A.ideal(gens))
+
+
+# -- the eliminations of the periodic tail that the closure skips -----------------
+
+
+# each has a Frobenius of period > 1 (an extension factor), and those with a
+# truncated factor a preperiod > 0 as well; F4 x F8 has period 6
+PERIODIC = [
+    F4, F8, F9, F4xF2T3, product_algebra(F8, F2T2), product_algebra(F4, F8),
+    product_algebra(F9, truncated_polynomial_algebra(3, 2)), FL2, product_algebra(FL2, FL),
+    product_algebra(FL2, truncated_polynomial_algebra(1048573, 3)),
+]
+
+
+@st.composite
+def closure_cases(draw):
+    """An algebra of algebras_and_generators over F_2, F_3 or F_1048573, or
+    one of PERIODIC, with 0-3 drawn generators."""
+    if draw(st.booleans()):
+        return draw(algebras_and_generators(primes=(2, 3, 1048573)))
+    A = draw(st.sampled_from(PERIODIC))
+    vector = st.lists(st.integers(0, A.p - 1), min_size=A.dim, max_size=A.dim)
+    return A, draw(st.lists(vector, max_size=3))
+
+
+def test_periodic_pool_has_long_cycles():
+    assert all(A.frobenius().period > 1 for A in PERIODIC)
+    assert {A.p for A in PERIODIC} == {2, 3, 1048573}
+    assert F4xF2T3.frobenius().preperiod == 2 and product_algebra(F4, F8).frobenius().period == 6
+
+
+@settings(max_examples=250, deadline=None)
+@given(closure_cases())
+# (t^2) in the truncated factor: c_0 == c_1 < c_2, then a tail of period 2;
+# over F_1048573, c_0 < c_1 with preperiod 1 and period 2
+@example((F4xF2T3, [[0, 0, 0, 0, 1]]))
+@example((product_algebra(FL2, truncated_polynomial_algebra(1048573, 3)), [[0, 0, 0, 0, 1]]))
+def test_closure_matches_the_every_power_reference(case):
+    # the tail past the preperiod, which froblab fills with c_preperiod,
+    # against one elimination per distinct power
+    A, gens = case
+    a = A.ideal(gens)
+    got, want = frobenius_closure_data(a), closure_data_by_every_power(a)
+    assert (got.exponent, got.preperiod, got.period) == (want.exponent, want.preperiod, want.period)
+    assert got.closure == want.closure
+    assert len(got.chain) == len(want.chain) == len(A.frobenius().powers)
+    for c, ref in zip(got.chain, want.chain):
+        assert c == ref and c.pivots.tolist() == ref.pivots.tolist()
 
 
 # -- the closure the one-elimination ideal replaced -------------------------------

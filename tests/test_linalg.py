@@ -496,6 +496,62 @@ def test_block_coordinates_match_per_vector_reference(case):
             assert one.tolist() == w.tolist()
 
 
+# -- the trusted door for canonical package data ---------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(rref_inputs())
+@example((np.zeros((3, 0), dtype=np.int64), 2))  # ambient dimension 0
+@example((np.zeros((0, 4), dtype=np.int64), 1048573))  # no rows: the zero space
+def test_trusted_rows_match_from_vectors(case):
+    a, p = case
+    n = a.shape[1]
+    got, want = Subspace._rows(p, n, a), Subspace.from_vectors(p, n, a)
+    assert got == want and got.pivots.tolist() == want.pivots.tolist()
+    # one "span" entry in a scope, whichever door the array comes through
+    with linalg.shared_eliminations():
+        assert Subspace.from_vectors(p, n, a.copy()) is Subspace._rows(p, n, a)
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Two subspaces S and T of one F_p^n, p in {2, 3, 1048573}, each zero,
+    full or a drawn span, T often inside S, for n from 0 to 6 or n = 70,
+    where a span of more than 58 rows is past LIST_KERNEL_CELLS."""
+    p = draw(st.sampled_from([2, 3, 1048573]))
+    n = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 6, 70]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def space(inside: Subspace | None) -> Subspace:
+        kind = draw(st.sampled_from(["zero", "full", "span", "span"]))
+        if kind == "zero":
+            return Subspace.zero(p, n)
+        if kind == "full":
+            return Subspace.full(p, n)
+        k = draw(st.integers(0, n + 1))
+        if inside is not None:  # combinations of the basis of inside
+            return Subspace.from_vectors(p, n, mulmod(rng.integers(0, p, (k, inside.dim)), inside.basis, p))
+        rows = rng.integers(0, p, (k, n))
+        rows[rng.random((k, n)) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0
+        return Subspace.from_vectors(p, n, rows)
+
+    S = space(None)
+    return S, space(S if draw(st.booleans()) else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(subspace_pairs())
+# [1, 1, 0] is the sum of [1, 0, 1] and [0, 1, 1]: its last entry 2 reduces to 0
+@example((Subspace.from_vectors(2, 3, [[1, 0, 1], [0, 1, 1]]), Subspace.from_vectors(2, 3, [[1, 1, 0]])))
+def test_trusted_containment_matches_the_coordinates_route(case):
+    S, T = case
+    for big, small in ((S, T), (T, S)):
+        want = big.coordinates(small.basis) is not None
+        assert big.contains_space(small) is want
+        assert (small <= big) is want
+    assert S <= S + T and T <= S + T
+
+
 def reference_quotient_representatives(space: Subspace, sub: Subspace) -> np.ndarray:
     """Keep each basis row of space outside the span of sub and the rows kept so far."""
     running = sub
