@@ -231,7 +231,7 @@ class FiniteAlgebra:
 
     def unit_ideal(self) -> "Ideal":
         # the ideal of 1 is all of A, so it needs no closure
-        return Ideal(self, [self.one], space=Subspace.full(self.p, self.dim))
+        return Ideal._of_rows(self, self.one[None, :], Subspace.full(self.p, self.dim))
 
     # -- local structure --------------------------------------------------
 
@@ -309,40 +309,42 @@ class Ideal:
 
     Both are read-only properties, so the two cannot drift apart."""
 
-    def __init__(self, algebra: FiniteAlgebra, generators, space: Subspace | None = None):
-        self.algebra = algebra
-        self._generators = tuple(as_vector(g, algebra.p) for g in generators)
-        for g in self._generators:
-            if g.shape[0] != algebra.dim:
-                raise ValueError("generator has wrong length")
-            g.setflags(write=False)
-        if space is None:
-            products = algebra._spanning_products(self._generator_rows())
-            space = Subspace._rows(algebra.p, algebra.dim, products)
-        self._space = space
+    def __init__(self, algebra: FiniteAlgebra, generators):
+        """The checked constructor: generators from outside, each of length dim."""
+        rows = [as_vector(g, algebra.p) for g in generators]
+        if any(g.shape[0] != algebra.dim for g in rows):
+            raise ValueError("generator has wrong length")
+        self._init(algebra, np.array(rows, dtype=np.int64).reshape(-1, algebra.dim), None)
+
+    @classmethod
+    def _of_rows(cls, algebra: FiniteAlgebra, rows: np.ndarray, space: Subspace | None = None):
+        """The trusted constructor: the ideal of the rows of a reduced k x d int64
+        array the package built, with its canonical subspace if the caller has it."""
+        ideal = cls.__new__(cls)
+        ideal._init(algebra, rows, space)
+        return ideal
 
     @classmethod
     def of_space(cls, algebra: FiniteAlgebra, space: Subspace) -> "Ideal":
-        """Trusted constructor: the ideal whose canonical subspace is space,
-        which the caller guarantees is an ideal of algebra.  Its generators
-        are the basis rows of space, read-only views of its basis."""
-        out = cls.__new__(cls)
-        out.algebra = algebra
-        out._generators = tuple(space.basis)
-        out._space = space
-        return out
+        """Trusted constructor: the ideal whose canonical subspace is space, which
+        the caller guarantees is an ideal of algebra, generated by its basis rows."""
+        return cls._of_rows(algebra, space.basis, space)
+
+    def _init(self, algebra: FiniteAlgebra, rows: np.ndarray, space: Subspace | None) -> None:
+        rows.setflags(write=False)
+        self.algebra = algebra
+        self._rows = rows
+        if space is None:
+            space = Subspace._rows(algebra.p, algebra.dim, algebra._spanning_products(rows))
+        self._space = space
 
     @property
     def generators(self) -> tuple[np.ndarray, ...]:
-        return self._generators
+        return tuple(self._rows)
 
     @property
     def space(self) -> Subspace:
         return self._space
-
-    def _generator_rows(self) -> np.ndarray:
-        """The generators as the rows of a k x d array."""
-        return np.array(self._generators, dtype=np.int64).reshape(-1, self.algebra.dim)
 
     @property
     def dim(self) -> int:
@@ -373,7 +375,7 @@ class Ideal:
     def frobenius_power(self, n: int) -> "Ideal":
         """The ideal generated by the p^n-th powers of the stored generators."""
         F = self.algebra.frobenius().power(n)
-        return Ideal(self.algebra, mulmod(self._generator_rows(), F.data.T, F.p))
+        return Ideal._of_rows(self.algebra, mulmod(self._rows, F.data.T, F.p))
 
     def frobenius_closure(self) -> tuple["Ideal", int]:
         data = frobenius_closure_data(self)
@@ -433,7 +435,7 @@ def frobenius_closure_data(ideal: Ideal) -> ClosureData:
     preperiod, period = frob.preperiod, frob.period
     powers = frob.stack[:preperiod]
     # row i of images[n - 1] is F^n(g_i) = powers[n - 1] @ g_i
-    images = mulmod(ideal._generator_rows(), powers.transpose(0, 2, 1), A.p)
+    images = mulmod(ideal._rows, powers.transpose(0, 2, 1), A.p)
     chain = [ideal.space]
     for G, bracket in zip(powers, A._spanning_products(images)):
         chain.append(preimage_rows(A.p, G, bracket))

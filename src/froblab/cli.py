@@ -110,12 +110,12 @@ def cmd_fclosure(args) -> int:
     gens = []
     for raw in args.generators:
         try:
-            gens.append(np.array([int(part) for part in raw.split(",")], dtype=np.int64))
+            gens.append(np.array([int(part) for part in raw.split(",")], dtype=np.int64).tolist())
         except OverflowError:
             raise ValueError(f"generator {raw!r} has an entry beyond the int64 range") from None
         except ValueError:
             raise ValueError(f"generator {raw!r} is not a comma-separated integer vector") from None
-    ideal = algebra.ideal(gens)
+    ideal = fileio.ideal_from_doc({"generators": gens}, algebra)
     data = frobenius_closure_data(ideal)
     doc = {
         "closure_generators": [g.tolist() for g in data.closure.generators],

@@ -1,10 +1,11 @@
 """Flat-file formats for algebras, modules, ideals, and catalogs.
 
-Everything is JSON with integers already reduced into [0, p); every number
-must be a JSON integer, so 2.0, 1.7 or true is refused rather than rounded.
-Files hold one object each and are meant to be hand-editable fixtures.
-Writes go through a temp file and an atomic rename so failed runs never
-leave partial output.
+Everything is JSON with integers already reduced into [0, p), which one
+validator, _checked_array, enforces for every table, vector and matrix;
+every number must be a JSON integer, so 2.0, 1.7 or true is refused rather
+than rounded.  Files hold one object each and are meant to be hand-editable
+fixtures.  Writes go through a temp file and an atomic rename so failed
+runs never leave partial output.
 """
 from __future__ import annotations
 
@@ -18,36 +19,35 @@ import numpy as np
 from .algebra import FiniteAlgebra, Ideal
 from .fmodule import LeftFModule, RightFModule, _FModule
 from .generators import InstanceCatalog
-from .linalg import FpMatrix
 
 
-def _entries(data, depth: int):
-    """The entries of nested lists that are depth deep, in order."""
-    entries = [data]
-    for _ in range(depth):
-        entries = itertools.chain.from_iterable(entries)
-    return entries
-
-
-def _int_array(data, what: str) -> np.ndarray:
+def _checked_array(data, p: int, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Nested lists of JSON integers as an int64 array of the given shape with
+    entries in [0, p), refusing in this order an entry at any depth that is no
+    int (the cast would read 1.7 and true as 1), an entry past int64, a wrong
+    shape and an entry outside [0, p).  An array of no rows is written []."""
+    if not shape[0]:
+        if data != []:
+            raise ValueError(f"{what} must be [] when dim is 0")
+        return np.zeros(shape, dtype=np.int64)
+    level = [data]
+    while level:  # one level of the nesting at a time
+        kinds = set(map(type, level))
+        for value in level if kinds - {list, int} else ():
+            if type(value) is not list:
+                _as_int(value, what)
+        lists = (v for v in level if type(v) is list) if list in kinds else ()
+        level = list(itertools.chain.from_iterable(lists))
     try:
         arr = np.asarray(data, dtype=np.int64)
     except OverflowError as exc:
         raise ValueError(f"{what}: an entry exceeds the int64 range") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what}: expected nested integer lists") from exc
-    # the conversion truncates floats and reads true as 1 and "5" as 5, so
-    # the entries themselves must be ints
-    if set(map(type, _entries(data, arr.ndim))) - {int}:
-        for value in _entries(data, arr.ndim):
-            _as_int(value, what)
-    return arr
-
-
-def _int_grid(data, depth: int, what: str):
-    arr = _int_array(data, what)
-    if arr.ndim != depth:
-        raise ValueError(f"{what}: expected nesting depth {depth}, got {arr.ndim}")
+    except ValueError as exc:
+        raise ValueError(f"{what} must have shape {shape}, got ragged lists") from exc
+    if arr.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got shape {arr.shape}")
+    if ((arr < 0) | (arr >= p)).any():
+        raise ValueError(f"{what}: entries must lie in [0, p) for p = {p}")
     return arr
 
 
@@ -77,6 +77,8 @@ def _require_keys(doc, keys: tuple[str, ...], what: str) -> None:
 def _as_int(value, what: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{what}: expected an integer, got {json.dumps(value, default=repr)}")
+    if value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value}")
     return value
 
 
@@ -84,12 +86,8 @@ def algebra_from_doc(doc: dict) -> FiniteAlgebra:
     _require_keys(doc, ("p", "dim", "table", "one"), "algebra")
     p = _as_int(doc["p"], "p")
     dim = _as_int(doc["dim"], "dim")
-    table = _int_grid(doc["table"], 3, "table")
-    one = _int_grid(doc["one"], 1, "one")
-    if table.shape != (dim,) * 3:
-        raise ValueError("table shape does not match dim")
-    if ((table < 0) | (table >= p)).any() or ((one < 0) | (one >= p)).any():
-        raise ValueError("entries must lie in [0, p)")
+    table = _checked_array(doc["table"], p, (dim,) * 3, "table")
+    one = _checked_array(doc["one"], p, (dim,), "one")
     labels = doc.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise ValueError("labels must be a list")
@@ -105,17 +103,6 @@ def module_to_doc(module: _FModule) -> dict:
     }
 
 
-def _square_matrix(data, n: int, what: str) -> np.ndarray:
-    if n == 0:
-        if data != []:
-            raise ValueError(f"{what} must be [] when dim is 0")
-        return np.zeros((0, 0), dtype=np.int64)
-    arr = _int_array(data, what)
-    if arr.shape != (n, n):
-        raise ValueError(f"{what} must be {n} x {n}, got shape {arr.shape}")
-    return arr
-
-
 def module_from_doc(doc: dict, algebra: FiniteAlgebra) -> _FModule:
     _require_keys(doc, ("side", "dim", "action", "X"), "module")
     side = doc["side"]
@@ -124,20 +111,20 @@ def module_from_doc(doc: dict, algebra: FiniteAlgebra) -> _FModule:
     n = _as_int(doc["dim"], "dim")
     if not isinstance(doc["action"], list) or len(doc["action"]) != algebra.dim:
         raise ValueError("action must hold one matrix per algebra basis element")
-    action = [
-        FpMatrix(algebra.p, _square_matrix(m, n, f"action[{i}]"))
-        for i, m in enumerate(doc["action"])
-    ]
-    x = FpMatrix(algebra.p, _square_matrix(doc["X"], n, "X"))
-    cls = LeftFModule if side == "left" else RightFModule
-    return cls(algebra, action, x)
+    named = [*((f"action[{i}]", m) for i, m in enumerate(doc["action"])), ("X", doc["X"])]
+    stack = np.array([_checked_array(m, algebra.p, (n, n), what) for what, m in named])
+    module = (LeftFModule if side == "left" else RightFModule)._from_structure(algebra, stack)
+    module.validate()
+    return module
 
 
 def ideal_from_doc(doc: dict, algebra: FiniteAlgebra) -> Ideal:
     gens = doc.get("generators", [])
     if not isinstance(gens, list):
         raise ValueError("generators must be a list")
-    return algebra.ideal([_int_grid(g, 1, "generator") for g in gens])
+    p, d = algebra.p, algebra.dim
+    gens = [_checked_array(g, p, (d,), f"generators[{i}]") for i, g in enumerate(gens)]
+    return algebra.ideal(gens)
 
 
 def _algebra_name(entry, what: str, cat: InstanceCatalog) -> str:

@@ -80,7 +80,8 @@ def _new_spans(p: int, stacks, seen: dict[bytes, Subspace]) -> list[Subspace]:
             key = matrix[:rank].tobytes()
             if key not in seen:
                 basis = matrix[:rank].copy()
-                seen[key] = space = Subspace(p, basis.shape[1], basis, (basis != 0).argmax(axis=1))
+                pivots = (basis != 0).argmax(axis=1)
+                seen[key] = space = Subspace._trusted(p, basis.shape[1], basis, pivots)
                 new.append(space)
     return new
 
@@ -200,16 +201,15 @@ class _FModule:
         A = self.algebra
         if self.rho(A.one) != FpMatrix.identity(A.p, self.dim):
             raise AxiomError("action is not unital: rho(1) != id")
-        # rho(e_i) rho(e_j) == rho(e_i e_j) == sum_k table[i, j, k] rho(e_k),
-        # for all j at once: one d x n x n block per i
-        acts = self.structure[:-1]
-        flat = acts.reshape(A.dim, self.dim * self.dim)
-        for i in range(A.dim):
-            products = mulmod(acts[i], acts, A.p)
-            expected = mulmod(A.table[i], flat, A.p).reshape(acts.shape)
-            bad = (products != expected).any(axis=(1, 2))
-            if bad.any():
-                raise AxiomError(f"action is not multiplicative on ({i},{int(np.argmax(bad))})")
+        # rho(e_i) rho(e_j) == sum_k table[i, j, k] rho(e_k) for all (i, j) at
+        # once: one broadcast product against the table times the flat stack
+        acts, d, n = self.structure[:-1], A.dim, self.dim
+        products = mulmod(acts[:, None], acts[None, :], A.p)
+        expected = mulmod(A.table.reshape(d * d, d), acts.reshape(d, n * n), A.p)
+        bad = (products != expected.reshape(d, d, n, n)).any(axis=(2, 3))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise AxiomError(f"action is not multiplicative on ({i},{j})")
         bad = semilinear_defects(A, self.structure, self.side)
         if bad.any():
             raise AxiomError(

@@ -422,7 +422,7 @@ class FpMatrix:
         basis = np.zeros((len(free), n), dtype=np.int64)
         basis[range(len(free)), free] = 1
         basis[:, pivots] = (-flipped.basis[:, free].T) % p
-        return Subspace(p, n, basis[:, ::-1].copy(), [n - 1 - c for c in free])
+        return Subspace._trusted(p, n, basis[:, ::-1].copy(), [n - 1 - c for c in free])
 
     def image(self) -> "Subspace":
         """The column span of the matrix, inside F_p^rows."""
@@ -474,15 +474,27 @@ class Subspace:
 
     __slots__ = ("p", "ambient_dim", "basis", "pivots")
 
-    def __init__(self, p: int, ambient_dim: int, basis: np.ndarray, pivots: list[int]):
-        # trusted constructor: basis is a k x ambient_dim reduced echelon
-        # matrix whose row i has its leading 1 in column pivots[i]
-        self.p = int(p)
-        self.ambient_dim = int(ambient_dim)
+    def __init__(self, p: int, ambient_dim: int, basis, pivots):
+        """The checked constructor: basis and pivots must be what elimination
+        gives for the span of basis over the prime p, or ValueError is raised."""
+        span = Subspace.from_vectors(p, ambient_dim, basis)
+        if not (np.array_equal(span.basis, basis) and np.array_equal(span.pivots, pivots)):
+            raise ValueError("basis and pivots are not the reduced echelon form of their span")
+        for name in Subspace.__slots__:
+            setattr(self, name, getattr(span, name))
+
+    @classmethod
+    def _trusted(cls, p: int, ambient_dim: int, basis: np.ndarray, pivots) -> "Subspace":
+        """The trusted constructor, for a reduced echelon int64 basis the package
+        built over a checked prime p, with its leading 1s in the pivot columns."""
+        space = cls.__new__(cls)
+        space.p = int(p)
+        space.ambient_dim = int(ambient_dim)
         basis.setflags(write=False)
-        self.basis = basis
-        self.pivots = np.array(pivots, dtype=np.intp)
-        self.pivots.setflags(write=False)
+        space.basis = basis
+        space.pivots = np.array(pivots, dtype=np.intp)
+        space.pivots.setflags(write=False)
+        return space
 
     @classmethod
     def from_vectors(cls, p: int, ambient_dim: int, vectors) -> "Subspace":
@@ -513,18 +525,19 @@ class Subspace:
     def _span(cls, p: int, ambient_dim: int, vectors: np.ndarray) -> "Subspace":
         """_rows outside a scope: one elimination."""
         reduced, pivots = _rref(vectors, p)
-        return cls(p, ambient_dim, reduced[: len(pivots)], pivots)
+        return cls._trusted(p, ambient_dim, reduced[: len(pivots)], pivots)
 
     @classmethod
     def zero(cls, p: int, ambient_dim: int) -> "Subspace":
         _check_prime(p)
-        return cls(p, ambient_dim, np.zeros((0, ambient_dim), dtype=np.int64), [])
+        return cls._trusted(p, ambient_dim, np.zeros((0, ambient_dim), dtype=np.int64), [])
 
     @classmethod
     def full(cls, p: int, ambient_dim: int) -> "Subspace":
         """F_p^n, whose reduced echelon basis is the identity: nothing to eliminate."""
         _check_prime(p)
-        return cls(p, ambient_dim, np.eye(ambient_dim, dtype=np.int64), range(ambient_dim))
+        eye = np.eye(ambient_dim, dtype=np.int64)
+        return cls._trusted(p, ambient_dim, eye, range(ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -604,10 +617,7 @@ class Subspace:
     def vectors(self):
         """All elements of the subspace (p^dim of them)."""
         for coeffs in itertools.product(range(self.p), repeat=self.dim):
-            if self.dim == 0:
-                yield np.zeros(self.ambient_dim, dtype=np.int64)
-            else:
-                yield (np.array(coeffs, dtype=np.int64) @ self.basis) % self.p
+            yield (np.array(coeffs, dtype=np.int64) @ self.basis) % self.p
 
 
 def quotient_representatives(space: Subspace, sub: Subspace) -> np.ndarray:
@@ -674,7 +684,7 @@ def preimage_rows(p: int, g: np.ndarray, rows: np.ndarray) -> Subspace:
     stacked.reshape(-1)[k * (m + n) + m :: m + n + 1] = 1  # the diagonal of I_n
     space = Subspace._rows(p, m + n, stacked)
     r = int(np.searchsorted(space.pivots, m))
-    return Subspace(p, n, np.ascontiguousarray(space.basis[r:, m:]), space.pivots[r:] - m)
+    return Subspace._trusted(p, n, np.ascontiguousarray(space.basis[r:, m:]), space.pivots[r:] - m)
 
 
 def relations(p: int, rows: np.ndarray) -> Subspace:
@@ -791,13 +801,13 @@ def _close_under(space: Subspace, operators: np.ndarray) -> Subspace:
         if not images.shape[0]:
             break
         reduced, new_pivots = _rref(images, p)
-        frontier = Subspace(p, n, reduced[: len(new_pivots)], new_pivots)
+        frontier = Subspace._trusted(p, n, reduced[: len(new_pivots)], new_pivots)
         kept = (basis - mulmod(basis[:, new_pivots], frontier.basis, p)) % p
         basis = np.vstack([kept, frontier.basis])[np.argsort(pivots + new_pivots)]
         pivots = sorted(pivots + new_pivots)
     if frontier is space:
         return space
-    return Subspace(p, n, basis, pivots)
+    return Subspace._trusted(p, n, basis, pivots)
 
 
 def combine(p: int, shape: tuple[int, int], coeffs, matrices) -> FpMatrix:

@@ -34,6 +34,10 @@ instead: the images of the powers, the relations among the d words
 rho(e_i) X^m or X^m rho(e_i), each dim x dim, and the common kernels of the
 words X^k rho(e_i).
 
+froblab checks rho(e_i) rho(e_j) == sum_k t_ijk rho(e_k) for all (i, j) with
+one broadcast product.  validate below takes one i at a time: a product of
+rho(e_i) with the whole stack against row i of the table.
+
 froblab finds the cyclic submodules of all lines with one rref_stack, and
 their sums level by level, each level one stacked elimination.  The route
 below eliminates one line at a time, and from each submodule found tests
@@ -169,7 +173,7 @@ def graded_annihilator(M: _FModule) -> GradedTwoSidedIdeal:
         products = [a @ power if left else power @ a for a in M.action]
         cols = np.stack([prod.data.ravel() for prod in products], axis=1)
         space = FpMatrix(M.algebra.p, cols).kernel()
-        chain.append(Ideal(M.algebra, list(space.basis), space=space))
+        chain.append(Ideal.of_space(M.algebra, space))
     return GradedTwoSidedIdeal(M.algebra, chain)
 
 
@@ -225,6 +229,28 @@ def image_rows(space: Subspace, operators) -> np.ndarray:
     """The rows op @ b, one product per operator, operator by operator."""
     images = [mulmod(space.basis, op.data.T, space.p) for op in operators]
     return np.vstack([np.zeros((0, space.ambient_dim), dtype=np.int64), *images])
+
+
+def validate(M: _FModule) -> bool:
+    """_FModule.validate with the multiplicativity check one i at a time, for
+    all j at once: two products per algebra basis element."""
+    A = M.algebra
+    if M.rho(A.one) != FpMatrix.identity(A.p, M.dim):
+        raise AxiomError("action is not unital: rho(1) != id")
+    acts = M.structure[:-1]
+    flat = acts.reshape(A.dim, M.dim * M.dim)
+    for i in range(A.dim):
+        products = mulmod(acts[i], acts, A.p)
+        expected = mulmod(A.table[i], flat, A.p).reshape(acts.shape)
+        bad = (products != expected).any(axis=(1, 2))
+        if bad.any():
+            raise AxiomError(f"action is not multiplicative on ({i},{int(np.argmax(bad))})")
+    bad = semilinear_defects(A, M.structure, M.side)
+    if bad.any():
+        raise AxiomError(
+            f"{M.side} semilinearity fails on basis element {A.labels[int(np.argmax(bad))]}"
+        )
+    return True
 
 
 def semilinear_pairs(algebra, action: list[FpMatrix], side: str) -> list[tuple[FpMatrix, FpMatrix]]:

@@ -94,7 +94,7 @@ def closure_data_by_every_power(ideal: Ideal) -> ClosureData:
     A = ideal.algebra
     frob = A.frobenius()
     powers = np.array([G.data for G in frob.powers[1:]]).reshape(-1, A.dim, A.dim)
-    images = mulmod(ideal._generator_rows(), powers.transpose(0, 2, 1), A.p)
+    images = mulmod(ideal._rows, powers.transpose(0, 2, 1), A.p)
     chain = [ideal.space]
     for G, bracket in zip(powers, A._spanning_products(images)):
         chain.append(preimage_rows(A.p, G, bracket))

@@ -4,7 +4,11 @@ Modules come from random_module with a drawn seed, and a failing example is
 reproduced by its algebra, side, dimension bound and seed.  random_module
 builds its modules without validating them, so that every example is a valid
 module rests on tests/test_trusted_modules.py, which validates them.
+
+broken_documents breaks one number field of a valid algebra, module or
+catalog document, in one of the ways BREAKAGES names.
 """
+import copy
 import random
 
 import numpy as np
@@ -90,3 +94,59 @@ def large_modules(draw, min_dim=16, pool=STANDARD_ALGEBRAS):
         parts.append(part)
         dim += part.dim
     return direct_sum(parts)
+
+
+# The ways broken_documents breaks a field.  Each makes a valid document
+# invalid: the loaders refuse it and reduce nothing.
+BREAKAGES = (
+    "above p", "negative", "float", "bool", "past int64", "ragged row", "wrong nesting",
+    "negative dim",
+)
+
+
+def _entry_paths(value, prefix=()):
+    """The index paths of the entries of nested lists, in order."""
+    if type(value) is not list:
+        return [prefix]
+    return [path for i, item in enumerate(value) for path in _entry_paths(item, prefix + (i,))]
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def broken_documents(draw, doc: dict, p: int, arrays: list, dims: list):
+    """(path, name, broken): a deep copy of the valid JSON document doc with
+    one field broken in one of the BREAKAGES ways, the key path of that field
+    and its name as the loaders' messages write it.  arrays lists the (name,
+    key path) of each table, vector or matrix of doc, and dims the key path
+    of each dim; "negative dim" breaks a dim, every other way an array that
+    has entries."""
+    broken = copy.deepcopy(doc)
+    how = draw(st.sampled_from(BREAKAGES))
+    if how == "negative dim":
+        path = draw(st.sampled_from(dims))
+        _at(broken, path[:-1])[path[-1]] = -draw(st.integers(1, 3))
+        return path, "dim", broken
+    name, path = draw(st.sampled_from([a for a in arrays if _entry_paths(_at(doc, a[1]))]))
+    parent = _at(broken, path[:-1])
+    array = parent[path[-1]]
+    if how == "wrong nesting":
+        parent[path[-1]] = [array]
+        return path, name, broken
+    entry = draw(st.sampled_from(_entry_paths(array)))
+    row = _at(array, entry[:-1])
+    if how == "ragged row":
+        row.pop()  # that row, or a vector, is one entry short
+        return path, name, broken
+    row[entry[-1]] = draw({
+        "above p": st.integers(p, p + 2**40),
+        "negative": st.integers(-(2**40), -1),
+        "float": st.just(float(row[entry[-1]])),
+        "bool": st.booleans(),
+        "past int64": st.sampled_from([2**63, -(2**63) - 1, 10**30]),
+    }[how])
+    return path, name, broken

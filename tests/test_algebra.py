@@ -576,6 +576,22 @@ def test_frobenius_power_reads_the_cycle():
                 assert a.frobenius_power(n) == Ideal(A, [F.apply(g) for g in gens])
 
 
+def test_package_built_generators_skip_the_checked_door(monkeypatch):
+    # frobenius_power and unit_ideal hand their k x d rows to the trusted
+    # door: no as_vector per row, and the same ideals and reprs as before
+    a = F2T3.ideal([[0, 1, 1], [1, 0, 1]])
+    want = [(a.frobenius_power(n), repr(a.frobenius_power(n))) for n in range(4)]
+    texts = ["Ideal(t + t^2, 1 + t^2)", "Ideal(t^2, 1)", "Ideal(0, 1)", "Ideal(0, 1)"]
+    assert [text for _, text in want] == texts
+    monkeypatch.setattr(Ideal, "__init__", lambda *args: pytest.fail("checked door"))
+    for n, (ideal, text) in enumerate(want):
+        got = a.frobenius_power(n)
+        assert got == ideal and repr(got) == text
+    unit = F2T3.unit_ideal()
+    assert repr(unit) == "Ideal(1)" and unit.space.is_full()
+    assert [g.tolist() for g in unit.generators] == [[1, 0, 0]]
+
+
 def test_frobenius_data_power_matches_repeated_squaring():
     for A in frobenius_pool():
         frob = A.frobenius()
@@ -734,15 +750,15 @@ def test_closure_exponent_matches_reference(case):
 def test_closure_exponent_search_does_no_closure(monkeypatch):
     # c_0 = a is the ideal's own space, each step n = 1, ..., preperiod costs
     # one elimination, of the k d bracket products and the d rows of (F^n)^T,
-    # and the periodic tail none; no ideal is built from generators, and Q is
-    # read off the chain, so comparing closures adds none
-    real = Ideal.__init__
+    # and the periodic tail none; no ideal is built from generators, through
+    # either door, and Q is read off the chain, so comparing closures adds none
+    real = Ideal._init
     calls: list[int] = []
 
-    def counting(self, algebra, generators, space=None):
+    def counting(self, algebra, rows, space):
         if space is None:
             calls.append(1)
-        real(self, algebra, generators, space)
+        real(self, algebra, rows, space)
 
     cases = [(F2T3, [[0, 0, 1]]), (F2T3, [[0, 1, 1]]), (F4, [])]
     cases += [(truncated_polynomial_algebra(3, 5), [[0, 0, 1, 2, 0]])]
@@ -751,7 +767,7 @@ def test_closure_exponent_search_does_no_closure(monkeypatch):
     for A, gens in cases:
         a = A.ideal(gens)
         frob = A.frobenius()
-        monkeypatch.setattr(Ideal, "__init__", counting)
+        monkeypatch.setattr(Ideal, "_init", counting)
         calls.clear()
         eliminated = count_eliminated_rows(monkeypatch)
         chain = frobenius_closure_data(a).chain

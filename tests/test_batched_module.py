@@ -213,12 +213,51 @@ def test_structural_bounds_match_the_size_bounded_routes(M, seed):
 
 
 def broken_stack(M, rng: random.Random, kind: str):
-    """M's stack with a random X ("x") or with every matrix random ("all"),
-    built by the trusted constructor, which checks no law."""
+    """M's stack with a random X ("x"), with every matrix random ("all") or
+    with two random entries of the action ("action"), built by the trusted
+    constructor, which checks no law."""
     p, stack = M.algebra.p, M.structure.copy()
-    part = stack[-1:] if kind == "x" else stack
-    part[...] = np.array([rng.randrange(p) for _ in range(part.size)]).reshape(part.shape)
+    if kind == "action":
+        for _ in range(2 if M.dim else 0):
+            stack[rng.randrange(M.algebra.dim), rng.randrange(M.dim), rng.randrange(M.dim)] = rng.randrange(p)
+    else:
+        part = stack[-1:] if kind == "x" else stack
+        part[...] = np.array([rng.randrange(p) for _ in range(part.size)]).reshape(part.shape)
     return type(M)._from_structure(M.algebra, stack)
+
+
+def validation_outcome(validate, M):
+    """validate(M), or the message of the AxiomError it raises."""
+    try:
+        return validate(M)
+    except AxiomError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    modules(pool=POOL),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["valid", "x", "all", "action"]),
+)
+def test_validate_matches_the_loop_reference(M, seed, kind):
+    # one broadcast product for all (i, j) against one product per i: the
+    # same verdict, and on a broken stack the same first bad (i, j)
+    if kind != "valid":
+        M = broken_stack(M, random.Random(seed), kind)
+    assert validation_outcome(type(M).validate, M) == validation_outcome(reference.validate, M)
+
+
+def test_validate_reports_the_first_bad_pair_in_row_major_order():
+    # over F2^3, rho(e_0) and rho(e_1) are idempotents with rho(e_0) rho(e_1)
+    # = 0 but rho(e_1) rho(e_0) != 0, and rho(1) = id: (0,1) holds, (1,0) fails
+    F2 = prime_field(2)
+    A = product_algebra(product_algebra(F2, F2), F2)
+    action = [[[1, 0], [0, 0]], [[0, 0], [1, 1]], [[0, 0], [1, 0]]]
+    M = LeftFModule._from_structure(A, np.array([*action, np.zeros((2, 2))], dtype=np.int64))
+    for validate in (LeftFModule.validate, reference.validate):
+        with pytest.raises(AxiomError, match=r"^action is not multiplicative on \(1,0\)$"):
+            validate(M)
 
 
 @settings(max_examples=80, deadline=None)

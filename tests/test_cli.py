@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -19,7 +21,7 @@ from froblab.fmodule import RightFModule, _FModule, natural_frobenius_module
 from froblab.generators import InstanceCatalog, default_catalog, random_module
 from froblab.linalg import FpMatrix
 
-from module_strategies import direct_sum
+from module_strategies import ALL_ALGEBRAS, broken_documents, direct_sum, modules
 
 
 def catalog_to_doc(catalog: InstanceCatalog) -> dict:
@@ -289,6 +291,96 @@ def test_dim_zero_module_with_matrix_data_exits_2(tmp_path, capsys):
     doc["X"] = []
     bad.write_text(json.dumps(doc))
     assert main(["analyze", str(alg), str(bad)]) == 0
+
+
+F2_DOC = fileio.algebra_to_doc(prime_field(2))
+
+
+@pytest.mark.parametrize(
+    "files,argv,message",
+    [
+        (
+            {"alg": F2_DOC, "mod": {"side": "left", "dim": 1, "action": [[[3]]], "X": [[-1]]}},
+            ["analyze", "{alg}", "{mod}"],
+            "action[0]: entries must lie in [0, p)",
+        ),
+        (
+            {"cat": {"algebras": {"F2": F2_DOC},
+                     "ideals": {"I": {"algebra": "F2", "generators": [[-3]]}}}},
+            ["check", "{cat}"],
+            "generators[0]: entries must lie in [0, p)",
+        ),
+        (
+            {"alg": fileio.algebra_to_doc(truncated_polynomial_algebra(2, 2))},
+            ["fclosure", "{alg}", "5,1"],
+            "generators[0]: entries must lie in [0, p)",
+        ),
+        (
+            {"alg": F2_DOC, "mod": {"side": "left", "dim": -1, "action": [[[1]]], "X": [[1]]}},
+            ["analyze", "{alg}", "{mod}"],
+            "dim must be a non-negative integer, got -1",
+        ),
+    ],
+    ids=["module_entries", "catalog_generator", "fclosure_argument", "negative_dim"],
+)
+def test_entries_outside_the_field_and_a_negative_dim_exit_2(tmp_path, capsys, files, argv, message):
+    # each of the first three was reduced mod p and ran to exit 0; the
+    # negative dim was refused as a shape error that named no dim
+    paths = {name: str(tmp_path / f"{name}.json") for name in files}
+    for name, doc in files.items():
+        Path(paths[name]).write_text(json.dumps(doc))
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert message in capsys.readouterr().err
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    """main's exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(modules(max_dim=3, pool=ALL_ALGEBRAS), st.data())
+def test_a_document_broken_in_one_field_exits_2_naming_it(tmp_path_factory, M, data):
+    # one catalog holds the algebra, module and ideal; its pieces are also
+    # the algebra file, the module file and the fclosure arguments
+    A = M.algebra
+    gen = data.draw(st.lists(st.integers(0, A.p - 1), min_size=A.dim, max_size=A.dim))
+    doc = {
+        "algebras": {"A": fileio.algebra_to_doc(A)},
+        "modules": {"M": {"algebra": "A", **fileio.module_to_doc(M)}},
+        "ideals": {"I": {"algebra": "A", "generators": [gen]}},
+    }
+    fileio.catalog_from_doc(doc)
+    arrays = [
+        ("table", ("algebras", "A", "table")),
+        ("one", ("algebras", "A", "one")),
+        ("X", ("modules", "M", "X")),
+        ("generators[0]", ("ideals", "I", "generators", 0)),
+    ]
+    arrays += [(f"action[{i}]", ("modules", "M", "action", i)) for i in range(A.dim)]
+    dims = [("algebras", "A", "dim"), ("modules", "M", "dim")]
+    path, name, broken = data.draw(broken_documents(doc, A.p, arrays, dims))
+    files = tmp_path_factory.mktemp("broken")
+    alg, mod, cat, out = (str(files / f) for f in ("alg.json", "mod.json", "cat.json", "dual.json"))
+    module_doc = {k: v for k, v in broken["modules"]["M"].items() if k != "algebra"}
+    for target, piece in ((alg, broken["algebras"]["A"]), (mod, module_doc), (cat, broken)):
+        Path(target).write_text(json.dumps(piece))
+    runs = [["check", cat]]
+    if path[0] != "ideals":
+        runs += [["analyze", alg, mod], ["dualize", alg, mod, "--out", out]]
+    if path[0] == "algebras":
+        runs.append(["fclosure", alg, ",".join(map(str, gen))])
+    for argv in runs:
+        code, err = _run(argv)
+        assert code == 2 and name in err and "Traceback" not in err, (argv, err)
+    broken_gen = broken["ideals"]["I"]["generators"][0]
+    if path[0] == "ideals" and not any(type(v) is list for v in broken_gen):
+        # after --, as argparse reads an argument such as -1,0 as an option
+        code, err = _run(["fclosure", alg, "--", ",".join(map(str, broken_gen))])
+        assert code == 2 and "generator" in err and "Traceback" not in err, err
 
 
 def _renamed_section(old: str, new: str) -> dict:

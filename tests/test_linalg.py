@@ -314,6 +314,43 @@ def test_inverse():
         FpMatrix(2, [[1, 1], [1, 1]]).inverse()
 
 
+@pytest.mark.parametrize(
+    "p,n,basis,pivots",
+    [
+        (2, 2, [[1, 1], [0, 1]], [0, 1]),
+        (2, 3, [[1, 0, 5]], [0]),
+        (4, 2, [[1, 0], [0, 1]], [0, 1]),
+        (2, 2, np.array([[1.0, 0.0]]), [0]),
+        (2, 2, [[0, 1], [1, 0]], [1, 0]),
+        (2, 2, [[0, 1]], [2]),
+        (2, 2, [[1, 1]], [1]),
+        (2, 2, [[1, 0]], [0, 1]),
+        (2, 3, [[1, 0]], [0]),
+        (3, 2, [[2, 0]], [0]),
+    ],
+    ids=[
+        "spans_but_not_reduced", "entry_past_p", "p_not_prime", "float_basis",
+        "pivots_decreasing", "pivot_past_n", "entry_left_of_pivot",
+        "pivots_without_rows", "wrong_width", "pivot_entry_not_1",
+    ],
+)
+def test_the_subspace_constructor_refuses_data_that_is_not_canonical(p, n, basis, pivots):
+    # the first two were kept as given: the span of [[1, 1], [0, 1]] read
+    # [1, 0] as outside it, and [1, 0, 5] over F2 read [1, 0, 1] as inside
+    with pytest.raises(ValueError):
+        Subspace(p, n, np.asarray(basis), pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_the_subspace_constructor_takes_every_canonical_basis(m):
+    space = Subspace.from_vectors(m.p, m.cols, m.data)
+    for pivots in (space.pivots, space.pivots.tolist()):
+        again = Subspace(m.p, m.cols, space.basis.copy(), pivots)
+        assert again == space and np.array_equal(again.pivots, space.pivots)
+        assert not again.basis.flags.writeable and not again.pivots.flags.writeable
+
+
 def test_subspace_sum_with_zero():
     v = Subspace.from_vectors(3, 3, [[1, 2, 0]])
     assert v + Subspace.zero(3, 3) == v
