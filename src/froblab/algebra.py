@@ -28,6 +28,13 @@ from .linalg import (
 )
 
 
+def _check_characteristic(p: int) -> None:
+    """Refuse p above the single-word limit (ValueError) or not prime (AxiomError)."""
+    check_word_size(p)
+    if not is_prime(p):
+        raise AxiomError(f"characteristic({p}) is not prime")
+
+
 class FiniteAlgebra:
     """A commutative unital F_p-algebra given by structure constants."""
 
@@ -81,9 +88,7 @@ class FiniteAlgebra:
         Raises AxiomError naming the first violated axiom and its indices,
         and ValueError for a characteristic above the single-word limit.
         """
-        check_word_size(self.p)
-        if not is_prime(self.p):
-            raise AxiomError(f"characteristic({self.p}) is not prime")
+        _check_characteristic(self.p)
         t = self.table
         # symmetric with a false diagonal, so its first (i, j) in row-major
         # order has i < j: the first pair a loop over i < j would find
@@ -563,49 +568,34 @@ def prime_field(p: int) -> FiniteAlgebra:
 
 def truncated_polynomial_algebra(p: int, n: int, var: str = "t") -> FiniteAlgebra:
     """F_p[t]/(t^n) with basis 1, t, ..., t^(n-1)."""
-    table = np.zeros((n, n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            if i + j < n:
-                table[i, j, i + j] = 1
-    one = np.zeros(n, dtype=np.int64)
-    one[0] = 1
-    labels = ["1"] + [var if k == 1 else f"{var}^{k}" for k in range(1, n)]
-    return FiniteAlgebra(p, table, one, labels=labels)
+    return _monogenic_algebra(p, [0] * n + [1], var)
 
 
 def extension_field(p: int, min_poly: list[int], var: str = "u") -> FiniteAlgebra:
-    """F_p[u]/(m(u)) for a monic polynomial m given by its coefficient list.
+    """F_p[u]/(m(u)) for the monic m whose coefficients of 1, u, ..., u^n,
+    the leading 1 included, are min_poly: a field iff m is irreducible,
+    which validation does not check."""
+    return _monogenic_algebra(p, min_poly, var)
 
-    min_poly lists coefficients of 1, u, u^2, ... including the leading 1.
-    The result is a field iff m is irreducible; validation does not check
-    irreducibility.
-    """
-    n = len(min_poly) - 1
-    if n < 1 or min_poly[-1] != 1:
-        raise ValueError("need a monic polynomial of degree >= 1")
-    reduction = [(-c) % p for c in min_poly[:-1]]
 
-    def times_u(vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(n, dtype=np.int64)
-        out[1:] = vec[:-1]
-        out = (out + vec[-1] * np.array(reduction, dtype=np.int64)) % p
-        return out
-
-    table = np.zeros((n, n, n), dtype=np.int64)
-    for i in range(n):
-        base = np.zeros(n, dtype=np.int64)
-        base[i] = 1
-        for j in range(n):
-            if j == 0:
-                prod = base.copy()
-            else:
-                prod = times_u(prod)
-            table[i, j] = prod
-    one = np.zeros(n, dtype=np.int64)
-    one[0] = 1
+def _monogenic_algebra(p: int, coeffs, var: str) -> FiniteAlgebra:
+    """F_p[u]/(m(u)), basis 1, u, ..., u^(n-1), for the monic m of degree n >= 1
+    with integer coefficients coeffs.  Row j of its companion matrix U is
+    u * u^j mod m, so row j of U^i is u^(i+j) mod m = e_i e_j: table[i] = U^i."""
+    if [int(c) for c in coeffs] != list(coeffs):
+        raise ValueError(f"polynomial coefficients must be integers, got {coeffs!r}")
+    n = len(coeffs) - 1
+    if n < 1 or coeffs[-1] != 1:
+        raise ValueError(f"need a monic polynomial of degree >= 1, got coefficients {coeffs!r}")
+    p = int(p)
+    _check_characteristic(p)
+    companion = np.eye(n, k=1, dtype=np.int64)
+    companion[-1] = [(-int(c)) % p for c in coeffs[:-1]]
+    powers = [np.eye(n, dtype=np.int64)]
+    for _ in range(n - 1):
+        powers.append(mulmod(powers[-1], companion, p))
     labels = ["1"] + [var if k == 1 else f"{var}^{k}" for k in range(1, n)]
-    return FiniteAlgebra(p, table, one, labels=labels)
+    return FiniteAlgebra(p, np.array(powers), powers[0][0], labels=labels)
 
 
 def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 import numpy as np
@@ -212,6 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         help="ideal generators as comma-separated coordinate vectors",
     )
+    # argparse reads an argument as an option unless it looks like a negative
+    # number; here a generator such as -1,0 does, so it reaches its own message
+    p_fc._negative_number_matcher = re.compile(r"-\d")
     common(p_fc)
 
     p_check = sub.add_parser("check", help="run every verification suite")

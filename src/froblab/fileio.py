@@ -17,6 +17,7 @@ import tempfile
 import numpy as np
 
 from .algebra import FiniteAlgebra, Ideal
+from .errors import AxiomError
 from .fmodule import LeftFModule, RightFModule, _FModule
 from .generators import InstanceCatalog
 
@@ -134,6 +135,15 @@ def _algebra_name(entry, what: str, cat: InstanceCatalog) -> str:
     return alg_name
 
 
+def _named(what: str, load, *args):
+    """load(*args), with the catalog entry named in front of its message."""
+    try:
+        return load(*args)
+    except ValueError as exc:
+        kind = AxiomError if isinstance(exc, AxiomError) else ValueError
+        raise kind(f"{what}: {exc}") from exc
+
+
 def catalog_from_doc(doc: dict) -> InstanceCatalog:
     unknown = set(_object(doc, "catalog document")) - {"algebras", "modules", "ideals"}
     if unknown:
@@ -144,13 +154,15 @@ def catalog_from_doc(doc: dict) -> InstanceCatalog:
 
     cat = InstanceCatalog()
     for name, adoc in section("algebras").items():
-        cat.algebras[name] = algebra_from_doc(adoc)
+        cat.algebras[name] = _named(f"algebra {name!r}", algebra_from_doc, adoc)
     for name, mdoc in section("modules").items():
         alg_name = _algebra_name(mdoc, f"module {name!r}", cat)
-        cat.add_module(name, alg_name, module_from_doc(mdoc, cat.algebras[alg_name]))
+        module = _named(f"module {name!r}", module_from_doc, mdoc, cat.algebras[alg_name])
+        cat.add_module(name, alg_name, module)
     for name, idoc in section("ideals").items():
         alg_name = _algebra_name(idoc, f"ideal {name!r}", cat)
-        cat.add_ideal(name, alg_name, ideal_from_doc(idoc, cat.algebras[alg_name]))
+        ideal = _named(f"ideal {name!r}", ideal_from_doc, idoc, cat.algebras[alg_name])
+        cat.add_ideal(name, alg_name, ideal)
     return cat
 
 

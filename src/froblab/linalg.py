@@ -125,8 +125,11 @@ def shared_eliminations():
 
 
 def _recall(kind: str, p: int, arrays, compute, *args):
-    """The result stored in the open scope for kind, p and the arrays, else
-    compute(*args), stored only once it has returned."""
+    """compute(*args) afresh outside every scope; inside one, the result
+    stored for kind, p and the arrays, else compute(*args), stored only once
+    it has returned.  The only code that asks whether a scope is open."""
+    if _shared is None:
+        return compute(*args)
     key = (kind, p, *[(a.shape, a.tobytes()) for a in arrays])
     result = _shared.get(key)
     if result is None:
@@ -397,8 +400,6 @@ class FpMatrix:
     def kernel(self) -> "Subspace":
         """The solution space of self @ v == 0, inside F_p^cols (shared in a
         shared_eliminations scope)."""
-        if _shared is None:
-            return self._kernel()
         return _recall("kernel", self.p, (self.data,), self._kernel)
 
     def _kernel(self) -> "Subspace":
@@ -517,13 +518,11 @@ class Subspace:
         """The trusted door to from_vectors, for a k x ambient_dim int64 array
         the package built over a checked int prime p: nothing is checked or
         converted.  One elimination, shared in a shared_eliminations scope."""
-        if _shared is None:
-            return cls._span(p, ambient_dim, vectors)
         return _recall("span", p, (vectors,), cls._span, p, ambient_dim, vectors)
 
     @classmethod
     def _span(cls, p: int, ambient_dim: int, vectors: np.ndarray) -> "Subspace":
-        """_rows outside a scope: one elimination."""
+        """_rows' one elimination, the result _recall stores."""
         reduced, pivots = _rref(vectors, p)
         return cls._trusted(p, ambient_dim, reduced[: len(pivots)], pivots)
 
@@ -637,8 +636,6 @@ def quotient_representatives(space: Subspace, sub: Subspace) -> np.ndarray:
 def quotient_maps(sub: Subspace) -> tuple[FpMatrix, FpMatrix]:
     """Projection of F_p^n onto F_p^n / sub and a lift back (proj @ lift = id),
     shared in a shared_eliminations scope."""
-    if _shared is None:
-        return _quotient_maps(sub)
     return _recall("quotient", sub.p, (sub.basis,), _quotient_maps, sub)
 
 
@@ -784,8 +781,6 @@ def close_under(space: Subspace, operators: list[FpMatrix]) -> Subspace:
     shared_eliminations scope the key includes the operator stack.
     """
     operators = _operators_on(space, operators)
-    if _shared is None:
-        return _close_under(space, operators)
     return _recall("close", space.p, (space.basis, operators), _close_under, space, operators)
 
 

@@ -255,6 +255,36 @@ def test_fclosure_generator_beyond_int64_exits_2(fixtures, capsys):
     assert "beyond the int64 range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,index",
+    [
+        (["fclosure", "{alg}", "-1,0"], 0),
+        (["fclosure", "{alg}", "1,0", "-1,0"], 1),
+        (["fclosure", "--format", "structured", "{alg}", "-1,0", "--out", "{out}"], 0),
+        (["fclosure", "--out", "{out}", "{alg}", "0,1", "-1,0", "--format", "text"], 1),
+        (["fclosure", "{alg}", "--", "-1,0"], 0),
+    ],
+)
+def test_fclosure_generator_starting_with_a_minus_reaches_its_own_message(fixtures, capsys, argv, index):
+    # argparse read -1,0 as an unknown option and exited 2 naming no field
+    tmp, alg, _, _ = fixtures
+    out = tmp / "report.txt"
+    assert main([arg.format(alg=alg, out=out) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"generators[{index}]: entries must lie in [0, p) for p = 2" in err
+    assert "unrecognized arguments" not in err and not out.exists()
+
+
+def test_fclosure_options_still_parse_around_a_minus_generator(fixtures, capsys):
+    tmp, alg, _, _ = fixtures
+    out = tmp / "report.json"
+    argv = ["fclosure", "--format", "structured", alg, "-0,1", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["closure_generators"] == [[0, 1]]
+    assert main(["fclosure", alg, "-1,x"]) == 2
+    assert "generator '-1,x' is not a comma-separated integer vector" in capsys.readouterr().err
+
+
 def test_algebra_entry_beyond_int64_exits_2(fixtures, tmp_path, capsys):
     _, alg, _, _ = fixtures
     doc = json.loads(Path(alg).read_text())
@@ -725,6 +755,43 @@ def test_catalog_round_trip(tmp_path):
     assert set(loaded.modules) == set(cat.modules)
     for name in cat.modules:
         assert loaded.modules[name][1] == cat.modules[name][1]
+
+
+@pytest.mark.parametrize(
+    "section,name,entry,message",
+    [
+        ("ideals", "I", {"algebra": "F2", "generators": [[-3]]},
+         "ideal 'I': generators[0]: entries must lie in [0, p) for p = 2"),
+        ("modules", "M", {"algebra": "F2", "side": "left", "dim": 1, "action": [[[3]]], "X": [[1]]},
+         "module 'M': action[0]: entries must lie in [0, p) for p = 2"),
+        ("modules", "M", {"algebra": "F2", "side": "left", "dim": 1, "action": [[[0]]], "X": [[1]]},
+         "module 'M': action is not unital"),
+        ("algebras", "A", {**F2_DOC, "one": [2]},
+         "algebra 'A': one: entries must lie in [0, p) for p = 2"),
+        ("algebras", "A", {**F2_DOC, "p": 4, "one": [1]},
+         "algebra 'A': characteristic(4) is not prime"),
+    ],
+)
+def test_catalog_messages_name_the_entry(tmp_path, capsys, section, name, entry, message):
+    # the loaders' messages named the field but not the catalog entry
+    doc = {"algebras": {"F2": F2_DOC}, section: {name: entry}}
+    if section == "algebras":
+        doc["algebras"] = {name: entry}
+    with pytest.raises(ValueError) as info:
+        fileio.catalog_from_doc(doc)
+    assert message in str(info.value)
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_a_catalog_axiom_error_keeps_its_type():
+    from froblab.errors import AxiomError
+
+    doc = {"algebras": {"A": {**F2_DOC, "p": 4, "one": [1]}}}
+    with pytest.raises(AxiomError, match=r"^algebra 'A': characteristic\(4\) is not prime$"):
+        fileio.catalog_from_doc(doc)
 
 
 def test_catalog_cross_reference_validation():

@@ -164,3 +164,22 @@ def test_a_computation_that_raises_stores_nothing():
         with pytest.raises(AxiomError):
             linalg._recall("kind", 2, (np.zeros((1, 1), dtype=np.int64),), refuse)
         assert linalg._shared == {}
+
+
+def test_recall_computes_on_every_call_outside_a_scope_and_stores_inside_one():
+    calls = []
+
+    def compute(tag):
+        calls.append(tag)
+        return object()
+
+    arrays = (np.eye(2, dtype=np.int64),)
+    first = linalg._recall("kind", 2, arrays, compute, "a")
+    second = linalg._recall("kind", 2, arrays, compute, "b")
+    assert first is not second and calls == ["a", "b"]
+    assert linalg._shared is None
+    with shared_eliminations():
+        stored = linalg._recall("kind", 2, arrays, compute, "c")
+        assert linalg._recall("kind", 2, arrays, compute, "d") is stored
+        assert linalg._shared == {("kind", 2, ((2, 2), arrays[0].tobytes())): stored}
+    assert calls == ["a", "b", "c"] and linalg._shared is None
