@@ -28,6 +28,13 @@ from .linalg import (
 )
 
 
+def _integral(p) -> int:
+    """p as an int, refusing a non-integral p (ValueError): int(2.5) would be 2."""
+    if int(p) != p:
+        raise ValueError(f"characteristic must be an integer, got {p!r}")
+    return int(p)
+
+
 def _check_characteristic(p: int) -> None:
     """Refuse p above the single-word limit (ValueError) or not prime (AxiomError)."""
     check_word_size(p)
@@ -40,7 +47,7 @@ class FiniteAlgebra:
 
     def __init__(self, p: int, table, one, labels: list[str] | None = None):
         """The checked constructor, for data from outside: converted, shape-checked, validated."""
-        p = int(p)
+        p = _integral(p)
         table = int_array(table, p)
         if table.ndim != 3 or len(set(table.shape)) != 1:
             raise ValueError(f"structure table must be d x d x d, got {table.shape}")
@@ -587,7 +594,7 @@ def _monogenic_algebra(p: int, coeffs, var: str) -> FiniteAlgebra:
     n = len(coeffs) - 1
     if n < 1 or coeffs[-1] != 1:
         raise ValueError(f"need a monic polynomial of degree >= 1, got coefficients {coeffs!r}")
-    p = int(p)
+    p = _integral(p)
     _check_characteristic(p)
     companion = np.eye(n, k=1, dtype=np.int64)
     companion[-1] = [(-int(c)) % p for c in coeffs[:-1]]

@@ -177,6 +177,11 @@ def cmd_probe_question(args) -> int:
     return 0
 
 
+# argparse reads an argument as an option unless it looks like a negative
+# number; for fclosure a generator such as -1,0 does, so it reaches its own message
+_NEGATIVE_NUMBER = re.compile(r"-\d")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every later one."""
@@ -213,9 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         help="ideal generators as comma-separated coordinate vectors",
     )
-    # argparse reads an argument as an option unless it looks like a negative
-    # number; here a generator such as -1,0 does, so it reaches its own message
-    p_fc._negative_number_matcher = re.compile(r"-\d")
+    p_fc._negative_number_matcher = _NEGATIVE_NUMBER
     common(p_fc)
 
     p_check = sub.add_parser("check", help="run every verification suite")
@@ -236,8 +239,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The parsed command line.  argparse ends a nargs="*" positional at the
+    first option, so fclosure generators after an option come back unread:
+    they join the generators in order, as does all after a "--", and any
+    other argument left over is refused, as argparse's parse_args does."""
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "fclosure":
+        cut = rest.index("--") if "--" in rest else len(rest)
+        options = [a for a in rest[:cut] if a.startswith("-") and not _NEGATIVE_NUMBER.match(a)]
+        args.generators += [a for a in rest[:cut] if a not in options] + rest[cut + 1 :]
+        rest = options
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     # looked up per call, so a command rebound on the module is the one run
     commands = {
         "analyze": cmd_analyze,

@@ -290,14 +290,13 @@ def _check_one_module(
     # (b) graded annihilators are preserved
     g_mod = module.graded_annihilator()
     g_dual = dual.graded_annihilator()
+    ok = g_mod == g_dual
     report.add(
         "graded_annihilator_dual",
         "a module and its dual have the same graded annihilator",
         name,
-        g_mod == g_dual,
-        f"module: {g_mod!r} dual: {g_dual!r}; {_dump_module(module)}"
-        if g_mod != g_dual
-        else "",
+        ok,
+        "" if ok else f"module: {g_mod!r} dual: {g_dual!r}; {_dump_module(module)}",
     )
 
     # (c) kernel identities for a family of graded ideals
@@ -388,16 +387,15 @@ def _check_left_kernel_identity(
     # matrix and its kernel is the annihilator of the subspace
     kernel_of_dual_incl = ann.space.annihilator()
     product = dual.times_graded_ideal(B)
+    ok = kernel_of_dual_incl == product.space
     report.add(
         "ann_kernel_identity",
         "the kernel of the dualized inclusion of the annihilator equals the "
         "dual module times the graded ideal",
         f"{name}, B={bname}",
-        kernel_of_dual_incl == product.space,
-        f"kernel dim {kernel_of_dual_incl.dim}, product dim {product.space.dim}; "
-        f"{_dump_module(module)}"
-        if kernel_of_dual_incl != product.space
-        else "",
+        ok,
+        "" if ok else f"kernel dim {kernel_of_dual_incl.dim}, product dim "
+        f"{product.space.dim}; {_dump_module(module)}",
     )
 
 
@@ -413,16 +411,15 @@ def _check_right_kernel_identity(
     product = module.times_graded_ideal(B)
     kernel_of_dual_incl = product.space.annihilator()  # of the dualized inclusion
     ann = dual.annihilator_submodule(B)
+    ok = kernel_of_dual_incl == ann.space
     report.add(
         "product_kernel_identity",
         "the kernel of the dualized inclusion of the product equals the "
         "annihilator of the graded ideal in the dual",
         f"{name}, B={bname}",
-        kernel_of_dual_incl == ann.space,
-        f"kernel dim {kernel_of_dual_incl.dim}, annihilator dim {ann.space.dim}; "
-        f"{_dump_module(module)}"
-        if kernel_of_dual_incl != ann.space
-        else "",
+        ok,
+        "" if ok else f"kernel dim {kernel_of_dual_incl.dim}, annihilator dim "
+        f"{ann.space.dim}; {_dump_module(module)}",
     )
     # the annihilator is the dual of the quotient by the product, through the
     # dualized projection
@@ -434,13 +431,13 @@ def _check_right_kernel_identity(
     intertwines = np.array_equal(
         mulmod(dual_proj.data, dual_q.structure, p), mulmod(dual.structure, dual_proj.data, p)
     )
+    ok = image == ann.space and intertwines
     report.add(
         "quotient_dual_isomorphism",
         "the dual of the quotient by the product embeds onto the annihilator "
         "of the graded ideal in the dual",
         f"{name}, B={bname}",
-        image == ann.space and intertwines,
-        f"image dim {image.dim}, annihilator dim {ann.space.dim}, intertwines={intertwines}"
-        if not (image == ann.space and intertwines)
-        else "",
+        ok,
+        "" if ok else f"image dim {image.dim}, annihilator dim {ann.space.dim}, "
+        f"intertwines={intertwines}",
     )

@@ -22,6 +22,7 @@ from .linalg import (
     STACK_CELLS,
     FpMatrix,
     Subspace,
+    _recall,
     as_vector,
     close_under,
     combine,
@@ -39,6 +40,15 @@ from .linalg import (
 from .skew import GradedTwoSidedIdeal
 
 ISOMORPHISM_SEARCH_BOUND = 1 << 14
+
+# The _recall kinds of the module layer.  One structure stack means different
+# sets on the two sides, so graded_annihilator_set takes one kind per side.
+_ANNIHILATOR, _PRODUCT = "annihilator_submodule", "times_graded_ideal"
+_GRADED_ANNIHILATOR_SET = {
+    "left": "left graded_annihilator_set",
+    "right": "right graded_annihilator_set",
+}
+
 
 def _frobenius_twists(algebra: FiniteAlgebra, acts: np.ndarray) -> np.ndarray:
     """The read-only d x n x n stack of the rho(e_i^p) = sum_j F[j, i] rho(e_j),
@@ -437,6 +447,13 @@ class LeftFModule(_FModule):
         """
         if ideal.algebra != self.algebra:
             raise ValueError("graded ideal lives over a different algebra")
+        arrays = (self.structure, *(piece.space.basis for piece in ideal.chain))
+        space = _recall(_ANNIHILATOR, self.algebra.p, arrays, self._annihilator_space, ideal)
+        return FSubmodule._closed(self, space)
+
+    def _annihilator_space(self, ideal: GradedTwoSidedIdeal) -> Subspace:
+        """annihilator_submodule's space, the result _recall stores, checked
+        closed by FSubmodule once, here."""
         p, n, N = self.algebra.p, self.dim, ideal.stable_from
         blocks = [
             mulmod(self.rhos(piece.space.basis), self.x_power(m).data, p)
@@ -446,7 +463,7 @@ class LeftFModule(_FModule):
         rows = Subspace._rows(p, n, self.rhos(basis).reshape(basis.shape[0] * n, n))
         stable = close_under(rows, self.structure[-1:].transpose(0, 2, 1))
         blocks.append(mulmod(stable.basis, self.x_power(N).data, p))
-        return FSubmodule(self, common_kernel(p, n, blocks))
+        return FSubmodule(self, common_kernel(p, n, blocks)).space
 
 
 class RightFModule(_FModule):
@@ -469,13 +486,19 @@ class RightFModule(_FModule):
         """The submodule spanned by all m . (b x^n) with b in the n-th piece."""
         if ideal.algebra != self.algebra:
             raise ValueError("graded ideal lives over a different algebra")
+        arrays = (self.structure, *(piece.space.basis for piece in ideal.chain))
+        space = _recall(_PRODUCT, self.algebra.p, arrays, self._product_space, ideal)
+        return FSubmodule._closed(self, space)
+
+    def _product_space(self, ideal: GradedTwoSidedIdeal) -> Subspace:
+        """times_graded_ideal's space, the result _recall stores."""
         p, n = self.algebra.p, self.dim
         pieces = [np.zeros((0, n), dtype=np.int64)]
         for m, piece in enumerate(ideal.chain):
             # the columns of X^m rho(b), for every b of the piece's basis
             images = mulmod(self.x_power(m).data, self.rhos(piece.space.basis), p)
             pieces.append(images.transpose(0, 2, 1).reshape(images.shape[0] * n, n))
-        return self.submodule(np.vstack(pieces))
+        return self.submodule(np.vstack(pieces)).space
 
     def annihilator_chain(self) -> tuple[list[Subspace], int]:
         """Ascending chain (0 : R x^k) = {m : X^k rho(r) m = 0 for all r}.
@@ -575,7 +598,7 @@ class FSubmodule:
         return f"FSubmodule(dim={self.dim} of {self.parent!r})"
 
 
-def graded_annihilator_set(module: _FModule) -> set[tuple]:
+def graded_annihilator_set(module: _FModule) -> frozenset[tuple]:
     """Keys of the graded annihilators of all quotients of an x-divisible
     right module, or of all submodules of an x-torsion-free left module.
 
@@ -593,7 +616,16 @@ def graded_annihilator_set(module: _FModule) -> set[tuple]:
     M / M J_b, or of ann_H(J_b), as b runs over the radical ideals.  In
     R = prod R_i those are nil(R) + sum_(i in S) e_i R, one per subset S.
     Outside the hypothesis the formula can miss members, so it refuses.
+    The radical ideals come from the algebra, so the key holds its table and one.
     """
+    A = module.algebra
+    arrays = (A.table, A.one, module.structure)
+    kind = _GRADED_ANNIHILATOR_SET[module.side]
+    return _recall(kind, A.p, arrays, _graded_annihilator_keys, module)
+
+
+def _graded_annihilator_keys(module: _FModule) -> frozenset[tuple]:
+    """graded_annihilator_set's computation, the result _recall stores."""
     A, right = module.algebra, module.side == "right"
     if right and not module.is_x_divisible():
         raise AxiomError("graded annihilators of quotients need an x-divisible right module")
@@ -607,7 +639,7 @@ def graded_annihilator_set(module: _FModule) -> set[tuple]:
         sub = module.times_graded_ideal(J) if right else module.annihilator_submodule(J)
         subs.setdefault(sub.space, sub)
     pieces = (module.quotient(sub)[0] if right else sub.as_module()[0] for sub in subs.values())
-    return {piece.graded_annihilator().key() for piece in pieces}
+    return frozenset(piece.graded_annihilator().key() for piece in pieces)
 
 
 # -- distinguished modules ---------------------------------------------------

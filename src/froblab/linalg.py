@@ -104,15 +104,19 @@ _shared: dict | None = None
 @contextlib.contextmanager
 def shared_eliminations():
     """A scope in which Subspace.from_vectors, FpMatrix.kernel, quotient_maps
-    and close_under compute each distinct input once.
+    and close_under compute each distinct input once, and so do the module
+    layer's annihilator_submodule, times_graded_ideal and
+    graded_annihilator_set (froblab.fmodule).
 
-    Michie's memo function (Nature 218, 1968): each of the four is
-    deterministic and returns read-only arrays, so a call that repeats the
-    kind, p, and the shape and int64 bytes of every array input of an
-    earlier one gets the stored result, the value it would compute.  A
-    nested scope uses the outer table.  Closing the outermost scope drops
-    the table, also when the body raises.  The table is module state, one
-    per process: froblab computes in one thread.
+    Michie's memo function (Nature 218, 1968): each of the seven is
+    deterministic and returns read-only arrays or a frozenset, so a call
+    that repeats the kind, p, and the shape and int64 bytes of every array
+    input of an earlier one gets the stored result, the value it would
+    compute.  graded_annihilator_set reads the algebra's radical ideals, so
+    its key holds the algebra's table and one too.  A nested scope uses the
+    outer table.  Closing the outermost scope drops the table, also when
+    the body raises.  The table is module state, one per process: froblab
+    computes in one thread.
     """
     global _shared
     outer = _shared
@@ -127,7 +131,10 @@ def shared_eliminations():
 def _recall(kind: str, p: int, arrays, compute, *args):
     """compute(*args) afresh outside every scope; inside one, the result
     stored for kind, p and the arrays, else compute(*args), stored only once
-    it has returned.  The only code that asks whether a scope is open."""
+    it has returned.  The only code that asks whether a scope is open.  The
+    kinds: "span", "kernel", "quotient" and "close" here; in fmodule
+    "annihilator_submodule", "times_graded_ideal", and one per side of
+    graded_annihilator_set."""
     if _shared is None:
         return compute(*args)
     key = (kind, p, *[(a.shape, a.tobytes()) for a in arrays])

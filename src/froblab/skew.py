@@ -140,7 +140,8 @@ def is_graded_two_sided(chain: list[Ideal]) -> bool:
 
 
 class GradedTwoSidedIdeal:
-    """An ascending ideal chain (b_0, ..., b_N) constant from index N on."""
+    """An ascending ideal chain (b_0, ..., b_N) constant from index N on.
+    The chain is a tuple, so a graded ideal cannot change once it is built."""
 
     __slots__ = ("algebra", "chain")
 
@@ -156,7 +157,7 @@ class GradedTwoSidedIdeal:
         while len(trimmed) > 1 and trimmed[-1].space == trimmed[-2].space:
             trimmed.pop()
         self.algebra = algebra
-        self.chain = trimmed
+        self.chain = tuple(trimmed)
 
     @property
     def stable_from(self) -> int:

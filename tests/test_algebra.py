@@ -85,6 +85,19 @@ def test_characteristic_far_above_the_limit_is_refused_at_once():
         FiniteAlgebra(2**61 - 1, [[[1]]], [1])
 
 
+@pytest.mark.parametrize("p", [2.5, 3.9, "3"])
+def test_a_characteristic_that_is_no_integer_is_refused(p):
+    # int(p) truncated 2.5 to 2, so this built an algebra over F_2 without a word
+    with pytest.raises(ValueError, match="characteristic must be an integer"):
+        FiniteAlgebra(p, [[[1]]], [1])
+
+
+def test_integral_characteristics_of_other_types_build_the_same_algebra():
+    for p in (np.int64(3), np.int32(3), 3.0):
+        A = FiniteAlgebra(p, [[[1]]], [1])
+        assert A.p == 3 and type(A.p) is int and A == prime_field(3)
+
+
 def test_basis_matrices_are_computed_once():
     A = truncated_polynomial_algebra(3, 3)
     mats = A.basis_matrices()

@@ -285,6 +285,32 @@ def test_fclosure_options_still_parse_around_a_minus_generator(fixtures, capsys)
     assert "generator '-1,x' is not a comma-separated integer vector" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fclosure", "{alg}", "--format", "structured", "0,1"],
+        ["fclosure", "{alg}", "--format", "structured", "--", "0,1"],
+        ["fclosure", "{alg}", "--out", "{out}", "0,1", "--format", "structured"],
+        ["fclosure", "{alg}", "-0,1", "--format", "structured", "--out", "{out}", "0,0"],
+    ],
+)
+def test_fclosure_reads_generators_after_an_option(fixtures, capsys, argv):
+    # argparse ended the generators at the first option: "unrecognized arguments: 0,1"
+    tmp, alg, _, _ = fixtures
+    out = tmp / "report.json"
+    assert main([arg.format(alg=alg, out=out) for arg in argv]) == 0
+    doc = json.loads(out.read_text() if "--out" in argv else capsys.readouterr().out)
+    assert doc["closure_generators"] == [[0, 1]]
+
+
+def test_fclosure_still_refuses_an_unknown_option_after_the_generators(fixtures, capsys):
+    _, alg, _, _ = fixtures
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fclosure", alg, "--format", "text", "0,1", "--bogus"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
 def test_algebra_entry_beyond_int64_exits_2(fixtures, tmp_path, capsys):
     _, alg, _, _ = fixtures
     doc = json.loads(Path(alg).read_text())

@@ -281,6 +281,30 @@ def test_failed_round_trip_is_reported_not_raised(monkeypatch):
         assert details.startswith("double dual does not reproduce the module; side=left")
 
 
+def test_failed_kernel_identities_are_reported_with_their_dimensions(monkeypatch):
+    # with an annihilator and a product that are always zero, every kernel
+    # identity fails, and its details give both dimensions and the module
+    monkeypatch.setattr(LeftFModule, "annihilator_submodule", lambda M, B: M.zero_submodule())
+    monkeypatch.setattr(RightFModule, "times_graded_ideal", lambda M, B: M.zero_submodule())
+    ctx = build_duality_context(F2T2)
+    H = natural_frobenius_module(F2T2)
+    modules = [("H", H), ("D", dual_left(H, ctx))]
+    report = check_duality_identities(ctx, modules, random.Random(0))
+    details = {(r.check, r.instance): r.details for r in report.failures()}
+    bnames = [bname for bname, _ in ctx.standard_graded_ideals] + ["grann"]
+    assert len(details) == 3 * len(bnames)
+    for bname in bnames:
+        assert details["ann_kernel_identity", f"H, B={bname}"].startswith(
+            "kernel dim 2, product dim 0; side=left action="
+        )
+        assert details["product_kernel_identity", f"D, B={bname}"].startswith(
+            "kernel dim 2, annihilator dim 0; side=right action="
+        )
+        assert details["quotient_dual_isomorphism", f"D, B={bname}"] == (
+            "image dim 2, annihilator dim 0, intertwines=True"
+        )
+
+
 def test_functoriality():
     rng = random.Random(9)
     for A in (F2T2, F4):

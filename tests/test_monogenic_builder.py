@@ -95,3 +95,12 @@ def test_the_characteristic_is_refused_as_the_checked_constructor_refuses_it():
             truncated_polynomial_algebra(p, 2)
     with pytest.raises(ValueError, match="exceeds the single-word limit"):
         extension_field((1 << 61) - 1, [1, 1, 1])
+
+
+def test_a_characteristic_that_is_no_integer_is_refused():
+    # int(p) truncated 3.9 to 3, so this built F3[t]/t^2 without a word
+    for build in (lambda p: truncated_polynomial_algebra(p, 2), lambda p: extension_field(p, [1, 1, 1])):
+        for p in (3.9, 2.5):
+            with pytest.raises(ValueError, match="characteristic must be an integer"):
+                build(p)
+        assert build(np.int64(2)) == build(2)

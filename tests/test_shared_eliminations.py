@@ -1,26 +1,44 @@
 """The shared_eliminations scope of `froblab check` against unshared runs.
 
 Inside the scope Subspace.from_vectors, FpMatrix.kernel, quotient_maps and
-close_under hand back the stored result for an input they have seen.  The
-unshared run is the reference: every report must be byte-identical to it.
-The key must tell apart inputs whose bytes agree but whose p, shape or
-operators differ, and the scope must leave nothing behind.
+close_under hand back the stored result for an input they have seen, and so
+do the module layer's annihilator_submodule, times_graded_ideal and
+graded_annihilator_set.  The unshared run is the reference: every report
+must be byte-identical to it.  The key must tell apart inputs whose bytes
+agree but whose p, shape, operators, graded ideal or algebra differ, and
+the scope must leave nothing behind.
 
 Tier-1 cost: about 9 s for the whole file on a 2-core Xeon, nearly all of it
 the twenty `check --budget 8` runs.
 """
+import collections
 import contextlib
 import random
 
 import numpy as np
 import pytest
 
+import froblab.fmodule as fmodule
 import froblab.linalg as linalg
 from froblab import checks
+from froblab.algebra import extension_field, prime_field, product_algebra
 from froblab.cli import main
 from froblab.errors import AxiomError
+from froblab.fmodule import (
+    LeftFModule,
+    RightFModule,
+    cartier_from_splitting,
+    graded_annihilator_set,
+    natural_frobenius_module,
+)
 from froblab.generators import default_catalog, random_module
 from froblab.linalg import FpMatrix, Subspace, close_under, quotient_maps, shared_eliminations
+from froblab.skew import (
+    GradedTwoSidedIdeal,
+    unit_graded_ideal,
+    x_power_graded_ideal,
+    zero_graded_ideal,
+)
 
 from module_strategies import direct_sum
 
@@ -38,6 +56,54 @@ def test_sharing_never_changes_a_check_report(capsys, monkeypatch, seed, fmt):
         m.setattr(checks, "shared_eliminations", contextlib.nullcontext)
         reference = check_stdout(capsys, seed, fmt)
     assert shared == reference
+
+
+def digest(value):
+    """The bytes of a result of the module layer, whatever its type."""
+    if isinstance(value, Subspace):
+        return value.basis.shape, value.basis.tobytes()
+    if isinstance(value, FpMatrix):
+        return value.data.shape, value.data.tobytes()
+    if isinstance(value, fmodule._FModule):
+        return value.side, value.structure.shape, value.structure.tobytes()
+    if isinstance(value, GradedTwoSidedIdeal):
+        return digest(value.key())
+    if isinstance(value, frozenset):
+        return sorted(digest(v) for v in value)
+    return tuple(digest(v) for v in value)
+
+
+def module_layer_results(monkeypatch, seed: int) -> list:
+    """The kind and the digest of every module-layer result of one
+    run_catalog_checks, in order, that is not computed inside another."""
+    recall, seen, depth = fmodule._recall, [], [0]
+
+    def recording(kind, p, arrays, compute, *args):
+        depth[0] += 1
+        try:
+            result = recall(kind, p, arrays, compute, *args)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            seen.append((kind, digest(result)))
+        return result
+
+    with monkeypatch.context() as m:
+        m.setattr(fmodule, "_recall", recording)
+        checks.run_catalog_checks(default_catalog(), seed=seed, instances_per_algebra=8)
+    return seen
+
+
+def test_sharing_hands_back_the_values_an_unshared_run_computes(monkeypatch):
+    # each law compares two results that go through the store, so a key that
+    # confuses two inputs for both can leave every report unchanged
+    shared = module_layer_results(monkeypatch, seed=1)
+    with monkeypatch.context() as m:
+        m.setattr(checks, "shared_eliminations", contextlib.nullcontext)
+        reference = module_layer_results(monkeypatch, seed=1)
+    assert shared == reference
+    kinds = {kind for kind, _ in shared}
+    assert kinds == {fmodule._ANNIHILATOR, fmodule._PRODUCT, *fmodule._GRADED_ANNIHILATOR_SET.values()}
 
 
 def block_module(A, side: str, dim: int, seed: int):
@@ -183,3 +249,99 @@ def test_recall_computes_on_every_call_outside_a_scope_and_stores_inside_one():
         assert linalg._recall("kind", 2, arrays, compute, "d") is stored
         assert linalg._shared == {("kind", 2, ((2, 2), arrays[0].tobytes())): stored}
     assert calls == ["a", "b", "c"] and linalg._shared is None
+
+
+# -- the module layer -------------------------------------------------------------
+
+F2 = prime_field(2)
+F4 = extension_field(2, [1, 1, 1])
+F2xF2 = product_algebra(F2, F2)
+
+
+def test_the_key_separates_one_module_under_two_graded_ideals():
+    M = random_module(F4, "right", 4, random.Random(5))
+    H = natural_frobenius_module(F4)
+    ideals = [zero_graded_ideal(F4), x_power_graded_ideal(F4, 1), unit_graded_ideal(F4)]
+    with shared_eliminations():
+        products = [M.times_graded_ideal(B).space for B in ideals]
+        annihilators = [H.annihilator_submodule(B).space for B in ideals]
+    assert products == [M.times_graded_ideal(B).space for B in ideals]
+    assert annihilators == [H.annihilator_submodule(B).space for B in ideals]
+    assert [space.dim for space in products] == [0, M.x_image(1).dim, 4]
+    assert [space.dim for space in annihilators] == [2, 0, 0]
+
+
+def test_a_graded_annihilator_in_a_scope_lives_over_its_own_algebra():
+    # both zero modules have the same 3 x 0 x 0 structure over p = 2
+    with shared_eliminations():
+        for A in (F4, F2xF2, F4):
+            g = LeftFModule.zero(A).graded_annihilator()
+            assert g.algebra is A and g.chain[0].algebra is A
+            assert g == LeftFModule.zero(A).graded_annihilator()
+
+
+def test_equal_modules_share_results_but_keep_their_own_submodules():
+    M = random_module(F4, "right", 4, random.Random(5))
+    B = x_power_graded_ideal(F4, 1)
+    with shared_eliminations():
+        for module in (M, RightFModule(F4, M.action, M.x_action)):
+            product = module.times_graded_ideal(B)
+            assert product.parent is module
+            quotient, proj = module.quotient(product)
+            assert quotient.dim == M.dim - product.dim
+        H = natural_frobenius_module(F4)
+        for module in (H, LeftFModule(F4, H.action, H.x_action)):
+            assert module.annihilator_submodule(B).parent is module
+
+
+def test_stored_chains_and_sets_cannot_be_mutated():
+    with shared_eliminations():
+        M = cartier_from_splitting(F2xF2)[0]
+        g = M.graded_annihilator()
+        assert isinstance(g.chain, tuple)
+        with pytest.raises(TypeError):
+            g.chain[0] = g.chain[0]
+        keys = graded_annihilator_set(M)
+        assert graded_annihilator_set(M) is keys and len(keys) == 4
+        with pytest.raises(AttributeError):
+            keys.add(())
+
+
+COMPUTATIONS = [
+    (LeftFModule, "_annihilator_space"),
+    (RightFModule, "_product_space"),
+    (fmodule, "_graded_annihilator_keys"),
+]
+
+
+def every_module_entry_point(A):
+    """Each of the three entry points, on modules built afresh."""
+    H, M = natural_frobenius_module(A), cartier_from_splitting(A)[0]
+    B = x_power_graded_ideal(A, 1)
+    H.annihilator_submodule(B)
+    M.times_graded_ideal(B)
+    graded_annihilator_set(H)
+    graded_annihilator_set(M)
+
+
+def test_the_module_layer_computes_on_every_call_outside_a_scope(monkeypatch):
+    calls = collections.Counter()
+    for owner, name in COMPUTATIONS:
+        compute = getattr(owner, name)
+
+        def counted(*args, compute=compute, name=name):
+            calls[name] += 1
+            return compute(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    every_module_entry_point(F2xF2)
+    once = dict(calls)
+    assert set(once) == {name for _, name in COMPUTATIONS}
+    every_module_entry_point(F2xF2)
+    assert calls == {name: 2 * count for name, count in once.items()}
+    calls.clear()
+    with shared_eliminations():
+        every_module_entry_point(F2xF2)
+        once = dict(calls)
+        every_module_entry_point(F2xF2)
+    assert calls == once and all(count >= 1 for count in once.values())
